@@ -9,7 +9,8 @@ small-size computations against stored golden outputs.
 Exit codes: 0 when every requested verification passes, 1 when a
 verification or golden comparison fails, 2 for invalid parameters, 3 when
 a resource cap cuts a computation off.  The DETSING_MAX_TERMS environment
-variable overrides the Gröbner term cap.
+variable overrides the Gröbner term cap; a value that is not a positive
+integer is an invalid parameter.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .errors import (
     ResourceLimit,
 )
 from .fields import QQ, field_from_name, field_name
+from .groebner import term_cap
 from .matrices import (
     GenericMatrix,
     determinant,
@@ -300,7 +302,7 @@ def cmd_resolve(args) -> int:
             raise BadParameters("--r belongs to --kind sym; use --l for skew")
         report = resolve_skew(
             args.m, args.l, field,
-            all_charts=args.all_charts, check=args.verify, workers=args.workers,
+            all_charts=args.all_charts, check=args.verify,
         )
     else:
         if args.r is None:
@@ -309,7 +311,7 @@ def cmd_resolve(args) -> int:
             raise BadParameters("--l belongs to --kind skew; use --r for sym")
         report = resolve_sym(
             args.m, args.r, field,
-            all_charts=args.all_charts, check=args.verify, workers=args.workers,
+            all_charts=args.all_charts, check=args.verify,
         )
     if args.format == "md":
         text = render_markdown(report)
@@ -396,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="full",
                      help="verification level (full adds Gröbner bases and leaf checks)")
     res.add_argument("--format", choices=("json", "md"), default="json")
-    res.add_argument("--workers", type=int, default=1,
-                     help="parallel chart expansion (deterministic output)")
     res.add_argument("--output", help="write the report here instead of stdout")
     res.set_defaults(handler=cmd_resolve)
 
@@ -429,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        term_cap()  # a malformed DETSING_MAX_TERMS is bad input
         return args.handler(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

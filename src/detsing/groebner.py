@@ -7,8 +7,7 @@ count) raise ResourceLimit; they never produce a wrong answer.
 
 Pair bookkeeping follows the classic Gebauer-Moeller update (chain and
 coprimality criteria, plus pruning of old pairs whose lcm strictly contains
-the new leading monomial). Selection is the sugar strategy by default, with
-the plain normal strategy (smallest lcm) available.
+the new leading monomial). Pairs are selected by the sugar strategy.
 """
 
 from __future__ import annotations
@@ -17,17 +16,35 @@ import heapq
 import os
 from typing import Iterable
 
-from .errors import ResourceLimit, RingMismatch
-from .rings import Polynomial, Ring, m_div, m_divides, m_lcm, m_mul
+from .errors import BadParameters, ResourceLimit, RingMismatch
+from .rings import Polynomial, Ring, grevlex_key, m_div, m_divides, m_lcm, m_mul
 
 DEFAULT_MAX_BASIS = 2000
-DEFAULT_MAX_TERMS = int(os.environ.get("DETSING_MAX_TERMS", 200_000))
+DEFAULT_MAX_TERMS = 200_000
+_MAX_TERMS_ENV = os.environ.get("DETSING_MAX_TERMS")
 
 
-def _term_cap(max_terms):
-    """Resolve the effective term cap: explicit argument, else the module
-    default (which honors the DETSING_MAX_TERMS environment override)."""
-    return DEFAULT_MAX_TERMS if max_terms is None else max_terms
+def term_cap(max_terms: int = None) -> int:
+    """The term cap of a call: max_terms when given, else the
+    DETSING_MAX_TERMS environment variable (read at import), else
+    DEFAULT_MAX_TERMS.
+
+    A variable that is not a positive integer raises BadParameters here,
+    at the first capped call, so that importing the package still succeeds.
+    """
+    if max_terms is not None:
+        return max_terms
+    if _MAX_TERMS_ENV is None:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = int(_MAX_TERMS_ENV)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadParameters(
+            f"DETSING_MAX_TERMS must be a positive integer, got {_MAX_TERMS_ENV!r}"
+        )
+    return cap
 
 
 class MonomialOrder:
@@ -57,10 +74,7 @@ class MonomialOrder:
 
 
 def grevlex_order(ring_: Ring) -> MonomialOrder:
-    def key(m):
-        return (sum(m),) + tuple(-e for e in reversed(m))
-
-    return MonomialOrder(("grevlex", ring_.nvars), key)
+    return MonomialOrder(("grevlex", ring_.nvars), grevlex_key)
 
 
 def lex_order(ring_: Ring) -> MonomialOrder:
@@ -178,24 +192,18 @@ def _coprime(a, b) -> bool:
 
 
 class _PairQueue:
-    """Pending S-pairs with sugar or normal selection, deterministic ties."""
+    """Pending S-pairs, popped by (sugar, lcm, ages): the ages make every
+    priority unique, so the pop order never depends on the heap layout."""
 
-    def __init__(self, order: MonomialOrder, select: str):
-        if select not in ("sugar", "normal"):
-            raise ValueError(f"unknown selection strategy {select!r}")
+    def __init__(self, order: MonomialOrder):
         self.order = order
-        self.select = select
         self.heap: list = []
-
-    def priority(self, lcm, sugar, g1: _Gen, g2: _Gen):
-        if self.select == "sugar":
-            return (sugar,) + self.order.key(lcm) + (g1.age, g2.age)
-        return self.order.key(lcm) + (g1.age, g2.age)
 
     def push(self, g1: _Gen, g2: _Gen):
         lcm = m_lcm(g1.lm, g2.lm)
         sugar = max(g1.sugar + sum(m_div(lcm, g1.lm)), g2.sugar + sum(m_div(lcm, g2.lm)))
-        heapq.heappush(self.heap, (self.priority(lcm, sugar, g1, g2), lcm, g1, g2))
+        priority = (sugar,) + self.order.key(lcm) + (g1.age, g2.age)
+        heapq.heappush(self.heap, (priority, lcm, g1, g2))
 
     def pop(self):
         _, lcm, g1, g2 = heapq.heappop(self.heap)
@@ -203,9 +211,6 @@ class _PairQueue:
 
     def __len__(self):
         return len(self.heap)
-
-    def items(self):
-        return [(lcm, g1, g2) for _, lcm, g1, g2 in self.heap]
 
 
 def _update(G: list, queue: _PairQueue, h: _Gen):
@@ -234,19 +239,12 @@ def _update(G: list, queue: _PairQueue, h: _Gen):
         # but the pair still participates in the filter above
         kept.append((g, _coprime(g.lm, h.lm)))
     # prune old pairs: drop (g1, g2) when lm(h) properly divides their lcm
-    surviving = []
-    for lcm, g1, g2 in queue.items():
-        if (
-            m_divides(h.lm, lcm)
-            and m_lcm(g1.lm, h.lm) != lcm
-            and m_lcm(g2.lm, h.lm) != lcm
-        ):
-            continue
-        surviving.append((lcm, g1, g2))
-    queue.heap = []
-    for lcm, g1, g2 in surviving:
-        sugar = max(g1.sugar + sum(m_div(lcm, g1.lm)), g2.sugar + sum(m_div(lcm, g2.lm)))
-        heapq.heappush(queue.heap, (queue.priority(lcm, sugar, g1, g2), lcm, g1, g2))
+    def pruned(entry):
+        _, lcm, g1, g2 = entry
+        return m_divides(h.lm, lcm) and m_lcm(g1.lm, h.lm) != lcm and m_lcm(g2.lm, h.lm) != lcm
+
+    queue.heap = [entry for entry in queue.heap if not pruned(entry)]
+    heapq.heapify(queue.heap)
     for g, skip in kept:
         if not skip:
             queue.push(g, h)
@@ -275,7 +273,7 @@ class GroebnerBasis:
         if f.ring != self.ring:
             raise RingMismatch("polynomial is not in the basis ring")
         terms = _reduce_terms(
-            f.terms, self._gens, self.order, self.ring.field, _term_cap(max_terms)
+            f.terms, self._gens, self.order, self.ring.field, term_cap(max_terms)
         )
         return Polynomial(self.ring, terms)
 
@@ -302,7 +300,6 @@ def groebner(
     gens,
     order: MonomialOrder = None,
     *,
-    select: str = "sugar",
     max_basis: int = None,
     max_terms: int = None,
 ) -> GroebnerBasis:
@@ -312,7 +309,7 @@ def groebner(
     its cap. The result is independent of generator order (tested).
     """
     max_basis = DEFAULT_MAX_BASIS if max_basis is None else max_basis
-    max_terms = _term_cap(max_terms)
+    max_terms = term_cap(max_terms)
     gen_list = list(gens.gens) if hasattr(gens, "gens") else list(gens)
     if not gen_list:
         raise ValueError("need at least one generator (possibly zero)")
@@ -332,7 +329,7 @@ def groebner(
     nonzero.sort(key=lambda g: (order.key(g.leading(order.key)[0]), g.num_terms(), g.format()))
 
     G: list = []
-    queue = _PairQueue(order, select)
+    queue = _PairQueue(order)
     age = 0
     for g in nonzero:
         reduced = _reduce_terms(g.terms, G, order, field, max_terms)

@@ -18,9 +18,9 @@ Conventions, all pinned by tests:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import BadIndex, CharTwoForbidden, NotSkew, OddSize, RingMismatch
+from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ
 from .rings import Polynomial, Ring, Substitution, exact_div, ring
 
@@ -62,18 +62,6 @@ class GenericMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.rows[i][j]
-
-    def map_entries(self, fn: Callable[[Polynomial], Polynomial], ring_: Ring = None,
-                    kind: str = None) -> "GenericMatrix":
-        return GenericMatrix(
-            ring_ or self.ring,
-            [[fn(e) for e in row] for row in self.rows],
-            kind if kind is not None else self.kind,
-        )
-
-    def apply(self, sub: Substitution) -> "GenericMatrix":
-        """Entrywise substitution; symmetry survives a ring map."""
-        return self.map_entries(sub, ring_=sub.target)
 
     def variables(self) -> tuple:
         """Names occurring anywhere in the matrix, in ring order."""
@@ -126,6 +114,11 @@ def sym_variable_names(m: int, prefix: str = "x") -> list:
     return [f"{prefix}_{i}_{j}" for i in range(1, m + 1) for j in range(i, m + 1)]
 
 
+def _check_size(m):
+    if not isinstance(m, int) or m < 0:
+        raise BadParameters(f"matrix size must be an integer >= 0, got {m!r}")
+
+
 def generic_skew(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> GenericMatrix:
     """The generic skew-symmetric m x m matrix in variables prefix_i_j (i < j).
 
@@ -133,6 +126,7 @@ def generic_skew(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> Gen
     needed variable names (used by the resolution driver, whose rings carry
     extra bookkeeping coordinates).
     """
+    _check_size(m)
     if field.char == 2:
         raise CharTwoForbidden("generic skew matrices need characteristic != 2")
     names = skew_variable_names(m, prefix)
@@ -149,6 +143,7 @@ def generic_skew(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> Gen
 
 def generic_sym(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> GenericMatrix:
     """The generic symmetric m x m matrix in variables prefix_i_j (i <= j)."""
+    _check_size(m)
     names = sym_variable_names(m, prefix)
     if ring_ is None:
         ring_ = ring(names, field)

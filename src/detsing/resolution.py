@@ -24,7 +24,6 @@ through the verify module and recorded as verdicts on each node.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .blowup import Center, make_chart, strict_transform_ideal, strict_transform_poly
 from .errors import BadParameters, CharTwoForbidden, SizeTooSmall
@@ -62,6 +61,8 @@ class ChartReduction:
     ``formula_matrix`` is the reduced matrix whose entries are the y-formulas
     spelled out in the module docstring — both live in the chart ring.
     The ideal identities are checked against these matrices.
+    ``corrections`` holds the (P, Q) terms of those formulas (see
+    ``_corrections``); the child's rewrite inverts them.
     """
 
     __slots__ = (
@@ -71,6 +72,7 @@ class ChartReduction:
         "ring",
         "matrix",
         "formula_matrix",
+        "corrections",
         "eps",
         "remaining",
         "parent_matrix",
@@ -78,13 +80,14 @@ class ChartReduction:
     )
 
     def __init__(self, chart, chart_type, position, ring_, matrix, formula_matrix,
-                 eps, remaining, parent_matrix, parent_residual):
+                 corrections, eps, remaining, parent_matrix, parent_residual):
         self.chart = chart
         self.chart_type = chart_type
         self.position = position
         self.ring = ring_
         self.matrix = matrix
         self.formula_matrix = formula_matrix
+        self.corrections = corrections
         self.eps = eps
         self.remaining = remaining
         self.parent_matrix = parent_matrix
@@ -256,42 +259,33 @@ def _strict_entries(M, chart):
     return rows, T
 
 
-def _formula_rows(chart_type, Mp, k0, l0, remaining, T):
-    """Entries of the reduced matrix, indexed by the surviving rows/columns
-    relabeled to 1..n, as polynomials of the chart ring."""
-    n = len(remaining)
-    rows = [[T.zero()] * n for _ in range(n)]
-    if chart_type == "skew":
-        for a in range(n):
-            for b in range(a + 1, n):
-                i, j = remaining[a], remaining[b]
-                y = Mp[i][j] - Mp[l0][j] * Mp[k0][i] + Mp[k0][j] * Mp[l0][i]
-                rows[a][b] = y
-                rows[b][a] = -y
-        return rows
-    if chart_type == "diag":
-        for a in range(n):
-            for b in range(a, n):
-                i, j = remaining[a], remaining[b]
-                y = Mp[i][j] - Mp[k0][i] * Mp[k0][j]
-                rows[a][b] = y
-                rows[b][a] = y
-        return rows
-    eps = T.one() - Mp[k0][k0] * Mp[l0][l0]
-    for a in range(n):
-        for b in range(a, n):
-            i, j = remaining[a], remaining[b]
-            A_i = Mp[k0][i] - Mp[k0][k0] * Mp[l0][i]
-            B_j = Mp[l0][j] - Mp[l0][l0] * Mp[k0][j]
-            y = eps * (Mp[i][j] - Mp[l0][i] * Mp[k0][j]) - A_i * B_j
-            rows[a][b] = y
-            rows[b][a] = y
-    return rows
+def _corrections(chart_type, Mp, k0, l0, remaining):
+    """The y-formulas of the module docstring as correction terms: for each
+    upper-triangle entry (a, b) of the reduced matrix, with i, j the
+    surviving rows remaining[a], remaining[b], a pair (P, Q) such that
+    y_ab = eps*(x'_ij - Q) - P off-diagonally and y_ab = x'_ij - P (Q None)
+    in skew and diagonal charts."""
+    out = {}
+    if chart_type == "offdiag":
+        A = [Mp[k0][i] - Mp[k0][k0] * Mp[l0][i] for i in remaining]
+        B = [Mp[l0][j] - Mp[l0][l0] * Mp[k0][j] for j in remaining]
+    start = 1 if chart_type == "skew" else 0
+    for a, i in enumerate(remaining):
+        for b in range(a + start, len(remaining)):
+            j = remaining[b]
+            if chart_type == "skew":
+                out[a, b] = (Mp[l0][j] * Mp[k0][i] - Mp[k0][j] * Mp[l0][i], None)
+            elif chart_type == "diag":
+                out[a, b] = (Mp[k0][i] * Mp[k0][j], None)
+            else:
+                out[a, b] = (A[a] * B[b], Mp[l0][i] * Mp[k0][j])
+    return out
 
 
 def _chart_reduction(node, chart_type, k, l):
     """Shared chart work: blow up at the matrix variables, divide out the
-    exceptional, and form the reduced (formula) matrix."""
+    exceptional, and form the reduced (formula) matrix, its entries indexed
+    by the surviving rows/columns relabeled to 1..n."""
     M = node.matrix
     k0, l0 = k - 1, l - 1
     chart_var = _entry_name(M, k0, l0)
@@ -304,10 +298,17 @@ def _chart_reduction(node, chart_type, k, l):
     eps = None
     if chart_type == "offdiag":
         eps = T.one() - Mp[k0][k0] * Mp[l0][l0]
+    corrections = _corrections(chart_type, Mp, k0, l0, remaining)
     formula = None
     if remaining:
-        kind = "skew" if chart_type == "skew" else "sym"
-        formula = GenericMatrix(T, _formula_rows(chart_type, Mp, k0, l0, remaining, T), kind)
+        n = len(remaining)
+        rows = [[T.zero()] * n for _ in range(n)]
+        for (a, b), (P, Q) in corrections.items():
+            x = Mp[remaining[a]][remaining[b]]
+            y = x - P if Q is None else eps * (x - Q) - P
+            rows[a][b] = y
+            rows[b][a] = -y if chart_type == "skew" else y
+        formula = GenericMatrix(T, rows, "skew" if chart_type == "skew" else "sym")
     return ChartReduction(
         chart=chart,
         chart_type=chart_type,
@@ -315,6 +316,7 @@ def _chart_reduction(node, chart_type, k, l):
         ring_=T,
         matrix=strict_matrix,
         formula_matrix=formula,
+        corrections=corrections,
         eps=eps,
         remaining=remaining,
         parent_matrix=M,
@@ -413,34 +415,18 @@ def _build_child(node, red, orbit_size):
     s_name = f"s{depth}"
     extra = [s_name] if red.chart_type == "offdiag" else []
 
-    Mp = red.matrix.rows
-    k0, l0 = k - 1, l - 1
-    entries = []  # (primed parent entry name, child indices, correction payload)
-    for a, i in enumerate(red.remaining):
-        for b, j in enumerate(red.remaining):
-            if a > b or (red.chart_type == "skew" and a == b):
-                continue
-            name = _entry_name(red.parent_matrix, i, j) + "p"
-            if red.chart_type == "skew":
-                payload = (Mp[l0][j] * Mp[k0][i] - Mp[k0][j] * Mp[l0][i],)
-            elif red.chart_type == "diag":
-                payload = (Mp[k0][i] * Mp[k0][j],)
-            else:
-                A_i = Mp[k0][i] - Mp[k0][k0] * Mp[l0][i]
-                B_j = Mp[l0][j] - Mp[l0][l0] * Mp[k0][j]
-                payload = (A_i * B_j, Mp[l0][i] * Mp[k0][j])
-            entries.append((name, a, b, payload))
-
-    core = {name for name, _, _, _ in entries}
+    names = {
+        ab: _entry_name(red.parent_matrix, red.remaining[ab[0]], red.remaining[ab[1]]) + "p"
+        for ab in red.corrections
+    }
+    core = set(names.values())
     U = Ring(fresh + [nm for nm in T.names if nm not in core] + extra, T.field)
     images = {}
-    for name, a, b, payload in entries:
-        y = U.var(f"{prefix}_{a + 1}_{b + 1}")
-        if red.chart_type == "offdiag":
-            s = U.var(s_name)
-            images[name] = s * (y + embed(payload[0], U)) + embed(payload[1], U)
-        else:
-            images[name] = y + embed(payload[0], U)
+    for (a, b), (P, Q) in red.corrections.items():
+        image = U.var(f"{prefix}_{a + 1}_{b + 1}") + embed(P, U)
+        if Q is not None:
+            image = U.var(s_name) * image + embed(Q, U)
+        images[names[a, b]] = image
     rewrite = Substitution(T, U, images)
 
     maker = generic_skew if red.chart_type == "skew" else generic_sym
@@ -732,11 +718,9 @@ def _finalize_leaf(node):
     node.strict_ideal = Ideal(node.ring, gens)
 
 
-def _resolve(kind, m, target, field, all_charts, check, workers, input_desc):
+def _resolve(kind, m, target, field, all_charts, check, input_desc):
     if check not in ("none", "identities", "full"):
         raise BadParameters(f"unknown check level {check!r}")
-    if not isinstance(workers, int) or workers < 1:
-        raise BadParameters("workers must be a positive integer")
     t0 = time.monotonic()
     verify_seconds = 0.0
     include_bases = check == "full"
@@ -776,25 +760,12 @@ def _resolve(kind, m, target, field, all_charts, check, workers, input_desc):
             verify_seconds += time.monotonic() - tv
             continue
 
-        specs = _chart_specs(kind, node.size, all_charts)
-
-        def build(spec, parent=node):
-            chart_type, k, l, orbit = spec
-            child = _REDUCERS[chart_type](parent, (k, l), orbit_size=orbit)
-            spent = 0.0
+        for chart_type, k, l, orbit in _chart_specs(kind, node.size, all_charts):
+            child = _REDUCERS[chart_type](node, (k, l), orbit_size=orbit)
             if check != "none":
                 tv = time.monotonic()
-                child.verdicts.extend(_child_verdicts(parent, child, include_bases))
-                spent = time.monotonic() - tv
-            return child, spent
-
-        if workers > 1 and len(specs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(build, specs))
-        else:
-            results = [build(spec) for spec in specs]
-        for child, spent in results:
-            verify_seconds += spent
+                child.verdicts.extend(_child_verdicts(node, child, include_bases))
+                verify_seconds += time.monotonic() - tv
             node.children.append(child.node_id)
             queue.append(child)
 
@@ -827,7 +798,7 @@ def _resolve(kind, m, target, field, all_charts, check, workers, input_desc):
     return report
 
 
-def resolve_skew(m, l, field=QQ, *, all_charts=False, check="full", workers=1):
+def resolve_skew(m, l, field=QQ, *, all_charts=False, check="full"):
     """Resolve the reduced 2l-minor locus of a generic skew m-matrix by
     blowing up matrix-variable centers; l-1 blow-ups, size -2 per chart."""
     if not isinstance(m, int) or not isinstance(l, int) or m < 1 or l < 1:
@@ -837,12 +808,12 @@ def resolve_skew(m, l, field=QQ, *, all_charts=False, check="full", workers=1):
     if getattr(field, "p", None) == 2:
         raise CharTwoForbidden("skew resolutions need characteristic != 2")
     return _resolve(
-        "skew", m, 2 * l, field, all_charts, check, workers,
+        "skew", m, 2 * l, field, all_charts, check,
         {"kind": "skew", "m": m, "l": l, "field": field_name(field)},
     )
 
 
-def resolve_sym(m, r, field=QQ, *, all_charts=False, check="full", workers=1):
+def resolve_sym(m, r, field=QQ, *, all_charts=False, check="full"):
     """Resolve the r-minor locus of a generic symmetric m-matrix by blowing
     up matrix-variable centers; at most r-1 blow-ups, size -1 or -2 per
     chart."""
@@ -851,7 +822,7 @@ def resolve_sym(m, r, field=QQ, *, all_charts=False, check="full", workers=1):
     if r > m:
         raise BadParameters(f"need r <= m, got r={r}, m={m}")
     return _resolve(
-        "sym", m, r, field, all_charts, check, workers,
+        "sym", m, r, field, all_charts, check,
         {"kind": "sym", "m": m, "r": r, "field": field_name(field)},
     )
 

@@ -53,10 +53,6 @@ def m_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def m_deg(a: Monomial) -> int:
-    return sum(a)
-
-
 def grevlex_key(a: Monomial):
     """Sort key realizing graded reverse lex: higher key = larger monomial."""
     return (sum(a),) + tuple(-e for e in reversed(a))
@@ -114,14 +110,6 @@ class Ring:
 
     def vars(self) -> tuple:
         return tuple(self.var(n) for n in self.names)
-
-    def monomial(self, exps: Monomial, coeff=1) -> "Polynomial":
-        if len(exps) != len(self.names):
-            raise RingMismatch("exponent vector has wrong length")
-        c = self.field.of(coeff)
-        if c == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {tuple(exps): c})
 
     def extend(self, extra_names: Iterable[str], front: bool = False) -> "Ring":
         """A ring with extra variables appended (or prepended with front=True)."""
@@ -595,12 +583,10 @@ def _parse(ring_: Ring, text: str) -> Polynomial:
             value = tv
             if peek() == ("op", "/"):
                 take("op", "/")
-                den = take("num")
-                if den == 0:
+                den = ring_.field.of(take("num"))
+                if den == ring_.field.zero:
                     raise ParseError("zero denominator")
-                if ring_.field.char == 0:
-                    return ring_.const(ring_.field.of(value) / den)
-                return ring_.const(ring_.field.div(ring_.field.of(value), ring_.field.of(den)))
+                return ring_.const(ring_.field.div(ring_.field.of(value), den))
             if peek() == ("op", "^"):
                 take("op", "^")
                 e = take("num")

@@ -129,6 +129,8 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
     have equal radicals — containment one way, radical membership the other.
     """
     tag = fact.upper()
+    if not isinstance(m, int) or m < 1:
+        raise BadParameters(f"the matrix size must be an integer m >= 1, got {m!r}")
     if tag == "F1":
         if m % 2 == 0:
             raise BadParameters("F1 concerns odd sizes")
@@ -145,8 +147,8 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
     if tag in ("F2", "EQ2L"):
         if l is None:
             raise BadParameters("F2 needs the minor level l")
-        if not 1 <= 2 * l <= m:
-            raise BadParameters(f"need 1 <= 2l <= m, got l={l}, m={m}")
+        if not isinstance(l, int) or not 1 <= 2 * l <= m:
+            raise BadParameters(f"need an integer l with 1 <= 2l <= m, got l={l}, m={m}")
         A = generic_skew(m, field)
         even = minors_ideal(A, 2 * l)
         odd = minors_ideal(A, 2 * l - 1)

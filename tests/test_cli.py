@@ -126,16 +126,6 @@ def test_resolve_parameter_errors(capsys):
     capsys.readouterr()
 
 
-def test_resolve_workers_flag(capsys):
-    code, payload = run_json(
-        capsys,
-        ["resolve", "--kind", "sym", "--m", "3", "--r", "3", "--workers", "3",
-         "--verify", "identities"],
-    )
-    assert code == EXIT_OK
-    assert payload["stats"]["nodes"] == 5
-
-
 # --------------------------------------------------------------------------
 # verify
 
@@ -164,6 +154,12 @@ def test_verify_fact_f2_needs_level(capsys):
 def test_verify_fact_bad_parity(capsys):
     assert main(["verify", "--fact", "F1", "--m", "4"]) == EXIT_BAD_PARAMETERS
     capsys.readouterr()
+    # a size that names no matrix gets an error, never a verdict
+    for fact, m in (("F3", "-2"), ("F1", "-3")):
+        assert main(["verify", "--fact", fact, "--m", m]) == EXIT_BAD_PARAMETERS
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_verify_identity(capsys):
@@ -283,15 +279,26 @@ def test_module_entry_point_subprocess():
 
 
 def test_term_cap_environment_override():
-    env = dict(os.environ, DETSING_MAX_TERMS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "detsing", "resolve", "--kind", "sym",
-         "--m", "3", "--r", "3", "--verify", "identities"],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=str(Path(__file__).resolve().parent.parent),
-    )
+    def run(value, *args):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, DETSING_MAX_TERMS=value),
+            cwd=str(Path(__file__).resolve().parent.parent),
+        )
+
+    proc = run("2", "-m", "detsing", "resolve", "--kind", "sym",
+               "--m", "3", "--r", "3", "--verify", "identities")
     assert proc.returncode == EXIT_RESOURCE_LIMIT
     assert "resource limit" in proc.stderr
     assert "DETSING_MAX_TERMS" in proc.stderr
+
+    # a malformed cap is bad input, even for a check that never reduces
+    proc = run("abc", "-m", "detsing", "verify", "--fact", "F1", "--m", "3")
+    assert proc.returncode == EXIT_BAD_PARAMETERS
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "DETSING_MAX_TERMS" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # and the package still imports
+    assert run("abc", "-c", "import detsing").returncode == 0

@@ -100,6 +100,9 @@ def test_parse_errors(R3):
             R3.parse(bad)
     with pytest.raises(UnknownVariable):
         R3.parse("q + 1")
+    # a denominator that vanishes in the field
+    with pytest.raises(ParseError):
+        Ring(["x"], PrimeField(7)).parse("1/14*x")
 
 
 def test_prime_field_coefficients():
