@@ -1,9 +1,13 @@
 """Coefficient fields: the rationals and prime fields.
 
-A field object bundles the element operations used by the polynomial layer.
-Elements themselves are plain Python values: Fraction over Q, ints in
-range(p) over F_p. Keeping elements unboxed matters; coefficient ops sit in
-the innermost loops of multiplication and normal-form reduction.
+Elements are plain Python values: Fraction over Q, ints in range(p) over
+F_p. Keeping elements unboxed matters; coefficient ops sit in the
+innermost loops of multiplication and normal-form reduction.
+
+Callers combine elements with raw + - * and pass the result (a sum of
+products may be reduced once at the end) through ``field.reduce``, which
+maps a raw value to its canonical element: the identity over Q, ``a % p``
+over F_p. Only ``of``, ``inv``, ``div`` and ``neg`` are field-specific.
 """
 
 from __future__ import annotations
@@ -38,14 +42,8 @@ class Rationals:
     def of(self, value) -> Fraction:
         return Fraction(value)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
+    def reduce(self, a):
+        return a
 
     def neg(self, a):
         return -a
@@ -85,14 +83,8 @@ class PrimeField:
             return value.numerator * pow(den, -1, self.p) % self.p
         return int(value) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+    def reduce(self, a):
+        return a % self.p
 
     def neg(self, a):
         return -a % self.p

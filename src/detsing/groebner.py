@@ -123,8 +123,7 @@ def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_ter
     heap = [(order.heap_key(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
-    zero = field.zero
-    sub, mul, div = field.sub, field.mul, field.div
+    reduce, div = field.reduce, field.div
     while heap:
         _, m = heapq.heappop(heap)
         c = work.get(m)
@@ -145,16 +144,16 @@ def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_ter
             tm = m_mul(gm, shift)
             cur = work.get(tm)
             if cur is None:
-                val = field.neg(mul(gc, coef))
-                if val != zero:
+                val = reduce(-gc * coef)
+                if val:
                     work[tm] = val
                     heapq.heappush(heap, (order.heap_key(tm), tm))
             else:
-                val = sub(cur, mul(gc, coef))
-                if val == zero:
-                    del work[tm]
-                else:
+                val = reduce(cur - gc * coef)
+                if val:
                     work[tm] = val
+                else:
+                    del work[tm]
         if len(work) + len(remainder) > max_terms:
             raise ResourceLimit(
                 f"normal form exceeded the term cap ({max_terms}); "
@@ -169,20 +168,19 @@ def _spoly_terms(g1: _Gen, g2: _Gen, field) -> tuple:
     lcm = m_lcm(g1.lm, g2.lm)
     s1 = m_div(lcm, g1.lm)
     s2 = m_div(lcm, g2.lm)
-    mul, div, sub = field.mul, field.div, field.sub
-    zero = field.zero
+    reduce = field.reduce
     inv1 = field.inv(g1.lc)
     inv2 = field.inv(g2.lc)
     terms: dict = {}
     for m, c in g1.terms.items():
-        terms[m_mul(m, s1)] = mul(c, inv1)
+        terms[m_mul(m, s1)] = reduce(c * inv1)
     for m, c in g2.terms.items():
         tm = m_mul(m, s2)
-        val = sub(terms.get(tm, zero), mul(c, inv2))
-        if val == zero:
-            terms.pop(tm, None)
-        else:
+        val = reduce(terms.get(tm, 0) - c * inv2)
+        if val:
             terms[tm] = val
+        else:
+            del terms[tm]
     sugar = max(g1.sugar + sum(s1), g2.sugar + sum(s2))
     return terms, sugar
 
@@ -368,7 +366,7 @@ def groebner(
         lm = max(terms, key=order.key)
         lc = terms[lm]
         inv = field.inv(lc)
-        polys.append(Polynomial(ring_, {m: field.mul(c, inv) for m, c in terms.items()}))
+        polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
     polys.sort(key=lambda p: order.key(p.leading(order.key)[0]))
     return GroebnerBasis(ring_, order, tuple(polys))
 

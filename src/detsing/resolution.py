@@ -62,7 +62,8 @@ class ChartReduction:
     spelled out in the module docstring — both live in the chart ring.
     The ideal identities are checked against these matrices.
     ``corrections`` holds the (P, Q) terms of those formulas (see
-    ``_corrections``); the child's rewrite inverts them.
+    ``_corrections``); the child's rewrite inverts them, and the
+    transcript reads the off-diagonal ``row_factors`` A_i.
     """
 
     __slots__ = (
@@ -73,6 +74,7 @@ class ChartReduction:
         "matrix",
         "formula_matrix",
         "corrections",
+        "row_factors",
         "eps",
         "remaining",
         "parent_matrix",
@@ -80,7 +82,7 @@ class ChartReduction:
     )
 
     def __init__(self, chart, chart_type, position, ring_, matrix, formula_matrix,
-                 corrections, eps, remaining, parent_matrix, parent_residual):
+                 corrections, row_factors, eps, remaining, parent_matrix, parent_residual):
         self.chart = chart
         self.chart_type = chart_type
         self.position = position
@@ -88,6 +90,7 @@ class ChartReduction:
         self.matrix = matrix
         self.formula_matrix = formula_matrix
         self.corrections = corrections
+        self.row_factors = row_factors
         self.eps = eps
         self.remaining = remaining
         self.parent_matrix = parent_matrix
@@ -264,8 +267,9 @@ def _corrections(chart_type, Mp, k0, l0, remaining):
     upper-triangle entry (a, b) of the reduced matrix, with i, j the
     surviving rows remaining[a], remaining[b], a pair (P, Q) such that
     y_ab = eps*(x'_ij - Q) - P off-diagonally and y_ab = x'_ij - P (Q None)
-    in skew and diagonal charts."""
-    out = {}
+    in skew and diagonal charts.  Also returns the off-diagonal row factors
+    A_i = x'_ki - x'_kk*x'_li (None in other charts)."""
+    out, A = {}, None
     if chart_type == "offdiag":
         A = [Mp[k0][i] - Mp[k0][k0] * Mp[l0][i] for i in remaining]
         B = [Mp[l0][j] - Mp[l0][l0] * Mp[k0][j] for j in remaining]
@@ -279,7 +283,7 @@ def _corrections(chart_type, Mp, k0, l0, remaining):
                 out[a, b] = (Mp[k0][i] * Mp[k0][j], None)
             else:
                 out[a, b] = (A[a] * B[b], Mp[l0][i] * Mp[k0][j])
-    return out
+    return out, A
 
 
 def _chart_reduction(node, chart_type, k, l):
@@ -298,7 +302,7 @@ def _chart_reduction(node, chart_type, k, l):
     eps = None
     if chart_type == "offdiag":
         eps = T.one() - Mp[k0][k0] * Mp[l0][l0]
-    corrections = _corrections(chart_type, Mp, k0, l0, remaining)
+    corrections, row_factors = _corrections(chart_type, Mp, k0, l0, remaining)
     formula = None
     if remaining:
         n = len(remaining)
@@ -317,6 +321,7 @@ def _chart_reduction(node, chart_type, k, l):
         matrix=strict_matrix,
         formula_matrix=formula,
         corrections=corrections,
+        row_factors=row_factors,
         eps=eps,
         remaining=remaining,
         parent_matrix=M,
@@ -352,8 +357,7 @@ def _transcript(red):
         lines.append(f"R{l} <- R{l} - ({Mp[l0][l0].format()})*R{k}")
         for i in red.remaining:
             lines.append(f"R{i + 1} <- R{i + 1} - ({Mp[l0][i].format()})*R{k}")
-        for i in red.remaining:
-            A_i = Mp[k0][i] - Mp[k0][k0] * Mp[l0][i]
+        for i, A_i in zip(red.remaining, red.row_factors):
             lines.append(
                 f"R{i + 1} <- ({red.eps.format()})*R{i + 1} - ({A_i.format()})*R{l}"
             )

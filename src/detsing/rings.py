@@ -5,6 +5,10 @@ coefficient. Exponent tuples are dense (one slot per ring variable), which
 keeps monomial arithmetic at tuple speed for the ring sizes that occur here
 (up to a few dozen variables). The zero polynomial is the empty map.
 
+Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
+products (multiplication, substitution, parsing) accumulate raw values in
+one dict and reduce each coefficient once, in ``Polynomial._reduced``.
+
 Printing and parsing share one text grammar:
 
   poly   := ['+'|'-'] term (('+'|'-') term)*
@@ -154,16 +158,18 @@ class Polynomial:
     __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: Ring, terms: dict):
-        # Invariant: no zero coefficients stored. Constructors that cannot
-        # guarantee it must pass through _normalized.
+        # Invariant: every stored coefficient is a nonzero canonical field
+        # element. Constructors that cannot guarantee it pass through _reduced.
         self.ring = ring
         self.terms = terms
         self._hash = None
 
     @staticmethod
-    def _normalized(ring: Ring, terms: dict) -> "Polynomial":
-        zero = ring.field.zero
-        return Polynomial(ring, {m: c for m, c in terms.items() if c != zero})
+    def _reduced(ring: Ring, raw: dict) -> "Polynomial":
+        """The polynomial of a raw term map (sums of products of field
+        elements): each coefficient reduced once, zeros dropped."""
+        reduce = ring.field.reduce
+        return Polynomial(ring, {m: r for m, c in raw.items() if (r := reduce(c))})
 
     # -- predicates and views -------------------------------------------------
 
@@ -261,14 +267,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        zero = self.ring.field.zero
+        reduce = self.ring.field.reduce
         terms = dict(self.terms)
+        get = terms.get
         for m, c in other.terms.items():
-            s = terms.get(m, zero) + c if self.ring.field.char == 0 else (terms.get(m, 0) + c) % self.ring.field.char
-            if s == zero:
-                terms.pop(m, None)
-            else:
+            s = reduce(get(m, 0) + c)
+            if s:
                 terms[m] = s
+            else:
+                del terms[m]
         return Polynomial(self.ring, terms)
 
     __radd__ = __add__
@@ -293,22 +300,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        field = self.ring.field
-        zero = field.zero
-        terms: dict = {}
+        acc: dict = {}
+        get = acc.get
         small, large = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
         large_items = list(large.items())
-        char = field.char
         for m1, c1 in small.items():
             for m2, c2 in large_items:
                 m = tuple(x + y for x, y in zip(m1, m2))
-                prod = c1 * c2 if char == 0 else (c1 * c2) % char
-                s = terms.get(m, zero) + prod if char == 0 else (terms.get(m, 0) + prod) % char
-                if s == zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Polynomial(self.ring, terms)
+                acc[m] = get(m, 0) + c1 * c2
+        return Polynomial._reduced(self.ring, acc)
 
     __rmul__ = __mul__
 
@@ -324,13 +324,6 @@ class Polynomial:
             if n:
                 base = base * base
         return result
-
-    def scale(self, c) -> "Polynomial":
-        c = self.ring.field.of(c)
-        if c == self.ring.field.zero:
-            return self.ring.zero()
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, {m: mul(coeff, c) for m, coeff in self.terms.items()})
 
     def substitute(self, sub: "Substitution") -> "Polynomial":
         return sub(self)
@@ -411,11 +404,14 @@ class Substitution:
 
     Every source variable needs an image in the target ring; names omitted
     from `images` default to the same-named target variable when one exists.
+    Both rings share one field: coefficients carry over unconverted.
     """
 
     __slots__ = ("source", "target", "images", "_image_list")
 
     def __init__(self, source: Ring, target: Ring, images: dict):
+        if source.field != target.field:
+            raise RingMismatch("source and target rings have different fields")
         self.source = source
         self.target = target
         resolved = {}
@@ -440,22 +436,22 @@ class Substitution:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:
             raise RingMismatch("polynomial is not in the source ring")
-        target = self.target
-        result = target.zero()
+        acc: dict = {}
+        get = acc.get
         power_cache: dict = {}
         for mono, coeff in f.terms.items():
-            term = target.const(coeff)
+            term = [(self.target._zero_mono, coeff)]
             for i, e in enumerate(mono):
                 if not e:
                     continue
-                key = (i, e)
-                powed = power_cache.get(key)
+                powed = power_cache.get((i, e))
                 if powed is None:
-                    powed = self._image_list[i] ** e
-                    power_cache[key] = powed
-                term = term * powed
-            result = result + term
-        return result
+                    powed = power_cache[i, e] = list((self._image_list[i] ** e).terms.items())
+                term = [(tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+                        for m1, c1 in term for m2, c2 in powed]
+            for m, c in term:
+                acc[m] = get(m, 0) + c
+        return Polynomial._reduced(self.target, acc)
 
     def then(self, later: "Substitution") -> "Substitution":
         """Composition: first self, then later."""
@@ -497,7 +493,7 @@ def embed(f: Polynomial, target: Ring) -> Polynomial:
                 )
             out[j] = e
         terms[tuple(out)] = target.field.of(coeff)
-    return Polynomial._normalized(target, terms)
+    return Polynomial._reduced(target, terms)
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -512,11 +508,11 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check_ring(g)
     ring_ = f.ring
     field = ring_.field
+    reduce = field.reduce
     glm, glc = g.leading()
     g_items = list(g.terms.items())
     quotient: dict = {}
     rest = dict(f.terms)
-    zero = field.zero
     while rest:
         m = max(rest, key=grevlex_key)
         c = rest[m]
@@ -527,11 +523,11 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         quotient[qm] = qc
         for gm, gc in g_items:
             tm = m_mul(gm, qm)
-            s = field.sub(rest.get(tm, zero), field.mul(gc, qc))
-            if s == zero:
-                rest.pop(tm, None)
-            else:
+            s = reduce(rest.get(tm, 0) - gc * qc)
+            if s:
                 rest[tm] = s
+            else:
+                del rest[tm]
     return Polynomial(ring_, quotient)
 
 
@@ -611,15 +607,15 @@ def _parse(ring_: Ring, text: str) -> Polynomial:
             f = f * parse_factor()
         return f
 
-    result = ring_.zero()
+    acc: dict = {}
     sign = 1
     tk, tv = peek()
     if tk == "op" and tv in "+-":
         sign = -1 if tv == "-" else 1
         take("op")
     while True:
-        term = parse_term()
-        result = result + (term if sign == 1 else -term)
+        for m, c in parse_term().terms.items():
+            acc[m] = acc.get(m, 0) + sign * c
         tk, tv = peek()
         if tk == "end":
             break
@@ -628,4 +624,4 @@ def _parse(ring_: Ring, text: str) -> Polynomial:
             take("op")
         else:
             raise ParseError(f"expected + or - near token {pos} in {text!r}")
-    return result
+    return Polynomial._reduced(ring_, acc)

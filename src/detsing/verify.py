@@ -128,7 +128,7 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
     F2 / Eq2l: the 2ℓ- and (2ℓ−1)-minor ideals of a generic skew matrix
     have equal radicals — containment one way, radical membership the other.
     """
-    tag = fact.upper()
+    tag = fact.upper() if isinstance(fact, str) else None
     if not isinstance(m, int) or m < 1:
         raise BadParameters(f"the matrix size must be an integer m >= 1, got {m!r}")
     if tag == "F1":

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import detsing
 from detsing.cli import (
     EXIT_BAD_PARAMETERS,
     EXIT_FAIL,
@@ -21,6 +22,14 @@ from detsing.cli import (
 )
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "detsing" / "schemas"
+
+
+def child_env(**extra):
+    """Environment for a child interpreter that imports the same detsing
+    as this test session (pytest's `pythonpath` does not reach children)."""
+    src = str(Path(detsing.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def load_schema(name):
@@ -272,6 +281,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "detsing", "verify", "--fact", "F1", "--m", "3"],
         capture_output=True,
         text=True,
+        env=child_env(),
         cwd=str(Path(__file__).resolve().parent.parent),
     )
     assert proc.returncode == 0
@@ -284,7 +294,7 @@ def test_term_cap_environment_override():
             [sys.executable, *args],
             capture_output=True,
             text=True,
-            env=dict(os.environ, DETSING_MAX_TERMS=value),
+            env=child_env(DETSING_MAX_TERMS=value),
             cwd=str(Path(__file__).resolve().parent.parent),
         )
 

@@ -6,7 +6,9 @@ central laws with shrinkable generators.
 """
 
 import random
+from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +21,13 @@ from detsing.matrices import (
     generic_sym,
     minors_ideal,
 )
-from detsing.rings import Ring, Substitution, ring
+from detsing.rings import Ring, Substitution, exact_div, ring
 from detsing.verify import check_fact, ideal_contains
 
-from .oracles import macaulay_member
+from .oracles import macaulay_member, to_sympy
 
 SEED = 20260817
+FIELDS = (QQ, PrimeField(7), PrimeField(101))
 
 
 def random_poly(rng, R, max_terms=5, max_deg=3):
@@ -62,7 +65,7 @@ def generic_general(m):
 
 def test_ring_laws_randomized_bulk():
     cases = 0
-    for field in (QQ, PrimeField(7), PrimeField(101)):
+    for field in FIELDS:
         R = Ring(["a", "b", "c"], field)
         rng = random.Random(SEED)
         for _ in range(60):
@@ -92,18 +95,46 @@ def test_format_parse_round_trip_randomized():
 
 
 def test_substitution_is_a_ring_homomorphism_randomized():
-    R = ring("a b c")
-    S = ring("u v")
-    rng = random.Random(SEED)
-    for _ in range(60):
-        images = {n: random_poly(rng, S, max_terms=3, max_deg=2) for n in R.names}
-        sub = Substitution(R, S, images)
-        f = random_poly(rng, R, max_terms=4, max_deg=3)
-        g = random_poly(rng, R, max_terms=4, max_deg=3)
-        assert sub(f + g) == sub(f) + sub(g)
-        assert sub(f * g) == sub(f) * sub(g)
-        assert sub(R.one()) == S.one()
-        assert sub(R.zero()) == S.zero()
+    for field in FIELDS:
+        R = ring("a b c", field)
+        S = ring("u v", field)
+        rng = random.Random(SEED)
+        for _ in range(60):
+            images = {n: random_poly(rng, S, max_terms=3, max_deg=2) for n in R.names}
+            sub = Substitution(R, S, images)
+            f = random_poly(rng, R, max_terms=4, max_deg=3)
+            g = random_poly(rng, R, max_terms=4, max_deg=3)
+            assert sub(f + g) == sub(f) + sub(g)
+            assert sub(f * g) == sub(f) * sub(g)
+            assert sub(R.one()) == S.one()
+            assert sub(R.zero()) == S.zero()
+
+
+def assert_canonical(f):
+    """Every stored coefficient is a nonzero canonical element: a Fraction
+    over Q, an int in range(1, p) over F_p."""
+    p = f.ring.field.char
+    for c in f.terms.values():
+        if p == 0:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 1 <= c < p
+
+
+def test_coefficients_stay_canonical_randomized():
+    for field in FIELDS:
+        R = Ring(["a", "b", "c"], field)
+        S = Ring(["u", "v"], field)
+        rng = random.Random(SEED)
+        for _ in range(40):
+            f = random_poly(rng, R)
+            g = random_poly(rng, R)
+            images = {n: random_poly(rng, S, max_terms=3, max_deg=2) for n in R.names}
+            results = [f + g, f - g, f * g, f ** 3, Substitution(R, S, images)(f)]
+            if not g.is_zero():
+                results.append(exact_div(f * g, g))
+            for h in results:
+                assert_canonical(h)
 
 
 # --------------------------------------------------------------------------
@@ -113,20 +144,22 @@ R_HYP = ring("x y z")
 
 
 @st.composite
-def hyp_polys(draw):
+def hyp_polys(draw, R=R_HYP, max_size=5, max_exp=3):
     items = draw(
         st.lists(
             st.tuples(
-                st.tuples(*(st.integers(0, 3) for _ in range(3))),
+                st.tuples(*(st.integers(0, max_exp) for _ in R.names)),
                 st.integers(-20, 20),
             ),
-            max_size=5,
+            max_size=max_size,
         )
     )
-    f = R_HYP.zero()
-    x, y, z = R_HYP.vars()
-    for (e1, e2, e3), c in items:
-        f = f + c * x ** e1 * y ** e2 * z ** e3
+    f = R.zero()
+    for mono, c in items:
+        term = R.const(c)
+        for v, e in zip(R.vars(), mono):
+            term = term * v ** e
+        f = f + term
     return f
 
 
@@ -142,6 +175,49 @@ def test_distributivity_and_associativity_hypothesis(f, g, h):
 @given(hyp_polys())
 def test_parse_round_trip_hypothesis(f):
     assert R_HYP.parse(f.format()) == f
+
+
+@st.composite
+def chart_images(draw, T):
+    """Images shaped like the chart tree's maps: a term (a monomial in
+    blow-up charts), y + P or s*(y + P) + Q (rewrite to fresh coordinates)."""
+    shape = draw(st.sampled_from(("monomial", "shift", "unit_shift")))
+    if shape == "monomial":
+        image = T.const(draw(st.sampled_from((1, 1, -1, 3))))
+        for v in T.vars():
+            image = image * v ** draw(st.integers(0, 2))
+        return image
+    y = T.var(draw(st.sampled_from(("u", "v", "w"))))
+    image = y + draw(hyp_polys(T, max_size=3, max_exp=2))
+    if shape == "unit_shift":
+        image = T.var("s") * image + draw(hyp_polys(T, max_size=3, max_exp=2))
+    return image
+
+
+@st.composite
+def chart_substitutions(draw):
+    field = draw(st.sampled_from(FIELDS))
+    R = ring("a b c", field)
+    T = ring("u v w s", field)
+    images = {n: draw(chart_images(T)) for n in R.names}
+    return Substitution(R, T, images), draw(hyp_polys(R, max_size=4, max_exp=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart_substitutions())
+def test_substitution_matches_sympy_hypothesis(case):
+    sub, f = case
+    syms = sympy.symbols(list(sub.target.names))
+    expected = to_sympy(f).subs(
+        {sympy.Symbol(n): to_sympy(img, syms) for n, img in sub.images.items()},
+        simultaneous=True,
+    )
+    diff = sympy.expand(to_sympy(sub(f), syms) - expected)
+    p = sub.target.field.char
+    if p == 0:
+        assert diff == 0
+    else:
+        assert sympy.Poly(diff, *syms, modulus=p).is_zero
 
 
 # --------------------------------------------------------------------------

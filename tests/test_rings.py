@@ -151,6 +151,12 @@ def test_substitution_requires_full_cover():
         Substitution(src, dst, {"z": "u"})
 
 
+def test_substitution_rings_share_a_field():
+    # coefficients carry over unconverted, so the fields must agree
+    with pytest.raises(RingMismatch):
+        Substitution(ring("x"), ring("x", PrimeField(5)), {})
+
+
 def test_substitution_compose():
     A = ring("x")
     B = ring("u")

@@ -140,6 +140,8 @@ def test_check_fact_f1_f3():
         check_fact("F3", 3)
     with pytest.raises(BadParameters):
         check_fact("zzz", 3)
+    with pytest.raises(BadParameters):
+        check_fact(3, 3)
     # sizes that name no matrix are refused, not answered
     for fact, m in (("F1", -3), ("F3", -2), ("F3", 0), ("F1", 3.0), ("F2", -4)):
         with pytest.raises(BadParameters):
