@@ -7,7 +7,8 @@ innermost loops of multiplication and normal-form reduction.
 Callers combine elements with raw + - * and pass the result (a sum of
 products may be reduced once at the end) through ``field.reduce``, which
 maps a raw value to its canonical element: the identity over Q, ``a % p``
-over F_p. Only ``of``, ``inv``, ``div`` and ``neg`` are field-specific.
+over F_p. Only ``of``, ``inv``, ``div`` and ``neg`` are field-specific;
+``of`` takes an int or a Fraction and raises TypeError on anything else.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class Rationals:
     one = Fraction(1)
 
     def of(self, value) -> Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {value!r}")
         return Fraction(value)
 
     def reduce(self, a):
@@ -81,7 +84,9 @@ class PrimeField:
             if den == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return value.numerator * pow(den, -1, self.p) % self.p
-        return int(value) % self.p
+        if not isinstance(value, int):
+            raise TypeError(f"not an exact coefficient: {value!r}")
+        return value % self.p
 
     def reduce(self, a):
         return a % self.p

@@ -115,7 +115,7 @@ def sym_variable_names(m: int, prefix: str = "x") -> list:
 
 
 def _check_size(m):
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         raise BadParameters(f"matrix size must be an integer >= 0, got {m!r}")
 
 

@@ -38,7 +38,7 @@ from .matrices import (
     skew_variable_names,
     sym_variable_names,
 )
-from .rings import Ring, Substitution, embed, exact_div
+from .rings import Ring, Substitution, embed
 from .verify import (
     check_embedded_resolution,
     groebner_of,
@@ -248,16 +248,15 @@ def _entry_name(M, i, j):
 
 
 def _strict_entries(M, chart):
-    """Rows of the primed matrix: each entry's total transform divided by
-    the exceptional variable (entries are linear in the center)."""
+    """Rows of the primed matrix: each entry's strict transform (its total
+    transform divided once by the exceptional variable)."""
     T = chart.target
-    e = T.var(chart.exceptional_var)
     rows = []
     for i in range(M.size):
         row = []
         for j in range(M.size):
             f = M.entry(i, j)
-            row.append(T.zero() if f.is_zero() else exact_div(chart.substitution(f), e))
+            row.append(T.zero() if f.is_zero() else strict_transform_poly(f, chart)[1])
         rows.append(row)
     return rows, T
 
@@ -369,23 +368,15 @@ def _transcript(red):
     return lines
 
 
-def _pull(polys, *maps):
-    out = []
-    for f in polys:
-        for sub in maps:
-            f = sub(f)
-        out.append(f)
-    return out
-
-
 def _build_child(node, red, orbit_size):
-    """Assemble the child node for one chart reduction."""
+    """Assemble the child node for one chart reduction.  One map, ``step``,
+    leads from the parent ring to the child's: the chart map, then the
+    rewrite to fresh generic coordinates when any remain.  The composed
+    map, units and relations pass through it once."""
     k, l = red.position
     chart = red.chart
     T = red.ring
     depth = node.depth + 1
-    stage = node.stage + _DROP[red.chart_type]
-    label = f"X_{k}_{l}"
     exceptional = [(name + "p", mult) for name, mult in node.exceptional_divisors]
     exceptional.append((chart.exceptional_var, node.residual))
     n = len(red.remaining)
@@ -393,70 +384,53 @@ def _build_child(node, red, orbit_size):
     if n == 0:
         # Off-diagonal chart of a 2x2 symmetric matrix: nothing remains to
         # reduce; the child is terminal with the chart ring as its own.
-        child = ChartNode(
-            node_id=f"{node.node_id}/{label}",
-            parent_id=node.node_id,
-            depth=depth,
-            kind=node.kind,
-            ring_=T,
-            matrix=None,
-            stage=stage,
-            target=node.target,
-            composed=node.composed.then(chart.substitution),
-            rewrite=None,
-            reduction=red,
-            exceptional=exceptional,
-            units=_pull(node.units, chart.substitution) + [red.eps],
-            relations=_pull(node.relations, chart.substitution),
-            orbit_size=orbit_size,
-        )
-        child.transcript = _transcript(red)
-        return child
+        U, child_matrix, rewrite, step = T, None, None, chart.substitution
+        units, relations = [red.eps], []
+    else:
+        prefix = f"y{depth}"
+        names_fn = skew_variable_names if red.chart_type == "skew" else sym_variable_names
+        fresh = names_fn(n, prefix)
+        s_name = f"s{depth}"
+        extra = [s_name] if red.chart_type == "offdiag" else []
 
-    prefix = f"y{depth}"
-    names_fn = skew_variable_names if red.chart_type == "skew" else sym_variable_names
-    fresh = names_fn(n, prefix)
-    s_name = f"s{depth}"
-    extra = [s_name] if red.chart_type == "offdiag" else []
+        names = {
+            ab: _entry_name(red.parent_matrix, red.remaining[ab[0]], red.remaining[ab[1]]) + "p"
+            for ab in red.corrections
+        }
+        core = set(names.values())
+        U = Ring(fresh + [nm for nm in T.names if nm not in core] + extra, T.field)
+        images = {}
+        for (a, b), (P, Q) in red.corrections.items():
+            image = U.var(f"{prefix}_{a + 1}_{b + 1}") + embed(P, U)
+            if Q is not None:
+                image = U.var(s_name) * image + embed(Q, U)
+            images[names[a, b]] = image
+        rewrite = Substitution(T, U, images)
+        step = chart.substitution.then(rewrite)
 
-    names = {
-        ab: _entry_name(red.parent_matrix, red.remaining[ab[0]], red.remaining[ab[1]]) + "p"
-        for ab in red.corrections
-    }
-    core = set(names.values())
-    U = Ring(fresh + [nm for nm in T.names if nm not in core] + extra, T.field)
-    images = {}
-    for (a, b), (P, Q) in red.corrections.items():
-        image = U.var(f"{prefix}_{a + 1}_{b + 1}") + embed(P, U)
-        if Q is not None:
-            image = U.var(s_name) * image + embed(Q, U)
-        images[names[a, b]] = image
-    rewrite = Substitution(T, U, images)
-
-    maker = generic_skew if red.chart_type == "skew" else generic_sym
-    child_matrix = maker(n, T.field, prefix=prefix, ring_=U)
-    units = _pull(node.units, chart.substitution, rewrite)
-    relations = _pull(node.relations, chart.substitution, rewrite)
-    if red.chart_type == "offdiag":
-        eps_u = embed(red.eps, U)
-        units.append(eps_u)
-        relations.append(U.var(s_name) * eps_u - U.one())
+        maker = generic_skew if red.chart_type == "skew" else generic_sym
+        child_matrix = maker(n, T.field, prefix=prefix, ring_=U)
+        units, relations = [], []
+        if red.chart_type == "offdiag":
+            eps_u = embed(red.eps, U)
+            units.append(eps_u)
+            relations.append(U.var(s_name) * eps_u - U.one())
 
     child = ChartNode(
-        node_id=f"{node.node_id}/{label}",
+        node_id=f"{node.node_id}/X_{k}_{l}",
         parent_id=node.node_id,
         depth=depth,
         kind=node.kind,
         ring_=U,
         matrix=child_matrix,
-        stage=stage,
+        stage=node.stage + _DROP[red.chart_type],
         target=node.target,
-        composed=node.composed.then(chart.substitution).then(rewrite),
+        composed=node.composed.then(step),
         rewrite=rewrite,
         reduction=red,
         exceptional=exceptional,
-        units=units,
-        relations=relations,
+        units=[step(u) for u in node.units] + units,
+        relations=[step(g) for g in node.relations] + relations,
         orbit_size=orbit_size,
     )
     child.transcript = _transcript(red)
@@ -805,7 +779,7 @@ def _resolve(kind, m, target, field, all_charts, check, input_desc):
 def resolve_skew(m, l, field=QQ, *, all_charts=False, check="full"):
     """Resolve the reduced 2l-minor locus of a generic skew m-matrix by
     blowing up matrix-variable centers; l-1 blow-ups, size -2 per chart."""
-    if not isinstance(m, int) or not isinstance(l, int) or m < 1 or l < 1:
+    if type(m) is not int or type(l) is not int or m < 1 or l < 1:
         raise BadParameters("resolve_skew needs integers m >= 1, l >= 1")
     if 2 * l > m:
         raise BadParameters(f"need 2l <= m, got l={l}, m={m}")
@@ -821,7 +795,7 @@ def resolve_sym(m, r, field=QQ, *, all_charts=False, check="full"):
     """Resolve the r-minor locus of a generic symmetric m-matrix by blowing
     up matrix-variable centers; at most r-1 blow-ups, size -1 or -2 per
     chart."""
-    if not isinstance(m, int) or not isinstance(r, int) or m < 1 or r < 1:
+    if type(m) is not int or type(r) is not int or m < 1 or r < 1:
         raise BadParameters("resolve_sym needs integers m >= 1, r >= 1")
     if r > m:
         raise BadParameters(f"need r <= m, got r={r}, m={m}")
@@ -840,7 +814,7 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
     kind "skew" uses the off-diagonal chart; kind "sym" needs chart_type
     "diag" or "offdiag" (off-diagonal identities are eps-saturated).
     """
-    if not isinstance(m, int) or not isinstance(r, int):
+    if type(m) is not int or type(r) is not int:
         raise BadParameters("m and r must be integers")
     if kind == "skew":
         if chart_type not in (None, "skew", "offdiag"):

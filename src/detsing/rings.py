@@ -8,6 +8,8 @@ keeps monomial arithmetic at tuple speed for the ring sizes that occur here
 Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
+A substitution expands each term factor by factor, which is cheap for the
+chart tree's images: monomials, or polynomials met at power 1.
 
 Printing and parsing share one text grammar:
 
@@ -405,6 +407,12 @@ class Substitution:
     Every source variable needs an image in the target ring; names omitted
     from `images` default to the same-named target variable when one exists.
     Both rings share one field: coefficients carry over unconverted.
+
+    A variable at exponent e multiplies each partial term by its image's
+    terms e times, and like monomials are collected only over the result.
+    No work repeats while every image is a monomial or met at power 1, as
+    in the chart tree (only the empty leaves of trees like sym 6/3 square a
+    multi-term image; the result stays exact, with repeated partial terms).
     """
 
     __slots__ = ("source", "target", "images", "_image_list")
@@ -436,19 +444,17 @@ class Substitution:
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.ring != self.source:
             raise RingMismatch("polynomial is not in the source ring")
+        images = self._image_list
         acc: dict = {}
         get = acc.get
-        power_cache: dict = {}
         for mono, coeff in f.terms.items():
             term = [(self.target._zero_mono, coeff)]
             for i, e in enumerate(mono):
                 if not e:
                     continue
-                powed = power_cache.get((i, e))
-                if powed is None:
-                    powed = power_cache[i, e] = list((self._image_list[i] ** e).terms.items())
-                term = [(tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
-                        for m1, c1 in term for m2, c2 in powed]
+                for _ in range(e):
+                    term = [(tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+                            for m1, c1 in term for m2, c2 in images[i].terms.items()]
             for m, c in term:
                 acc[m] = get(m, 0) + c
         return Polynomial._reduced(self.target, acc)
@@ -468,7 +474,10 @@ class Substitution:
 
 
 def embed(f: Polynomial, target: Ring) -> Polynomial:
-    """Reinterpret f in a ring containing all its variables (by name)."""
+    """Reinterpret f in a ring over its field containing all its variables
+    (by name)."""
+    if f.ring.field != target.field:
+        raise RingMismatch("embedding rings have different fields")
     if f.ring == target:
         return f
     positions = []
@@ -492,8 +501,8 @@ def embed(f: Polynomial, target: Ring) -> Polynomial:
                     f"{f.ring.names[i]!r} does not exist in the target ring"
                 )
             out[j] = e
-        terms[tuple(out)] = target.field.of(coeff)
-    return Polynomial._reduced(target, terms)
+        terms[tuple(out)] = coeff
+    return Polynomial(target, terms)
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:

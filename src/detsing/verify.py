@@ -129,7 +129,7 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
     have equal radicals — containment one way, radical membership the other.
     """
     tag = fact.upper() if isinstance(fact, str) else None
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise BadParameters(f"the matrix size must be an integer m >= 1, got {m!r}")
     if tag == "F1":
         if m % 2 == 0:
@@ -147,7 +147,7 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
     if tag in ("F2", "EQ2L"):
         if l is None:
             raise BadParameters("F2 needs the minor level l")
-        if not isinstance(l, int) or not 1 <= 2 * l <= m:
+        if type(l) is not int or not 1 <= 2 * l <= m:
             raise BadParameters(f"need an integer l with 1 <= 2l <= m, got l={l}, m={m}")
         A = generic_skew(m, field)
         even = minors_ideal(A, 2 * l)

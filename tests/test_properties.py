@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detsing.fields import QQ, PrimeField
@@ -203,8 +203,19 @@ def chart_substitutions(draw):
     return Substitution(R, T, images), draw(hyp_polys(R, max_size=4, max_exp=2))
 
 
+def power_case(field, image, power):
+    """a -> image raised to a fixed power, next to the other images."""
+    R = ring("a b c", field)
+    T = ring("u v w s", field)
+    sub = Substitution(R, T, {"a": image, "b": "v", "c": "w + 1"})
+    return sub, R.parse(f"a^{power}*b - 2*a*c + 1")
+
+
 @settings(max_examples=60, deadline=None)
 @given(chart_substitutions())
+# substitution expands factor by factor, without collecting in between
+@example(power_case(QQ, "3*u^2*v", 5))
+@example(power_case(PrimeField(7), "u + 5*v*w - 2*s", 3))
 def test_substitution_matches_sympy_hypothesis(case):
     sub, f = case
     syms = sympy.symbols(list(sub.target.names))

@@ -375,7 +375,11 @@ def test_resolve_parameter_validation():
         resolve_sym(0, 0)
     with pytest.raises(BadParameters):
         resolve_sym(2, 2, check="everything")
-    for bad_size in (-1, 2.0, "3"):
+    with pytest.raises(BadParameters):
+        resolve_sym(True, True)
+    with pytest.raises(BadParameters):
+        resolve_skew(4, True)
+    for bad_size in (-1, 2.0, "3", True):
         with pytest.raises(BadParameters):
             generic_skew(bad_size)
         with pytest.raises(BadParameters):
@@ -414,6 +418,29 @@ def test_composed_substitution_depth_two():
     lhs = leaf.composed(determinant(B3))
     rhs = U.var("x_1_1pp") ** 3 * U.var("y1_1_1p") ** 2 * U.var("y2_1_1")
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("resolve, m, size", [(resolve_sym, 4, 4), (resolve_skew, 6, 3)])
+def test_fused_step_matches_chart_then_rewrite(resolve, m, size):
+    # each child is reached by one map; it must agree with the chart map
+    # followed by the rewrite, applied one after the other
+    rep = resolve(m, size, all_charts=True, check="none")
+    for child in rep.nodes[1:]:
+        parent = rep.node(child.parent_id)
+        maps = [child.chart.substitution] + ([child.rewrite] if child.rewrite else [])
+        expected = parent.composed
+        for sub in maps:
+            expected = expected.then(sub)
+        assert child.composed.target == expected.target
+        assert child.composed.images == expected.images
+
+        def pulled(f):
+            for sub in maps:
+                f = sub(f)
+            return f
+
+        assert child.units[:len(parent.units)] == [pulled(u) for u in parent.units]
+        assert child.relations[:len(parent.relations)] == [pulled(g) for g in parent.relations]
 
 
 def test_offdiag_composed_det_up_to_eps_relation():
@@ -541,3 +568,5 @@ def test_chart_identity_validation():
         chart_identity("skew", 4, 5)
     with pytest.raises(BadParameters):
         chart_identity("skew", 4, 0)
+    with pytest.raises(BadParameters):
+        chart_identity("sym", 3, True, "diag")

@@ -204,6 +204,24 @@ def test_embed_by_name():
     assert g == big.parse("x*z - 2")
     with pytest.raises(UnknownVariable):
         embed(small.parse("x"), ring("a b"))
+    # coefficients carry over unconverted, so the fields must agree
+    with pytest.raises(RingMismatch):
+        embed(f, ring("w x y z", PrimeField(7)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_inexact_coefficients_refused(field):
+    x = ring("x", field).var("x")
+    for value in (0.5, 1.5, "2/3"):
+        with pytest.raises(TypeError):
+            field.of(value)
+        with pytest.raises(TypeError):
+            x * value
+        with pytest.raises(TypeError):
+            x + value
+        with pytest.raises(TypeError):
+            value - x
+    assert field.reduce(field.of(Fraction(3, 2)) * 2) == field.of(3)
 
 
 def test_ring_json_round_trip():

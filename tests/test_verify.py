@@ -143,7 +143,8 @@ def test_check_fact_f1_f3():
     with pytest.raises(BadParameters):
         check_fact(3, 3)
     # sizes that name no matrix are refused, not answered
-    for fact, m in (("F1", -3), ("F3", -2), ("F3", 0), ("F1", 3.0), ("F2", -4)):
+    for fact, m in (("F1", -3), ("F3", -2), ("F3", 0), ("F1", 3.0), ("F2", -4),
+                    ("F1", True)):
         with pytest.raises(BadParameters):
             check_fact(fact, m, l=1)
 
@@ -155,6 +156,8 @@ def test_check_fact_f2_m4():
         check_fact("F2", 4)
     with pytest.raises(BadParameters):
         check_fact("F2", 4, QQ, l=3)
+    with pytest.raises(BadParameters):
+        check_fact("F2", 4, QQ, l=True)
 
 
 def test_verdict_shape():
