@@ -7,12 +7,16 @@ count) raise ResourceLimit; they never produce a wrong answer.
 
 Pair bookkeeping follows the classic Gebauer-Moeller update (chain and
 coprimality criteria, plus pruning of old pairs whose lcm strictly contains
-the new leading monomial). Pairs are selected by the sugar strategy.
+the new leading monomial). Pairs are selected by the sugar strategy. Each
+pending pair carries the lcm and the sugar computed when it was formed, and
+the working basis holds only live elements: retired ones are removed, and
+the survivors keep their order.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from typing import Iterable
 
@@ -111,7 +115,7 @@ class _Gen:
 
 
 def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_terms: int) -> dict:
-    """Full normal form of a term dict against the live basis elements.
+    """Full normal form of a term dict against the basis elements.
 
     Lazy max-heap over candidate monomials; every monomial introduced by a
     reduction step is strictly smaller than the one just cancelled, so each
@@ -131,7 +135,7 @@ def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_ter
             continue
         reducer = None
         for g in basis:
-            if g is not None and m_divides(g.lm, m):
+            if m_divides(g.lm, m):
                 reducer = g
                 break
         if reducer is None:
@@ -163,9 +167,9 @@ def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_ter
     return remainder
 
 
-def _spoly_terms(g1: _Gen, g2: _Gen, field) -> tuple:
-    """Term dict of the S-polynomial, and its sugar degree."""
-    lcm = m_lcm(g1.lm, g2.lm)
+def _spoly_terms(g1: _Gen, g2: _Gen, lcm, field) -> dict:
+    """Term dict of the S-polynomial of g1 and g2, whose leading monomials
+    have the given lcm."""
     s1 = m_div(lcm, g1.lm)
     s2 = m_div(lcm, g2.lm)
     reduce = field.reduce
@@ -181,75 +185,48 @@ def _spoly_terms(g1: _Gen, g2: _Gen, field) -> tuple:
             terms[tm] = val
         else:
             del terms[tm]
-    sugar = max(g1.sugar + sum(s1), g2.sugar + sum(s2))
-    return terms, sugar
+    return terms
 
 
 def _coprime(a, b) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-class _PairQueue:
-    """Pending S-pairs, popped by (sugar, lcm, ages): the ages make every
-    priority unique, so the pop order never depends on the heap layout."""
-
-    def __init__(self, order: MonomialOrder):
-        self.order = order
-        self.heap: list = []
-
-    def push(self, g1: _Gen, g2: _Gen):
-        lcm = m_lcm(g1.lm, g2.lm)
-        sugar = max(g1.sugar + sum(m_div(lcm, g1.lm)), g2.sugar + sum(m_div(lcm, g2.lm)))
-        priority = (sugar,) + self.order.key(lcm) + (g1.age, g2.age)
-        heapq.heappush(self.heap, (priority, lcm, g1, g2))
-
-    def pop(self):
-        _, lcm, g1, g2 = heapq.heappop(self.heap)
-        return lcm, g1, g2
-
-    def __len__(self):
-        return len(self.heap)
-
-
-def _update(G: list, queue: _PairQueue, h: _Gen):
+def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     """Gebauer-Moeller installation of a new basis element h.
 
-    Builds the filtered pair set (h, g), prunes old pairs whose lcm is a
-    proper multiple of lm(h), and drops live basis elements whose leading
-    monomial became divisible by lm(h).
+    Forms the filtered pairs (g, h), prunes old pairs whose lcm is a proper
+    multiple of lm(h), removes the basis elements whose leading monomial
+    became divisible by lm(h), and appends h. `pairs` is a heap of
+    (priority, lcm, g, h) entries with priority (sugar, key(lcm), ages):
+    the ages make every priority unique, so the pop order never depends on
+    the heap layout.
     """
-    live = [g for g in G if g is not None]
-    # candidate new pairs, processed smallest lcm first for determinism
-    cands = sorted(live, key=lambda g: (queue.order.key(m_lcm(g.lm, h.lm)), g.age))
-    lcms = {g.age: m_lcm(g.lm, h.lm) for g in cands}
+    # candidate new pairs, smallest lcm first
+    cands = sorted((order.key(lcm := m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
     kept: list = []
     # ascending lcm order: any proper divisor of the current lcm was seen
     # already, so filtering against `kept` realizes the chain criterion
-    for g in cands:
-        lg = lcms[g.age]
-        redundant = any(
-            lcms[other.age] != lg and m_divides(lcms[other.age], lg)
-            for other, _ in kept
-        )
-        if redundant:
+    for key, _, lcm, g in cands:
+        if any(other != lcm and m_divides(other, lcm) for _, other, _ in kept):
             continue
         # Buchberger's coprimality criterion: the S-pair reduces to zero,
         # but the pair still participates in the filter above
-        kept.append((g, _coprime(g.lm, h.lm)))
+        kept.append((key, lcm, g))
     # prune old pairs: drop (g1, g2) when lm(h) properly divides their lcm
-    def pruned(entry):
-        _, lcm, g1, g2 = entry
-        return m_divides(h.lm, lcm) and m_lcm(g1.lm, h.lm) != lcm and m_lcm(g2.lm, h.lm) != lcm
-
-    queue.heap = [entry for entry in queue.heap if not pruned(entry)]
-    heapq.heapify(queue.heap)
-    for g, skip in kept:
-        if not skip:
-            queue.push(g, h)
+    pairs[:] = [
+        (priority, lcm, g1, g2) for priority, lcm, g1, g2 in pairs
+        if not (m_divides(h.lm, lcm) and m_lcm(g1.lm, h.lm) != lcm and m_lcm(g2.lm, h.lm) != lcm)
+    ]
+    heapq.heapify(pairs)
+    deg_h = sum(h.lm)
+    for key, lcm, g in kept:
+        if not _coprime(g.lm, h.lm):
+            deg = sum(lcm)
+            sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
+            heapq.heappush(pairs, ((sugar,) + key + (g.age, h.age), lcm, g, h))
     # retire basis elements made redundant by h
-    for i, g in enumerate(G):
-        if g is not None and m_divides(h.lm, g.lm) and g.lm != h.lm:
-            G[i] = None
+    G[:] = [g for g in G if not (m_divides(h.lm, g.lm) and g.lm != h.lm)]
     G.append(h)
 
 
@@ -263,7 +240,7 @@ class GroebnerBasis:
         self.order = order
         self.polys = polys
         self._gens = [
-            _Gen(dict(p.terms), order, p.total_degree(), i) for i, p in enumerate(polys)
+            _Gen(p.terms, order, p.total_degree(), i) for i, p in enumerate(polys)
         ]
 
     def reduce(self, f: Polynomial, max_terms: int = None) -> Polynomial:
@@ -327,47 +304,31 @@ def groebner(
     nonzero.sort(key=lambda g: (order.key(g.leading(order.key)[0]), g.num_terms(), g.format()))
 
     G: list = []
-    queue = _PairQueue(order)
-    age = 0
+    pairs: list = []
+    ages = itertools.count()
     for g in nonzero:
         reduced = _reduce_terms(g.terms, G, order, field, max_terms)
-        if not reduced:
-            continue
-        h = _Gen(reduced, order, max(sum(m) for m in reduced), age)
-        age += 1
-        _update(G, queue, h)
-
-    while queue:
-        if sum(1 for g in G if g is not None) > max_basis:
-            raise ResourceLimit(
-                f"basis exceeded the size cap ({max_basis})",
-                basis_size=sum(1 for g in G if g is not None),
-            )
-        lcm, g1, g2 = queue.pop()
-        s_terms, sugar = _spoly_terms(g1, g2, field)
-        reduced = _reduce_terms(s_terms, G, order, field, max_terms)
-        if not reduced:
-            continue
-        h = _Gen(reduced, order, sugar, age)
-        age += 1
-        _update(G, queue, h)
-
-    # inter-reduce the survivors into the unique reduced basis
-    live = [g for g in G if g is not None]
-    live.sort(key=lambda g: order.key(g.lm))
-    final = []
-    for i, g in enumerate(live):
-        others = [x for j, x in enumerate(live) if j != i]
-        reduced = _reduce_terms(g.terms, others, order, field, max_terms)
         if reduced:
-            final.append(reduced)
+            sugar = max(sum(m) for m in reduced)
+            _update(G, pairs, _Gen(reduced, order, sugar, next(ages)), order)
+
+    while pairs:
+        if len(G) > max_basis:
+            raise ResourceLimit(f"basis exceeded the size cap ({max_basis})", basis_size=len(G))
+        priority, lcm, g1, g2 = heapq.heappop(pairs)
+        reduced = _reduce_terms(_spoly_terms(g1, g2, lcm, field), G, order, field, max_terms)
+        if reduced:
+            _update(G, pairs, _Gen(reduced, order, priority[0], next(ages)), order)
+
+    # Inter-reduce the survivors into the unique reduced basis. No leading
+    # monomial divides another, so each element keeps its leading term, and
+    # sorting G by it once puts the result in order.
+    G.sort(key=lambda g: order.key(g.lm))
     polys = []
-    for terms in final:
-        lm = max(terms, key=order.key)
-        lc = terms[lm]
-        inv = field.inv(lc)
+    for i, g in enumerate(G):
+        terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], order, field, max_terms)
+        inv = field.inv(g.lc)
         polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
-    polys.sort(key=lambda p: order.key(p.leading(order.key)[0]))
     return GroebnerBasis(ring_, order, tuple(polys))
 
 

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ
-from .rings import Polynomial, Ring, Substitution, exact_div, ring
+from .rings import Polynomial, Ring, exact_div, ring
 
 
 class GenericMatrix:
@@ -309,9 +309,6 @@ class Ideal:
                 raise RingMismatch("generator not in the ideal's ring")
         self.ring = ring_
         self.gens = gens
-
-    def map(self, sub: Substitution) -> "Ideal":
-        return Ideal(sub.target, tuple(sub(g) for g in self.gens))
 
     def contains_unit_generator(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.gens)

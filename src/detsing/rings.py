@@ -117,12 +117,6 @@ class Ring:
     def vars(self) -> tuple:
         return tuple(self.var(n) for n in self.names)
 
-    def extend(self, extra_names: Iterable[str], front: bool = False) -> "Ring":
-        """A ring with extra variables appended (or prepended with front=True)."""
-        extra = tuple(extra_names)
-        names = extra + self.names if front else self.names + extra
-        return Ring(names, self.field)
-
     def parse(self, text: str) -> "Polynomial":
         return _parse(self, text)
 
@@ -388,9 +382,12 @@ class Polynomial:
             if self.ring is not other.ring and self.ring != other.ring:
                 return False
             return self.terms == other.terms
-        if isinstance(other, (int,)):
-            return self.terms == self.ring.const(other).terms
-        return NotImplemented
+        try:
+            other = self.ring.const(other)
+        except (TypeError, ZeroDivisionError):
+            # no element of the field: a float, a string, 1/p over F_p
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:

@@ -85,7 +85,11 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
 
 
 def saturate(I: Ideal, u: Polynomial) -> Ideal:
-    """(I : u^∞), computed by eliminating t from I + ⟨1 − t·u⟩."""
+    """(I : u^∞), computed by eliminating t from I + ⟨1 − t·u⟩.
+
+    The generators of the result are its reduced grevlex basis, which is
+    also entered in the basis cache.
+    """
     if u.ring != I.ring:
         raise RingMismatch("polynomial and ideal live in different rings")
     if u.is_zero():
@@ -96,8 +100,13 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     gens = [embed(g, ext) for g in I.gens]
     gens.append(ext.one() - ext.var(t) * embed(u, ext))
     gb = groebner(gens, elimination_order(ext, [t]))
-    kept = [embed(p, R) for p in gb.polys if p.degree_in(t) == 0]
-    return Ideal(R, kept)
+    # The t-free part of a reduced basis for the block order is the reduced
+    # basis of the elimination ideal for the order restricted to R, which is
+    # grevlex; groebner_of(out) would compute the same polynomials again.
+    kept = tuple(embed(p, R) for p in gb.polys if p.degree_in(t) == 0)
+    out = Ideal(R, kept)
+    _GB_CACHE.setdefault((out, None), GroebnerBasis(R, grevlex_order(R), kept))
+    return out
 
 
 def coordinate_subspace(I: Ideal):

@@ -53,6 +53,14 @@ def test_tracer_rebinds_every_target():
         tracer.request = None
         names = {span[0] for span in tracer.spans}
         assert {"resolution.resolve", "resolution.reduce_chart", "rings.substitution"} <= names
+
+        # a checked tree reaches the Groebner layer through verify
+        start = len(tracer.spans)
+        tracer.request = 1
+        detsing.resolve_sym(3, 3, all_charts=True)
+        tracer.request = None
+        names = {span[0] for span in tracer.spans[start:]}
+        assert {"groebner", "verify.groebner_of", "verify.saturate"} <= names
     finally:
         tracer.uninstall()
     assert detsing.resolution._REDUCERS["diag"] is functions["resolution", "reduce_sym_diag_chart"]

@@ -6,6 +6,7 @@ reduces to zero. Random cases are cross-checked against sympy, and
 membership against the exact linear-algebra oracle.
 """
 
+import importlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from detsing.groebner import (
     lex_order,
     normal_form,
 )
+from detsing.matrices import generic_skew, generic_sym, minors_ideal
 from detsing.rings import ring
 
 from .oracles import macaulay_member, to_sympy
@@ -136,6 +138,46 @@ def test_resource_limits(R):
     gb = groebner([x ** 2 - y, x * y - z])
     with pytest.raises(ResourceLimit):
         gb.reduce((x + y + z) ** 5, max_terms=5)
+
+
+def _cubics():
+    x, y, z = ring("x y z").vars()
+    return [x ** 3 - y * z ** 2, y ** 3 - x * z ** 2, z ** 3 - x ** 2 * y, x * y * z - 1]
+
+
+@pytest.mark.parametrize(
+    "gens, max_basis, max_terms, reductions",
+    [
+        (lambda: minors_ideal(generic_sym(4), 3).gens, 10, 14, 36),
+        (lambda: minors_ideal(generic_skew(5), 4).gens, 15, 15, 58),
+        (lambda: minors_ideal(generic_sym(3, PrimeField(7)), 2).gens, 6, 2, 20),
+        (_cubics, 6, 2, 25),
+    ],
+    ids=["sym4-3minors", "skew5-4minors", "sym3-2minors-F7", "cubics"],
+)
+def test_traversal_is_pinned(gens, max_basis, max_terms, reductions, monkeypatch):
+    # The caps are checked along the traversal, so the smallest caps that
+    # succeed change when the counted basis size changes; the number of
+    # normal forms changes with the pair order (sugar matters only for the
+    # inhomogeneous cubics).
+    gens = gens()
+    groebner(gens, max_basis=max_basis)
+    with pytest.raises(ResourceLimit):
+        groebner(gens, max_basis=max_basis - 1)
+    groebner(gens, max_terms=max_terms)
+    with pytest.raises(ResourceLimit):
+        groebner(gens, max_terms=max_terms - 1)
+    engine = importlib.import_module("detsing.groebner")
+    reduce_terms = engine._reduce_terms
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_terms(*args)
+
+    monkeypatch.setattr(engine, "_reduce_terms", counted)
+    groebner(gens)
+    assert len(calls) == reductions
 
 
 def _rand_poly(rng, R, deg, homogeneous=False):

@@ -224,6 +224,24 @@ def test_inexact_coefficients_refused(field):
     assert field.reduce(field.of(Fraction(3, 2)) * 2) == field.of(3)
 
 
+def test_equality_with_exact_constants():
+    R = ring("x")
+    S = ring("x", PrimeField(7))
+    assert R.one() == Fraction(1) and R.one() == 1
+    assert R.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert R.const(4) != Fraction(1, 2)
+    # 1/2 is 4 in F_7, as in S.const(4) * 2 == 1
+    assert S.const(4) == Fraction(1, 2) and Fraction(1, 2) == S.const(4)
+    assert S.const(8) == 1 and S.zero() == 0
+    assert R.var("x") != 1 and R.zero() != Fraction(1, 2)
+    # values outside the field compare unequal and raise nothing
+    for P in (R, S):
+        assert not P.one() == 1.0
+        assert P.one() != 1.0
+        assert P.one() != "1"
+    assert S.one() != Fraction(1, 7)
+
+
 def test_ring_json_round_trip():
     R = ring("x y", PrimeField(5))
     assert Ring.from_json(R.to_json()) == R

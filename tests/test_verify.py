@@ -2,7 +2,7 @@
 
 import pytest
 
-from detsing.blowup import Center, make_chart, strict_transform_ideal
+from detsing.blowup import Center, make_chart, strict_transform_ideal, strict_transform_poly
 from detsing.errors import BadParameters, RingMismatch
 from detsing.fields import QQ, PrimeField
 from detsing.groebner import groebner
@@ -106,6 +106,37 @@ def test_saturation_clears_exceptional_powers(R):
     I = Ideal(R, [x ** 3 * (y - z), x * y ** 2])
     S = saturate(I, x)
     assert ideal_equal(S, Ideal(R, [y - z, y ** 2]))
+
+
+def _fresh_basis(I):
+    # groebner refuses an empty generator list; the zero ideal's basis is ()
+    return groebner(list(I.gens)).polys if I.gens else ()
+
+
+def _offdiag_identity_ideals(m):
+    """The strict transforms of the j-minors of the generic symmetric
+    m-matrix in the x_1_2 chart, with that chart's unit eps."""
+    B = generic_sym(m)
+    ch = make_chart(Center(B.ring, B.ring.names), "x_1_2")
+    a11, a22 = (strict_transform_poly(B.ring.var(n), ch)[1] for n in ("x_1_1", "x_2_2"))
+    eps = ch.target.one() - a11 * a22
+    return [strict_transform_ideal(minors_ideal(B, j), ch) for j in range(2, m + 1)], eps
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_saturation_hands_over_its_reduced_basis(m):
+    ideals, eps = _offdiag_identity_ideals(m)
+    for I in ideals:
+        S = saturate(I, eps)
+        assert groebner_of(S).polys == _fresh_basis(S) == S.gens
+
+
+def test_saturation_hand_over_unit_and_zero(R):
+    x, y, _ = R.vars()
+    unit = saturate(Ideal(R, [x * y]), x * y)
+    assert groebner_of(unit).polys == _fresh_basis(unit) == (R.one(),)
+    zero = saturate(Ideal(R, []), x)
+    assert groebner_of(zero).polys == _fresh_basis(zero) == ()
 
 
 def test_coordinate_subspace(R):
