@@ -5,12 +5,17 @@ order, pair selection breaks ties by insertion age, and the returned basis
 is reduced, monic, and sorted. Resource caps (basis size, working term
 count) raise ResourceLimit; they never produce a wrong answer.
 
-Pair bookkeeping follows the classic Gebauer-Moeller update (chain and
-coprimality criteria, plus pruning of old pairs whose lcm strictly contains
-the new leading monomial). Pairs are selected by the sugar strategy. Each
-pending pair carries the lcm and the sugar computed when it was formed, and
-the working basis holds only live elements: retired ones are removed, and
-the survivors keep their order.
+Pair bookkeeping follows the complete Gebauer-Moeller update (Gebauer &
+Moeller, JSC 1988): the chain criterion, one pair per lcm, no pair for an
+lcm that some coprime pair has, and pruning of old pairs whose lcm strictly
+contains the new leading monomial. Pairs are selected by the sugar
+strategy. Each pending pair carries the lcm and the sugar computed when it
+was formed, and the working basis holds only live elements: retired ones
+are removed, and the survivors keep their order.
+
+The reducer scan tests a support mask before divisibility (Bachmann &
+Schoenemann, ISSAC '98): a basis element whose leading monomial has a
+variable the term lacks is skipped without comparing exponents.
 """
 
 from __future__ import annotations
@@ -18,10 +23,21 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+from operator import itemgetter, neg
 from typing import Iterable
 
 from .errors import BadParameters, ResourceLimit, RingMismatch
-from .rings import Polynomial, Ring, grevlex_key, m_div, m_divides, m_lcm, m_mul
+from .rings import (
+    Polynomial,
+    Ring,
+    grevlex_heap_key,
+    grevlex_key,
+    m_div,
+    m_divides,
+    m_lcm,
+    m_mask,
+    m_mul,
+)
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_TERMS = 200_000
@@ -54,18 +70,16 @@ def term_cap(max_terms: int = None) -> int:
 class MonomialOrder:
     """A total order on exponent tuples given by a flat integer sort key.
 
-    key(m) ascends with the order; heap_key is its negation (for min-heaps
-    that must pop the largest monomial first).
+    key(m) ascends with the order; heap_key(m) is its negation, built
+    directly, for min-heaps that must pop the largest monomial first.
     """
 
-    __slots__ = ("spec", "key")
+    __slots__ = ("spec", "key", "heap_key")
 
-    def __init__(self, spec: tuple, key):
+    def __init__(self, spec: tuple, key, heap_key):
         self.spec = spec
         self.key = key
-
-    def heap_key(self, m):
-        return tuple(-x for x in self.key(m))
+        self.heap_key = heap_key
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.spec == other.spec
@@ -78,11 +92,11 @@ class MonomialOrder:
 
 
 def grevlex_order(ring_: Ring) -> MonomialOrder:
-    return MonomialOrder(("grevlex", ring_.nvars), grevlex_key)
+    return MonomialOrder(("grevlex", ring_.nvars), grevlex_key, grevlex_heap_key)
 
 
 def lex_order(ring_: Ring) -> MonomialOrder:
-    return MonomialOrder(("lex", ring_.nvars), tuple)
+    return MonomialOrder(("lex", ring_.nvars), tuple, lambda m: tuple(map(neg, m)))
 
 
 def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
@@ -92,24 +106,36 @@ def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
     front = tuple(ring_.index[n] for n in front_names)
     front_set = set(front)
     back = tuple(i for i in range(ring_.nvars) if i not in front_set)
+    # each block reversed, as grevlex compares it; itemgetter of a single
+    # index returns the item, and then the permutation is the identity
+    perm = front[::-1] + back[::-1]
+    permute = itemgetter(*perm) if len(perm) > 1 else tuple
+    k = len(front)
 
     def key(m):
-        head = (sum(m[i] for i in front),) + tuple(-m[i] for i in reversed(front))
-        tail = (sum(m[i] for i in back),) + tuple(-m[i] for i in reversed(back))
-        return head + tail
+        v = permute(m)
+        f, b = v[:k], v[k:]
+        return (sum(f), *map(neg, f), sum(b), *map(neg, b))
 
-    return MonomialOrder(("elim", ring_.nvars, front), key)
+    def heap_key(m):
+        v = permute(m)
+        f, b = v[:k], v[k:]
+        return (-sum(f),) + f + (-sum(b),) + b
+
+    return MonomialOrder(("elim", ring_.nvars, front), key, heap_key)
 
 
 class _Gen:
-    """A basis element: term dict plus cached leading data and sugar."""
+    """A basis element: term dict plus its leading monomial, the leading
+    coefficient, the support mask of the leading monomial, and sugar."""
 
-    __slots__ = ("terms", "lm", "lc", "sugar", "age")
+    __slots__ = ("terms", "lm", "lc", "mask", "sugar", "age")
 
-    def __init__(self, terms: dict, order: MonomialOrder, sugar: int, age: int):
+    def __init__(self, terms: dict, lm, sugar: int, age: int):
         self.terms = terms
-        self.lm = max(terms, key=order.key)
-        self.lc = terms[self.lm]
+        self.lm = lm
+        self.lc = terms[lm]
+        self.mask = m_mask(lm)
         self.sugar = sugar
         self.age = age
 
@@ -119,39 +145,40 @@ def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_ter
 
     Lazy max-heap over candidate monomials; every monomial introduced by a
     reduction step is strictly smaller than the one just cancelled, so each
-    monomial is settled exactly once.
+    monomial is settled exactly once, from the largest down: the first key
+    of the remainder is its leading monomial.
     """
     if not terms:
         return {}
     work = dict(terms)
-    heap = [(order.heap_key(m), m) for m in work]
+    heap_key = order.heap_key
+    heap = [(heap_key(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     reduce, div = field.reduce, field.div
     while heap:
-        _, m = heapq.heappop(heap)
+        m = heapq.heappop(heap)[1]
         c = work.get(m)
         if c is None:
             continue
-        reducer = None
+        off = ~m_mask(m)
         for g in basis:
-            if m_divides(g.lm, m):
-                reducer = g
+            if not (g.mask & off) and m_divides(g.lm, m):
                 break
-        if reducer is None:
+        else:
             remainder[m] = c
             del work[m]
             continue
-        shift = m_div(m, reducer.lm)
-        coef = div(c, reducer.lc)
-        for gm, gc in reducer.terms.items():
+        shift = m_div(m, g.lm)
+        coef = div(c, g.lc)
+        for gm, gc in g.terms.items():
             tm = m_mul(gm, shift)
             cur = work.get(tm)
             if cur is None:
                 val = reduce(-gc * coef)
                 if val:
                     work[tm] = val
-                    heapq.heappush(heap, (order.heap_key(tm), tm))
+                    heapq.heappush(heap, (heap_key(tm), tm))
             else:
                 val = reduce(cur - gc * coef)
                 if val:
@@ -197,22 +224,32 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
 
     Forms the filtered pairs (g, h), prunes old pairs whose lcm is a proper
     multiple of lm(h), removes the basis elements whose leading monomial
-    became divisible by lm(h), and appends h. `pairs` is a heap of
-    (priority, lcm, g, h) entries with priority (sugar, key(lcm), ages):
-    the ages make every priority unique, so the pop order never depends on
-    the heap layout.
+    became divisible by lm(h), and appends h. Of the new pairs, the chain
+    criterion drops those whose lcm is a proper multiple of another new
+    pair's lcm; of those that share an lcm, only the one with the oldest g
+    is kept, and none is kept when any of them is coprime. `pairs` is a
+    heap of (priority, lcm, g, h) entries with priority (sugar, key(lcm),
+    ages): the ages make every priority unique, so the pop order never
+    depends on the heap layout.
     """
-    # candidate new pairs, smallest lcm first
+    # candidate new pairs, smallest lcm first, pairs sharing an lcm adjacent
     cands = sorted((order.key(lcm := m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
+    # one [key, lcm, g] per distinct lcm, g None when a pair with it is coprime
     kept: list = []
-    # ascending lcm order: any proper divisor of the current lcm was seen
-    # already, so filtering against `kept` realizes the chain criterion
+    # Ascending lcm order: any proper divisor of the current lcm was seen
+    # already, so filtering against `kept` realizes the chain criterion.
+    # Buchberger's coprimality criterion: a coprime pair's S-polynomial
+    # reduces to zero and makes the other pairs with its lcm redundant, but
+    # the lcm still takes part in the chain filter.
     for key, _, lcm, g in cands:
-        if any(other != lcm and m_divides(other, lcm) for _, other, _ in kept):
+        coprime = _coprime(g.lm, h.lm)
+        if kept and kept[-1][1] == lcm:
+            if coprime:
+                kept[-1][2] = None
             continue
-        # Buchberger's coprimality criterion: the S-pair reduces to zero,
-        # but the pair still participates in the filter above
-        kept.append((key, lcm, g))
+        if any(m_divides(other, lcm) for _, other, _ in kept):
+            continue
+        kept.append([key, lcm, None if coprime else g])
     # prune old pairs: drop (g1, g2) when lm(h) properly divides their lcm
     pairs[:] = [
         (priority, lcm, g1, g2) for priority, lcm, g1, g2 in pairs
@@ -221,7 +258,7 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     heapq.heapify(pairs)
     deg_h = sum(h.lm)
     for key, lcm, g in kept:
-        if not _coprime(g.lm, h.lm):
+        if g is not None:
             deg = sum(lcm)
             sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
             heapq.heappush(pairs, ((sugar,) + key + (g.age, h.age), lcm, g, h))
@@ -235,13 +272,15 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "_gens")
 
-    def __init__(self, ring_: Ring, order: MonomialOrder, polys: tuple):
+    def __init__(self, ring_: Ring, order: MonomialOrder, polys: tuple, lms=None):
+        """lms: the leading monomials of polys, when they are already known."""
         self.ring = ring_
         self.order = order
         self.polys = polys
-        self._gens = [
-            _Gen(p.terms, order, p.total_degree(), i) for i, p in enumerate(polys)
-        ]
+        if lms is None:
+            lms = [max(p.terms, key=order.key) for p in polys]
+        # sugar and age steer pair selection only, which a finished basis has done
+        self._gens = [_Gen(p.terms, lm, 0, 0) for p, lm in zip(polys, lms)]
 
     def reduce(self, f: Polynomial, max_terms: int = None) -> Polynomial:
         """Full normal form of f against the basis."""
@@ -310,7 +349,7 @@ def groebner(
         reduced = _reduce_terms(g.terms, G, order, field, max_terms)
         if reduced:
             sugar = max(sum(m) for m in reduced)
-            _update(G, pairs, _Gen(reduced, order, sugar, next(ages)), order)
+            _update(G, pairs, _Gen(reduced, next(iter(reduced)), sugar, next(ages)), order)
 
     while pairs:
         if len(G) > max_basis:
@@ -318,7 +357,7 @@ def groebner(
         priority, lcm, g1, g2 = heapq.heappop(pairs)
         reduced = _reduce_terms(_spoly_terms(g1, g2, lcm, field), G, order, field, max_terms)
         if reduced:
-            _update(G, pairs, _Gen(reduced, order, priority[0], next(ages)), order)
+            _update(G, pairs, _Gen(reduced, next(iter(reduced)), priority[0], next(ages)), order)
 
     # Inter-reduce the survivors into the unique reduced basis. No leading
     # monomial divides another, so each element keeps its leading term, and
@@ -329,7 +368,7 @@ def groebner(
         terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], order, field, max_terms)
         inv = field.inv(g.lc)
         polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
-    return GroebnerBasis(ring_, order, tuple(polys))
+    return GroebnerBasis(ring_, order, tuple(polys), [g.lm for g in G])
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis, max_terms: int = None) -> Polynomial:

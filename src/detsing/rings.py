@@ -26,7 +26,10 @@ deterministic.
 
 from __future__ import annotations
 
+import heapq
 import re
+from itertools import compress
+from operator import add, le, neg, sub
 from typing import Iterable
 
 from .errors import (
@@ -42,26 +45,45 @@ Monomial = tuple  # dense exponent vector, one entry per ring variable
 
 
 def m_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def m_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b entrywise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def m_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def m_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
+_MASK_BITS = tuple(1 << i for i in range(64))
+
+
+def m_mask(a: Monomial) -> int:
+    """Support mask: bit i is set when variable i occurs in a (i < 64).
+
+    m_divides(a, b) implies not (m_mask(a) & ~m_mask(b)), so a nonzero
+    result rules out divisibility without comparing exponents. Variables
+    past the 64th are left out, which keeps that implication.
+    """
+    return sum(compress(_MASK_BITS, a))
+
+
 def grevlex_key(a: Monomial):
     """Sort key realizing graded reverse lex: higher key = larger monomial."""
-    return (sum(a),) + tuple(-e for e in reversed(a))
+    return (sum(a),) + tuple(map(neg, reversed(a)))
+
+
+def grevlex_heap_key(a: Monomial):
+    """The negation of grevlex_key, for min-heaps that pop the largest
+    monomial first."""
+    return (-sum(a),) + a[::-1]
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -507,33 +529,46 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
     Single-divisor reduction decides divisibility: if f = q*g then the
     leading term of g divides the leading term of f under any monomial
-    order, and peeling it preserves divisibility.
+    order, and peeling it preserves divisibility. The remainder's terms sit
+    in a lazy max-heap, as in the Groebner normal form: every monomial a
+    peeling step introduces is smaller than the one it cancels, so each is
+    settled once. The leading term of g cancels exactly and is skipped.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_ring(g)
     ring_ = f.ring
     field = ring_.field
-    reduce = field.reduce
+    reduce, div = field.reduce, field.div
     glm, glc = g.leading()
-    g_items = list(g.terms.items())
+    g_tail = [(gm, gc) for gm, gc in g.terms.items() if gm != glm]
     quotient: dict = {}
     rest = dict(f.terms)
-    while rest:
-        m = max(rest, key=grevlex_key)
-        c = rest[m]
+    heap = [(grevlex_heap_key(m), m) for m in rest]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rest.pop(m, None)
+        if c is None:
+            continue
         if not m_divides(glm, m):
             raise ValueError("not an exact multiple")
         qm = m_div(m, glm)
-        qc = field.div(c, glc)
+        qc = div(c, glc)
         quotient[qm] = qc
-        for gm, gc in g_items:
+        for gm, gc in g_tail:
             tm = m_mul(gm, qm)
-            s = reduce(rest.get(tm, 0) - gc * qc)
-            if s:
-                rest[tm] = s
+            cur = rest.get(tm)
+            if cur is None:
+                # a product of nonzero field elements is nonzero
+                rest[tm] = reduce(-gc * qc)
+                heapq.heappush(heap, (grevlex_heap_key(tm), tm))
             else:
-                del rest[tm]
+                s = reduce(cur - gc * qc)
+                if s:
+                    rest[tm] = s
+                else:
+                    del rest[tm]
     return Polynomial(ring_, quotient)
 
 

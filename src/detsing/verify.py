@@ -7,6 +7,8 @@ and symmetric generic matrices, and the per-leaf embedded-resolution
 verdicts.  Results can be wrapped as JSON verdict objects.
 """
 
+from collections import OrderedDict
+
 from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
 from .fields import QQ, PrimeField, field_name
@@ -21,8 +23,20 @@ from .rings import Polynomial, Ring, embed
 
 DEFAULT_PRIMES = (3, 5, 7, 101)
 
-# write-once basis cache per (ideal, order spec); grevlex entries keyed None
-_GB_CACHE: dict = {}
+# Basis cache per (ideal, order spec), grevlex entries keyed None: least
+# recently used first, at most _GB_CACHE_SIZE entries. A hit refreshes its
+# entry, and saturations hand over their bases through the same insert.
+_GB_CACHE_SIZE = 256
+_GB_CACHE: OrderedDict = OrderedDict()
+
+
+def _remember(key, basis: GroebnerBasis) -> GroebnerBasis:
+    """Insert or refresh an entry, evicting the least recently used."""
+    _GB_CACHE[key] = basis
+    _GB_CACHE.move_to_end(key)
+    if len(_GB_CACHE) > _GB_CACHE_SIZE:
+        _GB_CACHE.popitem(last=False)
+    return basis
 
 
 def groebner_of(I: Ideal, order=None) -> GroebnerBasis:
@@ -34,8 +48,7 @@ def groebner_of(I: Ideal, order=None) -> GroebnerBasis:
             basis = groebner(I.gens, order)
         else:
             basis = GroebnerBasis(I.ring, order or grevlex_order(I.ring), ())
-        _GB_CACHE[key] = basis
-    return basis
+    return _remember(key, basis)
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
@@ -103,9 +116,13 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     # The t-free part of a reduced basis for the block order is the reduced
     # basis of the elimination ideal for the order restricted to R, which is
     # grevlex; groebner_of(out) would compute the same polynomials again.
-    kept = tuple(embed(p, R) for p in gb.polys if p.degree_in(t) == 0)
+    # Under the block order a polynomial is t-free exactly when its leading
+    # monomial is, and dropping that monomial's first exponent (t's) maps it
+    # into R.
+    free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[0]]
+    kept = tuple(embed(p, R) for p, _ in free)
     out = Ideal(R, kept)
-    _GB_CACHE.setdefault((out, None), GroebnerBasis(R, grevlex_order(R), kept))
+    _remember((out, None), GroebnerBasis(R, grevlex_order(R), kept, [lm[1:] for _, lm in free]))
     return out
 
 

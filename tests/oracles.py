@@ -2,13 +2,22 @@
 
 Everything here deliberately avoids the package's own algebra kernels:
 sympy supplies exact determinants, Groebner bases, and the linear algebra
-behind the bounded-degree Macaulay membership oracle.
+behind the bounded-degree Macaulay membership oracle. The one route that is
+not sympy is a frozen copy of the Groebner kernel and of exact division as
+they stood before the support masks, the complete Gebauer-Moeller update,
+the direct heap keys and the heap division (see "Frozen kernel" below);
+the differential tests hold the package's kernel to it. It shares only the
+Polynomial container with the package.
 """
 
+import heapq
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 
 import sympy
+
+from detsing.errors import ResourceLimit
+from detsing.rings import Polynomial
 
 
 def to_sympy(f, syms=None):
@@ -95,3 +104,224 @@ def macaulay_member(f, gens):
         b[row_of[m], 0] = sympy.Rational(v.numerator, v.denominator)
     aug = A.row_join(b)
     return A.rank() == aug.rank()
+
+
+# -- Frozen kernel ------------------------------------------------------------
+# Monomial primitives, order keys, Buchberger loop and exact division copied
+# from the kernel before it was rewritten; change nothing here except to fix
+# the copy itself.
+
+
+def _m_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _m_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _m_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _m_lcm(a, b):
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def _grevlex_key(a):
+    return (sum(a),) + tuple(-e for e in reversed(a))
+
+
+def _frozen_key(spec):
+    """The order key of a MonomialOrder, rebuilt from its spec."""
+    if spec[0] == "grevlex":
+        return _grevlex_key
+    if spec[0] == "lex":
+        return tuple
+    assert spec[0] == "elim", spec
+    _, nvars, front = spec
+    front_set = set(front)
+    back = tuple(i for i in range(nvars) if i not in front_set)
+
+    def key(m):
+        head = (sum(m[i] for i in front),) + tuple(-m[i] for i in reversed(front))
+        tail = (sum(m[i] for i in back),) + tuple(-m[i] for i in reversed(back))
+        return head + tail
+
+    return key
+
+
+class _Gen:
+    __slots__ = ("terms", "lm", "lc", "sugar", "age")
+
+    def __init__(self, terms, key, sugar, age):
+        self.terms = terms
+        self.lm = max(terms, key=key)
+        self.lc = terms[self.lm]
+        self.sugar = sugar
+        self.age = age
+
+
+def _reduce_terms(terms, basis, key, field, max_terms):
+    if not terms:
+        return {}
+    work = dict(terms)
+    heap = [(tuple(-x for x in key(m)), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    reduce, div = field.reduce, field.div
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue
+        reducer = None
+        for g in basis:
+            if _m_divides(g.lm, m):
+                reducer = g
+                break
+        if reducer is None:
+            remainder[m] = c
+            del work[m]
+            continue
+        shift = _m_div(m, reducer.lm)
+        coef = div(c, reducer.lc)
+        for gm, gc in reducer.terms.items():
+            tm = _m_mul(gm, shift)
+            cur = work.get(tm)
+            if cur is None:
+                val = reduce(-gc * coef)
+                if val:
+                    work[tm] = val
+                    heapq.heappush(heap, (tuple(-x for x in key(tm)), tm))
+            else:
+                val = reduce(cur - gc * coef)
+                if val:
+                    work[tm] = val
+                else:
+                    del work[tm]
+        if len(work) + len(remainder) > max_terms:
+            raise ResourceLimit("oracle normal form exceeded the term cap")
+    return remainder
+
+
+def _spoly_terms(g1, g2, lcm, field):
+    s1 = _m_div(lcm, g1.lm)
+    s2 = _m_div(lcm, g2.lm)
+    reduce = field.reduce
+    inv1 = field.inv(g1.lc)
+    inv2 = field.inv(g2.lc)
+    terms = {}
+    for m, c in g1.terms.items():
+        terms[_m_mul(m, s1)] = reduce(c * inv1)
+    for m, c in g2.terms.items():
+        tm = _m_mul(m, s2)
+        val = reduce(terms.get(tm, 0) - c * inv2)
+        if val:
+            terms[tm] = val
+        else:
+            del terms[tm]
+    return terms
+
+
+def _coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def _update(G, pairs, h, key):
+    cands = sorted((key(lcm := _m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
+    kept = []
+    for k, _, lcm, g in cands:
+        if any(other != lcm and _m_divides(other, lcm) for _, other, _ in kept):
+            continue
+        kept.append((k, lcm, g))
+    pairs[:] = [
+        (priority, lcm, g1, g2) for priority, lcm, g1, g2 in pairs
+        if not (_m_divides(h.lm, lcm) and _m_lcm(g1.lm, h.lm) != lcm
+                and _m_lcm(g2.lm, h.lm) != lcm)
+    ]
+    heapq.heapify(pairs)
+    deg_h = sum(h.lm)
+    for k, lcm, g in kept:
+        if not _coprime(g.lm, h.lm):
+            deg = sum(lcm)
+            sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
+            heapq.heappush(pairs, ((sugar,) + k + (g.age, h.age), lcm, g, h))
+    G[:] = [g for g in G if not (_m_divides(h.lm, g.lm) and g.lm != h.lm)]
+    G.append(h)
+
+
+ORACLE_MAX_BASIS = 2000
+ORACLE_MAX_TERMS = 200_000
+
+
+def oracle_groebner(gens, order):
+    """The reduced basis (a tuple of Polynomials) of the frozen kernel,
+    for the order of the given MonomialOrder."""
+    gen_list = list(gens)
+    ring_ = gen_list[0].ring
+    key = _frozen_key(order.spec)
+    field = ring_.field
+    nonzero = [g for g in gen_list if not g.is_zero()]
+    if not nonzero:
+        return ()
+    nonzero.sort(key=lambda g: (key(g.leading(key)[0]), g.num_terms(), g.format()))
+    G = []
+    pairs = []
+    ages = count()
+    for g in nonzero:
+        reduced = _reduce_terms(g.terms, G, key, field, ORACLE_MAX_TERMS)
+        if reduced:
+            sugar = max(sum(m) for m in reduced)
+            _update(G, pairs, _Gen(reduced, key, sugar, next(ages)), key)
+    while pairs:
+        if len(G) > ORACLE_MAX_BASIS:
+            raise ResourceLimit("oracle basis exceeded the size cap")
+        priority, lcm, g1, g2 = heapq.heappop(pairs)
+        reduced = _reduce_terms(_spoly_terms(g1, g2, lcm, field), G, key, field, ORACLE_MAX_TERMS)
+        if reduced:
+            _update(G, pairs, _Gen(reduced, key, priority[0], next(ages)), key)
+    G.sort(key=lambda g: key(g.lm))
+    polys = []
+    for i, g in enumerate(G):
+        terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], key, field, ORACLE_MAX_TERMS)
+        inv = field.inv(g.lc)
+        polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
+    return tuple(polys)
+
+
+def oracle_normal_form(f, polys, order):
+    """Normal form of f against a reduced basis, by the frozen kernel."""
+    key = _frozen_key(order.spec)
+    basis = [_Gen(p.terms, key, p.total_degree(), i) for i, p in enumerate(polys)]
+    return Polynomial(f.ring, _reduce_terms(f.terms, basis, key, f.ring.field, ORACLE_MAX_TERMS))
+
+
+def oracle_exact_div(f, g):
+    """Quotient f/g by the frozen rescanning division; ValueError when g
+    does not divide f."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    field = f.ring.field
+    reduce = field.reduce
+    glm = max(g.terms, key=_grevlex_key)
+    glc = g.terms[glm]
+    g_items = list(g.terms.items())
+    quotient = {}
+    rest = dict(f.terms)
+    while rest:
+        m = max(rest, key=_grevlex_key)
+        c = rest[m]
+        if not _m_divides(glm, m):
+            raise ValueError("not an exact multiple")
+        qm = _m_div(m, glm)
+        qc = field.div(c, glc)
+        quotient[qm] = qc
+        for gm, gc in g_items:
+            tm = _m_mul(gm, qm)
+            s = reduce(rest.get(tm, 0) - gc * qc)
+            if s:
+                rest[tm] = s
+            else:
+                del rest[tm]
+    return Polynomial(f.ring, quotient)

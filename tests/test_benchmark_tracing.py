@@ -61,6 +61,13 @@ def test_tracer_rebinds_every_target():
         tracer.request = None
         names = {span[0] for span in tracer.spans[start:]}
         assert {"groebner", "verify.groebner_of", "verify.saturate"} <= names
+
+        # the Bareiss determinant divides through rings.exact_div
+        start = len(tracer.spans)
+        tracer.request = 2
+        detsing.check_fact("F1", 5)
+        tracer.request = None
+        assert "rings.exact_div" in {span[0] for span in tracer.spans[start:]}
     finally:
         tracer.uninstall()
     assert detsing.resolution._REDUCERS["diag"] is functions["resolution", "reduce_sym_diag_chart"]

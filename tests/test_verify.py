@@ -1,5 +1,7 @@
 """Membership, equality, radicals, saturation, subspaces, standing facts."""
 
+from collections import OrderedDict
+
 import pytest
 
 from detsing.blowup import Center, make_chart, strict_transform_ideal, strict_transform_poly
@@ -14,6 +16,7 @@ from detsing.matrices import (
     minors_ideal,
     pfaffian,
 )
+from detsing import verify
 from detsing.rings import ring
 from detsing.verify import (
     check_fact,
@@ -137,6 +140,24 @@ def test_saturation_hand_over_unit_and_zero(R):
     assert groebner_of(unit).polys == _fresh_basis(unit) == (R.one(),)
     zero = saturate(Ideal(R, []), x)
     assert groebner_of(zero).polys == _fresh_basis(zero) == ()
+
+
+def test_basis_cache_is_a_bounded_lru(R, monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(verify, "_GB_CACHE", cache)
+    monkeypatch.setattr(verify, "_GB_CACHE_SIZE", 3)
+    x, y, _ = R.vars()
+    ideals = [Ideal(R, [x ** k - y]) for k in range(1, 5)]
+    for I in ideals[:3]:
+        groebner_of(I)
+    first = groebner_of(ideals[0])  # a hit refreshes its entry
+    groebner_of(ideals[3])  # evicts ideals[1], the least recently used
+    assert list(cache) == [(ideals[2], None), (ideals[0], None), (ideals[3], None)]
+    assert groebner_of(ideals[0]) is first
+    # a saturation's hand-over is an insert like any other
+    S = saturate(Ideal(R, [x * y]), x)
+    assert list(cache) == [(ideals[3], None), (ideals[0], None), (S, None)]
+    assert groebner_of(S).polys == (y,)
 
 
 def test_coordinate_subspace(R):
