@@ -1,14 +1,16 @@
 """Coefficient fields: the rationals and prime fields.
 
-Elements are plain Python values: Fraction over Q, ints in range(p) over
-F_p. Keeping elements unboxed matters; coefficient ops sit in the
-innermost loops of multiplication and normal-form reduction.
+Elements are plain Python values: over Q an int when integral, else a
+Fraction; ints in range(p) over F_p. Keeping elements unboxed matters;
+coefficient ops sit in the innermost loops of multiplication and
+normal-form reduction, and int arithmetic is far cheaper than Fraction's.
 
 Callers combine elements with raw + - * and pass the result (a sum of
 products may be reduced once at the end) through ``field.reduce``, which
-maps a raw value to its canonical element: the identity over Q, ``a % p``
-over F_p. Only ``of``, ``inv``, ``div`` and ``neg`` are field-specific;
-``of`` takes an int or a Fraction and raises TypeError on anything else.
+maps a raw value to its canonical element: over Q an integral Fraction
+becomes its int, over F_p it is ``a % p``. Only ``of``, ``inv``, ``div``
+and ``neg`` are field-specific; ``of`` takes an int or a Fraction and
+raises TypeError on anything else.
 """
 
 from __future__ import annotations
@@ -34,28 +36,30 @@ def _is_prime(p: int) -> bool:
 
 
 class Rationals:
-    """The field Q. Elements are fractions.Fraction."""
+    """The field Q. Elements are ints when integral, else fractions.Fraction
+    with denominator > 1; the two compare and hash alike. Never int / int,
+    which is a float."""
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, value) -> Fraction:
+    def of(self, value):
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"not an exact coefficient: {value!r}")
-        return Fraction(value)
+        return self.reduce(Fraction(value))
 
     def reduce(self, a):
-        return a
+        return a.numerator if a.denominator == 1 else a
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.reduce(Fraction(1, a))
 
     def div(self, a, b):
-        return a / b
+        return self.reduce(Fraction(a, b))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

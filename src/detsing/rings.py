@@ -8,8 +8,6 @@ keeps monomial arithmetic at tuple speed for the ring sizes that occur here
 Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
-A substitution expands each term factor by factor, which is cheap for the
-chart tree's images: monomials, or polynomials met at power 1.
 
 Printing and parsing share one text grammar:
 
@@ -97,7 +95,7 @@ class Ring:
     independently constructed rings interoperate.
     """
 
-    __slots__ = ("field", "names", "index", "_zero_mono")
+    __slots__ = ("field", "names", "index", "_zero_mono", "_unit_monos")
 
     def __init__(self, names: Iterable[str], field=QQ):
         names = tuple(names)
@@ -111,7 +109,8 @@ class Ring:
         self.field = field
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        self._zero_mono = (0,) * len(names)
+        zero = self._zero_mono = (0,) * len(names)
+        self._unit_monos = tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(len(names)))
 
     @property
     def nvars(self) -> int:
@@ -133,8 +132,7 @@ class Ring:
         i = self.index.get(name)
         if i is None:
             raise UnknownVariable(f"{name!r} is not a variable of {self!r}")
-        mono = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return Polynomial(self, {mono: self.field.one})
+        return Polynomial(self, {self._unit_monos[i]: self.field.one})
 
     def vars(self) -> tuple:
         return tuple(self.var(n) for n in self.names)
@@ -324,7 +322,7 @@ class Polynomial:
         large_items = list(large.items())
         for m1, c1 in small.items():
             for m2, c2 in large_items:
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = m_mul(m1, m2)
                 acc[m] = get(m, 0) + c1 * c2
         return Polynomial._reduced(self.ring, acc)
 
@@ -428,10 +426,9 @@ class Substitution:
     Both rings share one field: coefficients carry over unconverted.
 
     A variable at exponent e multiplies each partial term by its image's
-    terms e times, and like monomials are collected only over the result.
-    No work repeats while every image is a monomial or met at power 1, as
-    in the chart tree (only the empty leaves of trees like sym 6/3 square a
-    multi-term image; the result stays exact, with repeated partial terms).
+    terms e times. Like monomials are collected over the result, and before
+    each repeated multiplication by a multi-term image, so a power of such
+    an image never multiplies out repeated partial terms.
     """
 
     __slots__ = ("source", "target", "images", "_image_list")
@@ -471,9 +468,14 @@ class Substitution:
             for i, e in enumerate(mono):
                 if not e:
                     continue
-                for _ in range(e):
-                    term = [(tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
-                            for m1, c1 in term for m2, c2 in images[i].terms.items()]
+                image = images[i].terms.items()
+                for k in range(e):
+                    if k and len(image) > 1:
+                        part: dict = {}
+                        for m, c in term:
+                            part[m] = part.get(m, 0) + c
+                        term = Polynomial._reduced(self.target, part).terms.items()
+                    term = [(m_mul(m1, m2), c1 * c2) for m1, c1 in term for m2, c2 in image]
             for m, c in term:
                 acc[m] = get(m, 0) + c
         return Polynomial._reduced(self.target, acc)

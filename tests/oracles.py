@@ -7,7 +7,10 @@ not sympy is a frozen copy of the Groebner kernel and of exact division as
 they stood before the support masks, the complete Gebauer-Moeller update,
 the direct heap keys and the heap division (see "Frozen kernel" below);
 the differential tests hold the package's kernel to it. It shares only the
-Polynomial container with the package.
+Polynomial container with the package. A second frozen route is the field
+of rationals as it stood when every element was a Fraction (``FractionQQ``);
+rings over it run the package's own algebra, and the differential tests
+hold the int-when-integral ``QQ`` to it.
 """
 
 import heapq
@@ -325,3 +328,44 @@ def oracle_exact_div(f, g):
             else:
                 del rest[tm]
     return Polynomial(f.ring, quotient)
+
+
+# -- Frozen field -------------------------------------------------------------
+# The rationals before integral values became ints: every element is a
+# Fraction and reduce is the identity. Change nothing here except to fix the
+# copy itself.
+
+
+class FractionQQ:
+    """The field Q with every element a fractions.Fraction. It compares
+    unequal to the package's QQ, so rings over the two never mix."""
+
+    char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of(self, value):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {value!r}")
+        return Fraction(value)
+
+    def reduce(self, a):
+        return a
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return 1 / a
+
+    def div(self, a, b):
+        return a / b
+
+    def __eq__(self, other):
+        return isinstance(other, FractionQQ)
+
+    def __hash__(self):
+        return hash(("field", "FractionQQ"))
+
+    def __repr__(self):
+        return "FractionQQ"

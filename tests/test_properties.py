@@ -8,6 +8,7 @@ central laws with shrinkable generators.
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,12 +112,13 @@ def test_substitution_is_a_ring_homomorphism_randomized():
 
 
 def assert_canonical(f):
-    """Every stored coefficient is a nonzero canonical element: a Fraction
-    over Q, an int in range(1, p) over F_p."""
+    """Every stored coefficient is a nonzero canonical element: over Q an
+    int != 0 or a Fraction with denominator > 1, over F_p an int in
+    range(1, p)."""
     p = f.ring.field.char
     for c in f.terms.values():
         if p == 0:
-            assert type(c) is Fraction and c != 0
+            assert (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
         else:
             assert type(c) is int and 1 <= c < p
 
@@ -213,11 +215,27 @@ def power_case(field, image, power):
 
 @settings(max_examples=60, deadline=None)
 @given(chart_substitutions())
-# substitution expands factor by factor, without collecting in between
+# a monomial image at a high power, and a multi-term image cubed
 @example(power_case(QQ, "3*u^2*v", 5))
 @example(power_case(PrimeField(7), "u + 5*v*w - 2*s", 3))
 def test_substitution_matches_sympy_hypothesis(case):
-    sub, f = case
+    assert_substitution_matches_sympy(*case)
+
+
+@pytest.mark.parametrize("power", [2, 3, 4])
+@pytest.mark.parametrize("field", FIELDS, ids=("QQ", "F7", "F101"))
+def test_two_term_image_powers_match_sympy(field, power):
+    # like monomials are collected between the multiplications by a
+    # multi-term image; over F_7, (u + 3*v)*(u + 4*v) collects to a zero
+    R = ring("a b c", field)
+    T = ring("u v w s", field)
+    for image in ("u + v", "u - 2*v*w", "3*s + 1", "u + 3*v", "1/2*u - v"):
+        sub = Substitution(R, T, {"a": image, "b": "u + 4*v", "c": "w"})
+        f = R.parse(f"a^{power}*b^{power} - 2*a^{power}*c + 3*a*b^2 + 1")
+        assert_substitution_matches_sympy(sub, f)
+
+
+def assert_substitution_matches_sympy(sub, f):
     syms = sympy.symbols(list(sub.target.names))
     expected = to_sympy(f).subs(
         {sympy.Symbol(n): to_sympy(img, syms) for n, img in sub.images.items()},
