@@ -8,6 +8,8 @@ keeps monomial arithmetic at tuple speed for the ring sizes that occur here
 Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
+A substitution expands each term factor by factor, which is cheap for the
+chart tree's images: monomials, or polynomials met at power 1 or 2.
 
 Printing and parsing share one text grammar:
 
@@ -95,7 +97,7 @@ class Ring:
     independently constructed rings interoperate.
     """
 
-    __slots__ = ("field", "names", "index", "_zero_mono", "_unit_monos")
+    __slots__ = ("field", "names", "index", "_zero_mono")
 
     def __init__(self, names: Iterable[str], field=QQ):
         names = tuple(names)
@@ -109,8 +111,7 @@ class Ring:
         self.field = field
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        zero = self._zero_mono = (0,) * len(names)
-        self._unit_monos = tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(len(names)))
+        self._zero_mono = (0,) * len(names)
 
     @property
     def nvars(self) -> int:
@@ -132,7 +133,8 @@ class Ring:
         i = self.index.get(name)
         if i is None:
             raise UnknownVariable(f"{name!r} is not a variable of {self!r}")
-        return Polynomial(self, {self._unit_monos[i]: self.field.one})
+        z = self._zero_mono
+        return Polynomial(self, {z[:i] + (1,) + z[i + 1:]: self.field.one})
 
     def vars(self) -> tuple:
         return tuple(self.var(n) for n in self.names)
@@ -426,9 +428,12 @@ class Substitution:
     Both rings share one field: coefficients carry over unconverted.
 
     A variable at exponent e multiplies each partial term by its image's
-    terms e times. Like monomials are collected over the result, and before
-    each repeated multiplication by a multi-term image, so a power of such
-    an image never multiplies out repeated partial terms.
+    terms e times, and like monomials are collected only over the result.
+    Work repeats only where repeated partial terms meet a further factor,
+    e.g. from the third factor of a power of a multi-term image on; the
+    result stays exact. The chart trees never get there: their images are
+    monomials or polynomials met at power 1, and the squares of multi-term
+    images at the empty leaves of trees like sym 6/3 repeat nothing.
     """
 
     __slots__ = ("source", "target", "images", "_image_list")
@@ -468,14 +473,9 @@ class Substitution:
             for i, e in enumerate(mono):
                 if not e:
                     continue
-                image = images[i].terms.items()
-                for k in range(e):
-                    if k and len(image) > 1:
-                        part: dict = {}
-                        for m, c in term:
-                            part[m] = part.get(m, 0) + c
-                        term = Polynomial._reduced(self.target, part).terms.items()
-                    term = [(m_mul(m1, m2), c1 * c2) for m1, c1 in term for m2, c2 in image]
+                for _ in range(e):
+                    term = [(m_mul(m1, m2), c1 * c2)
+                            for m1, c1 in term for m2, c2 in images[i].terms.items()]
             for m, c in term:
                 acc[m] = get(m, 0) + c
         return Polynomial._reduced(self.target, acc)
