@@ -85,14 +85,13 @@ class ChartMap:
         return {
             "center_vars": list(self.center.names),
             "chart_var": self.chart_var,
-            "substitution": {
-                n: str(self.substitution.images[n]) for n in self.source.names
-            },
+            "substitution": self.substitution.to_json(),
             "exceptional_var": self.exceptional_var,
         }
 
 
-def _primed(name: str) -> str:
+def primed(name: str) -> str:
+    """The name a variable takes on in every chart ring."""
     return name + "p"
 
 
@@ -101,18 +100,18 @@ def make_chart(center: Center, chart_var: str) -> ChartMap:
     if chart_var not in center:
         raise NotInCenter(f"{chart_var} is not a center variable")
     src = center.ring
-    target = Ring([_primed(n) for n in src.names], src.field)
-    e = target.var(_primed(chart_var))
+    target = Ring([primed(n) for n in src.names], src.field)
+    e = target.var(primed(chart_var))
     images = {}
     for n in src.names:
         if n == chart_var:
             images[n] = e
         elif n in center:
-            images[n] = e * target.var(_primed(n))
+            images[n] = e * target.var(primed(n))
         else:
-            images[n] = target.var(_primed(n))
+            images[n] = target.var(primed(n))
     sub = Substitution(src, target, images)
-    return ChartMap(center, chart_var, sub, _primed(chart_var))
+    return ChartMap(center, chart_var, sub, primed(chart_var))
 
 
 def charts(center: Center):

@@ -10,7 +10,7 @@ products may be reduced once at the end) through ``field.reduce``, which
 maps a raw value to its canonical element: over Q an integral Fraction
 becomes its int, over F_p it is ``a % p``. Only ``of``, ``inv``, ``div``
 and ``neg`` are field-specific; ``of`` takes an int or a Fraction and
-raises TypeError on anything else.
+raises TypeError on anything else, a bool included.
 """
 
 from __future__ import annotations
@@ -18,6 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParameters
+
+
+def _exact(value):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact coefficient: {value!r}")
+    return value
 
 
 def _is_prime(p: int) -> bool:
@@ -45,9 +51,7 @@ class Rationals:
     one = 1
 
     def of(self, value):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"not an exact coefficient: {value!r}")
-        return self.reduce(Fraction(value))
+        return self.reduce(Fraction(_exact(value)))
 
     def reduce(self, a):
         return a.numerator if a.denominator == 1 else a
@@ -83,13 +87,12 @@ class PrimeField:
         self.one = 1 % p
 
     def of(self, value):
+        value = _exact(value)
         if isinstance(value, Fraction):
             den = value.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return value.numerator * pow(den, -1, self.p) % self.p
-        if not isinstance(value, int):
-            raise TypeError(f"not an exact coefficient: {value!r}")
         return value % self.p
 
     def reduce(self, a):

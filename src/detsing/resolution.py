@@ -25,7 +25,7 @@ through the verify module and recorded as verdicts on each node.
 
 import time
 
-from .blowup import Center, make_chart, strict_transform_ideal, strict_transform_poly
+from .blowup import Center, make_chart, primed, strict_transform_ideal, strict_transform_poly
 from .errors import BadParameters, CharTwoForbidden, SizeTooSmall
 from .fields import QQ, field_name
 from .matrices import (
@@ -35,8 +35,6 @@ from .matrices import (
     generic_skew,
     generic_sym,
     minors_ideal,
-    skew_variable_names,
-    sym_variable_names,
 )
 from .rings import Ring, Substitution, embed
 from .verify import (
@@ -49,10 +47,6 @@ from .verify import (
     verdict,
 )
 
-#: Size decrease per chart type.
-_DROP = {"skew": 2, "diag": 1, "offdiag": 2}
-
-
 class ChartReduction:
     """Everything a single chart reduction computes besides the child node.
 
@@ -62,7 +56,7 @@ class ChartReduction:
     spelled out in the module docstring — both live in the chart ring.
     The ideal identities are checked against these matrices.
     ``corrections`` holds the (P, Q) terms of those formulas (see
-    ``_corrections``); the child's rewrite inverts them, and the
+    ``_chart_reduction``); the child's rewrite inverts them, and the
     transcript reads the off-diagonal ``row_factors`` A_i.
     """
 
@@ -247,80 +241,57 @@ def _entry_name(M, i, j):
     return M.entry(i, j).variables()[0]
 
 
-def _strict_entries(M, chart):
-    """Rows of the primed matrix: each entry's strict transform (its total
-    transform divided once by the exceptional variable)."""
-    T = chart.target
-    rows = []
-    for i in range(M.size):
-        row = []
-        for j in range(M.size):
-            f = M.entry(i, j)
-            row.append(T.zero() if f.is_zero() else strict_transform_poly(f, chart)[1])
-        rows.append(row)
-    return rows, T
-
-
-def _corrections(chart_type, Mp, k0, l0, remaining):
-    """The y-formulas of the module docstring as correction terms: for each
-    upper-triangle entry (a, b) of the reduced matrix, with i, j the
-    surviving rows remaining[a], remaining[b], a pair (P, Q) such that
-    y_ab = eps*(x'_ij - Q) - P off-diagonally and y_ab = x'_ij - P (Q None)
-    in skew and diagonal charts.  Also returns the off-diagonal row factors
-    A_i = x'_ki - x'_kk*x'_li (None in other charts)."""
-    out, A = {}, None
-    if chart_type == "offdiag":
-        A = [Mp[k0][i] - Mp[k0][k0] * Mp[l0][i] for i in remaining]
-        B = [Mp[l0][j] - Mp[l0][l0] * Mp[k0][j] for j in remaining]
-    start = 1 if chart_type == "skew" else 0
-    for a, i in enumerate(remaining):
-        for b in range(a + start, len(remaining)):
-            j = remaining[b]
-            if chart_type == "skew":
-                out[a, b] = (Mp[l0][j] * Mp[k0][i] - Mp[k0][j] * Mp[l0][i], None)
-            elif chart_type == "diag":
-                out[a, b] = (Mp[k0][i] * Mp[k0][j], None)
-            else:
-                out[a, b] = (A[a] * B[b], Mp[l0][i] * Mp[k0][j])
-    return out, A
-
-
 def _chart_reduction(node, chart_type, k, l):
     """Shared chart work: blow up at the matrix variables, divide out the
-    exceptional, and form the reduced (formula) matrix, its entries indexed
-    by the surviving rows/columns relabeled to 1..n."""
+    exceptional once from every entry (the primed matrix), and form the
+    reduced (formula) matrix, its entries indexed by the surviving
+    rows/columns relabeled to 1..n.
+
+    One pass over the upper triangle (the diagonal included unless the
+    matrix is skew) writes the y-formulas of the module docstring as
+    correction terms: for each entry (a, b), with i, j the surviving rows
+    remaining[a], remaining[b], a pair (P, Q) such that
+    y_ab = eps*(x'_ij - Q) - P off-diagonally and y_ab = x'_ij - P (Q None)
+    in skew and diagonal charts.  The off-diagonal row factors are
+    A_i = x'_ki - x'_kk*x'_li (None in other charts)."""
     M = node.matrix
     k0, l0 = k - 1, l - 1
-    chart_var = _entry_name(M, k0, l0)
-    center = Center(node.ring, M.variables())
-    chart = make_chart(center, chart_var)
-    Mp, T = _strict_entries(M, chart)
-    strict_matrix = GenericMatrix(T, Mp, M.kind)
-    pivots = {k0} if chart_type == "diag" else {k0, l0}
-    remaining = [i for i in range(M.size) if i not in pivots]
-    eps = None
+    chart = make_chart(Center(node.ring, M.variables()), _entry_name(M, k0, l0))
+    T = chart.target
+    Mp = [[T.zero() if f.is_zero() else strict_transform_poly(f, chart)[1] for f in row]
+          for row in M.rows]
+    remaining = [i for i in range(M.size) if i not in (k0, l0)]
+    n = len(remaining)
+    eps = A = None
     if chart_type == "offdiag":
         eps = T.one() - Mp[k0][k0] * Mp[l0][l0]
-    corrections, row_factors = _corrections(chart_type, Mp, k0, l0, remaining)
-    formula = None
-    if remaining:
-        n = len(remaining)
-        rows = [[T.zero()] * n for _ in range(n)]
-        for (a, b), (P, Q) in corrections.items():
-            x = Mp[remaining[a]][remaining[b]]
-            y = x - P if Q is None else eps * (x - Q) - P
+        A = [Mp[k0][i] - Mp[k0][k0] * Mp[l0][i] for i in remaining]
+        B = [Mp[l0][j] - Mp[l0][l0] * Mp[k0][j] for j in remaining]
+    skew = M.kind == "skew"
+    rows = [[T.zero()] * n for _ in range(n)]
+    corrections = {}
+    for a, i in enumerate(remaining):
+        for b in range(a + 1 if skew else a, n):
+            j = remaining[b]
+            if chart_type == "skew":
+                P, Q = Mp[l0][j] * Mp[k0][i] - Mp[k0][j] * Mp[l0][i], None
+            elif chart_type == "diag":
+                P, Q = Mp[k0][i] * Mp[k0][j], None
+            else:
+                P, Q = A[a] * B[b], Mp[l0][i] * Mp[k0][j]
+            corrections[a, b] = (P, Q)
+            y = Mp[i][j] - P if Q is None else eps * (Mp[i][j] - Q) - P
             rows[a][b] = y
-            rows[b][a] = -y if chart_type == "skew" else y
-        formula = GenericMatrix(T, rows, "skew" if chart_type == "skew" else "sym")
+            rows[b][a] = -y if skew else y
     return ChartReduction(
         chart=chart,
         chart_type=chart_type,
         position=(k, l),
         ring_=T,
-        matrix=strict_matrix,
-        formula_matrix=formula,
+        matrix=GenericMatrix(T, Mp, M.kind),
+        formula_matrix=GenericMatrix(T, rows, M.kind) if n else None,
         corrections=corrections,
-        row_factors=row_factors,
+        row_factors=A,
         eps=eps,
         remaining=remaining,
         parent_matrix=M,
@@ -377,7 +348,7 @@ def _build_child(node, red, orbit_size):
     chart = red.chart
     T = red.ring
     depth = node.depth + 1
-    exceptional = [(name + "p", mult) for name, mult in node.exceptional_divisors]
+    exceptional = [(primed(name), mult) for name, mult in node.exceptional_divisors]
     exceptional.append((chart.exceptional_var, node.residual))
     n = len(red.remaining)
 
@@ -387,31 +358,31 @@ def _build_child(node, red, orbit_size):
         U, child_matrix, rewrite, step = T, None, None, chart.substitution
         units, relations = [red.eps], []
     else:
-        prefix = f"y{depth}"
-        names_fn = skew_variable_names if red.chart_type == "skew" else sym_variable_names
-        fresh = names_fn(n, prefix)
-        s_name = f"s{depth}"
-        extra = [s_name] if red.chart_type == "offdiag" else []
-
-        names = {
-            ab: _entry_name(red.parent_matrix, red.remaining[ab[0]], red.remaining[ab[1]]) + "p"
-            for ab in red.corrections
-        }
-        core = set(names.values())
-        U = Ring(fresh + [nm for nm in T.names if nm not in core] + extra, T.field)
+        # Each upper-triangle entry (a, b) pairs a fresh variable with the
+        # core primed variable x'_ij its y-formula solves for.
+        prefix, s_name = f"y{depth}", f"s{depth}"
+        pairs = [
+            (f"{prefix}_{a + 1}_{b + 1}",
+             _entry_name(red.matrix, red.remaining[a], red.remaining[b]))
+            for a, b in red.corrections
+        ]
+        core = {x for _, x in pairs}
+        extra = [] if red.eps is None else [s_name]
+        U = Ring([y for y, _ in pairs] + [nm for nm in T.names if nm not in core] + extra,
+                 T.field)
         images = {}
-        for (a, b), (P, Q) in red.corrections.items():
-            image = U.var(f"{prefix}_{a + 1}_{b + 1}") + embed(P, U)
+        for (y, x), (P, Q) in zip(pairs, red.corrections.values()):
+            image = U.var(y) + embed(P, U)
             if Q is not None:
                 image = U.var(s_name) * image + embed(Q, U)
-            images[names[a, b]] = image
+            images[x] = image
         rewrite = Substitution(T, U, images)
         step = chart.substitution.then(rewrite)
 
-        maker = generic_skew if red.chart_type == "skew" else generic_sym
+        maker = generic_skew if node.kind == "skew" else generic_sym
         child_matrix = maker(n, T.field, prefix=prefix, ring_=U)
         units, relations = [], []
-        if red.chart_type == "offdiag":
+        if red.eps is not None:
             eps_u = embed(red.eps, U)
             units.append(eps_u)
             relations.append(U.var(s_name) * eps_u - U.one())
@@ -423,7 +394,7 @@ def _build_child(node, red, orbit_size):
         kind=node.kind,
         ring_=U,
         matrix=child_matrix,
-        stage=node.stage + _DROP[red.chart_type],
+        stage=node.stage + node.size - n,
         target=node.target,
         composed=node.composed.then(step),
         rewrite=rewrite,
@@ -437,16 +408,6 @@ def _build_child(node, red, orbit_size):
     return child
 
 
-def _require_matrix(node, kind, min_size):
-    if node.matrix is None or node.size < min_size:
-        raise SizeTooSmall(
-            f"chart reduction needs a {kind} matrix of size >= {min_size}, "
-            f"got size {node.size}"
-        )
-    if node.matrix.kind != kind:
-        raise BadParameters(f"expected a {kind} node, got {node.matrix.kind}")
-
-
 def _check_position(node, k, l, *, diagonal):
     m = node.size
     if diagonal:
@@ -458,32 +419,36 @@ def _check_position(node, k, l, *, diagonal):
         raise BadParameters(f"position ({k},{l}) needs 1 <= k < l <= {m}")
 
 
+def _reduce(node, kind, min_size, chart_type, k, l, orbit_size):
+    """Validate a chart request against the node, then build its child."""
+    if node.matrix is None or node.size < min_size:
+        raise SizeTooSmall(
+            f"chart reduction needs a {kind} matrix of size >= {min_size}, "
+            f"got size {node.size}"
+        )
+    if node.matrix.kind != kind:
+        raise BadParameters(f"expected a {kind} node, got {node.matrix.kind}")
+    _check_position(node, k, l, diagonal=chart_type == "diag")
+    return _build_child(node, _chart_reduction(node, chart_type, k, l), orbit_size)
+
+
 def reduce_skew_chart(node, position, orbit_size=1):
     """Child of a skew node in the chart at (k, l), k < l: size drops by 2,
     the remaining rows relabel to 1..m-2."""
-    k, l = position
-    _require_matrix(node, "skew", 3)
-    _check_position(node, k, l, diagonal=False)
-    return _build_child(node, _chart_reduction(node, "skew", k, l), orbit_size)
+    return _reduce(node, "skew", 3, "skew", *position, orbit_size)
 
 
 def reduce_sym_diag_chart(node, position, orbit_size=1):
     """Child of a symmetric node in the diagonal chart at (k, k): size
     drops by 1."""
-    k, l = position
-    _require_matrix(node, "sym", 2)
-    _check_position(node, k, l, diagonal=True)
-    return _build_child(node, _chart_reduction(node, "diag", k, k), orbit_size)
+    return _reduce(node, "sym", 2, "diag", *position, orbit_size)
 
 
 def reduce_sym_offdiag_chart(node, position, orbit_size=1):
     """Child of a symmetric node in the off-diagonal chart at (k, l), k < l:
     size drops by 2 and eps = 1 - x'_kk*x'_ll joins the unit list.  For a
     2x2 node nothing remains to reduce and the child is terminal."""
-    k, l = position
-    _require_matrix(node, "sym", 2)
-    _check_position(node, k, l, diagonal=False)
-    return _build_child(node, _chart_reduction(node, "offdiag", k, l), orbit_size)
+    return _reduce(node, "sym", 2, "offdiag", *position, orbit_size)
 
 
 # --------------------------------------------------------------------------
@@ -502,8 +467,7 @@ def _center_identity_verdict(red, j, roles, include_bases):
     """The contraction identity at minor level j: the strict transform of
     the j-minors of the parent equals the (j - drop)-minors of the reduced
     matrix (both saturated by eps in off-diagonal charts)."""
-    drop = _DROP[red.chart_type]
-    jr = j - drop
+    jr = j - (red.parent_matrix.size - len(red.remaining))
     lhs = strict_transform_ideal(minors_ideal(red.parent_matrix, j), red.chart)
     T = red.ring
     if jr <= 0:
@@ -519,7 +483,7 @@ def _center_identity_verdict(red, j, roles, include_bases):
         "lhs": f"strict transform of the {j}-minors",
         "rhs": f"{jr}-minors of the reduced matrix",
     }
-    if red.chart_type == "offdiag":
+    if red.eps is not None:
         inputs["saturated_by"] = red.eps.format()
         lhs = saturate(lhs, red.eps)
         rhs = saturate(rhs, red.eps)
@@ -538,7 +502,7 @@ def _det_identity_verdict(red):
     m = red.parent_matrix.size
     det_primed = determinant(red.matrix)
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
-    if red.chart_type == "offdiag":
+    if red.eps is not None:
         if red.formula_matrix is None:
             inputs["identity"] = "det' = -eps"
             passed = (det_primed + red.eps).is_zero()
@@ -565,14 +529,12 @@ def _rewrite_consistency_verdict(child):
     red = child.reduction
     relations = Ideal(child.ring, child.relations) if child.relations else None
     failures = []
+    for a, b in red.corrections:
+        diff = child.rewrite(red.formula_matrix.entry(a, b)) - child.matrix.entry(a, b)
+        ok = diff.is_zero() or (relations is not None and ideal_contains(relations, diff))
+        if not ok:
+            failures.append(f"({a + 1},{b + 1})")
     n = red.formula_matrix.size
-    for a in range(n):
-        start = a + 1 if red.chart_type == "skew" else a
-        for b in range(start, n):
-            diff = child.rewrite(red.formula_matrix.entry(a, b)) - child.matrix.entry(a, b)
-            ok = diff.is_zero() or (relations is not None and ideal_contains(relations, diff))
-            if not ok:
-                failures.append(f"({a + 1},{b + 1})")
     return verdict(
         "rewrite_consistency",
         {"chart": f"X_{red.position[0]}_{red.position[1]}", "entries": n * (n + 1) // 2},
@@ -645,7 +607,7 @@ def _child_verdicts(node, child, include_bases):
         levels.setdefault(4, []).append("next_center")
     for j in sorted(levels):
         out.append(_center_identity_verdict(red, j, levels[j], include_bases))
-    if red.chart_type == "skew" and child.matrix is not None:
+    if child.kind == "skew" and child.matrix is not None:
         out.append(_radical_identification_verdict(child.matrix, include_bases))
     return out
 
@@ -696,6 +658,21 @@ def _finalize_leaf(node):
     node.strict_ideal = Ideal(node.ring, gens)
 
 
+def _root(M, target):
+    """The root node: the generic matrix M in its own ring, at stage 0."""
+    return ChartNode(
+        node_id="root",
+        parent_id=None,
+        depth=0,
+        kind=M.kind,
+        ring_=M.ring,
+        matrix=M,
+        stage=0,
+        target=target,
+        composed=Substitution(M.ring, M.ring, {}),
+    )
+
+
 def _resolve(kind, m, target, field, all_charts, check, input_desc):
     if check not in ("none", "identities", "full"):
         raise BadParameters(f"unknown check level {check!r}")
@@ -703,20 +680,8 @@ def _resolve(kind, m, target, field, all_charts, check, input_desc):
     verify_seconds = 0.0
     include_bases = check == "full"
     maker = generic_skew if kind == "skew" else generic_sym
-    M0 = maker(m, field)
-    root = ChartNode(
-        node_id="root",
-        parent_id=None,
-        depth=0,
-        kind=kind,
-        ring_=M0.ring,
-        matrix=M0,
-        stage=0,
-        target=target,
-        composed=Substitution(M0.ring, M0.ring, {}),
-    )
     nodes = []
-    queue = [root]
+    queue = [_root(maker(m, field), target)]
     while queue:
         node = queue.pop(0)
         nodes.append(node)
@@ -839,17 +804,7 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
     if not 1 <= r <= m:
         raise BadParameters(f"need 1 <= r <= m, got r={r}, m={m}")
 
-    node = ChartNode(
-        node_id="root",
-        parent_id=None,
-        depth=0,
-        kind=kind,
-        ring_=M.ring,
-        matrix=M,
-        stage=0,
-        target=r,
-        composed=Substitution(M.ring, M.ring, {}),
-    )
+    node = _root(M, r)
     _check_position(node, k, l, diagonal=chart_type == "diag")
     red = _chart_reduction(node, chart_type, k, l)
     result = _center_identity_verdict(red, r, ["standalone"], include_bases)

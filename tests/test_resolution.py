@@ -9,6 +9,7 @@ from detsing.fields import PrimeField, QQ
 from detsing.matrices import determinant, generic_skew, generic_sym
 from detsing.resolution import (
     ChartNode,
+    _rewrite_consistency_verdict,
     chart_identity,
     reduce_skew_chart,
     reduce_sym_diag_chart,
@@ -221,6 +222,30 @@ def test_size_and_stage_bookkeeping():
         assert child.stage == root.stage + drop
         assert child.depth == root.depth + 1
         assert child.parent_id == root.node_id
+
+
+@pytest.mark.parametrize("reduce, kind, m, position", [
+    (reduce_skew_chart, "skew", 5, (1, 2)),
+    (reduce_sym_diag_chart, "sym", 4, (2, 2)),
+    (reduce_sym_offdiag_chart, "sym", 4, (1, 3)),
+], ids=["skew", "diag", "offdiag"])
+def test_rewrite_consistency_names_each_corrupted_entry(reduce, kind, m, position):
+    # Corrupt the image of one core primed variable at a time: only the
+    # y-formula of its own entry reads it, so the verdict must name exactly
+    # that entry, for every entry of the upper triangle (diagonal included
+    # in the symmetric charts).
+    child = reduce(fresh_root(kind, m), position)
+    red = child.reduction
+    assert _rewrite_consistency_verdict(child)["pass"]
+    rewrite, n = child.rewrite, child.size
+    for a, b in [(a, b) for a in range(n) for b in range(a + (kind == "skew"), n)]:
+        name = red.matrix.entry(red.remaining[a], red.remaining[b]).variables()[0]
+        images = dict(rewrite.images)
+        images[name] = images[name] + 1
+        child.rewrite = Substitution(rewrite.source, rewrite.target, images)
+        result = _rewrite_consistency_verdict(child)
+        assert not result["pass"]
+        assert result["witness"] == {"entries": [f"({a + 1},{b + 1})"]}
 
 
 # --------------------------------------------------------------------------

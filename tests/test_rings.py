@@ -224,6 +224,23 @@ def test_inexact_coefficients_refused(field):
     assert field.reduce(field.of(Fraction(3, 2)) * 2) == field.of(3)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_bool_coefficients_refused(field):
+    R = ring("x", field)
+    x = R.var("x")
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            field.of(value)
+        with pytest.raises(TypeError):
+            R.const(value)
+        with pytest.raises(TypeError):
+            x * value
+        with pytest.raises(TypeError):
+            x + value
+        assert R.const(int(value)) != value
+    assert field.of(1) == 1 and R.const(1) == 1
+
+
 def test_equality_with_exact_constants():
     R = ring("x")
     S = ring("x", PrimeField(7))
