@@ -6,9 +6,10 @@ Bareiss is fraction-free elimination with exact polynomial division. They
 cross-check each other in the test suite and must never be merged.
 
 Conventions, all pinned by tests:
-  * generic_skew(m) uses variables x_i_j for 1 <= i < j <= m, zero diagonal,
-    and the explicit negative below the diagonal.
-  * generic_sym(m) uses x_i_j for 1 <= i <= j <= m.
+  * triangle(m, kind) lists the positions that determine a matrix: i < j
+    for skew, i <= j for sym, all for general. Below it a sym matrix mirrors
+    them, a skew one mirrors their negatives, and a skew diagonal is zero.
+  * generic_skew(m) and generic_sym(m) put x_{i+1}_{j+1} at each (i, j).
   * pfaffian([[0, x], [-x, 0]]) = +x, with the first-row recursion
     pf(M) = sum_{j>1} (-1)^j m_{1j} pf(M without rows/cols 1, j).
   * minors are indexed by strictly increasing 0-based row/column tuples and
@@ -17,7 +18,7 @@ Conventions, all pinned by tests:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
@@ -43,15 +44,8 @@ class GenericMatrix:
             for e in row:
                 if not isinstance(e, Polynomial) or e.ring != ring_:
                     raise RingMismatch("entry not a polynomial of the given ring")
-        if kind == "skew":
-            _require_skew(rows)
-        elif kind == "sym":
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if rows[i][j] != rows[j][i]:
-                        raise BadIndex("matrix is not symmetric")
-        elif kind != "general":
-            raise BadIndex(f"unknown matrix kind {kind!r}")
+        if kind != "general":
+            _require_mirror(rows, kind)
         self.ring = ring_
         self.rows = rows
         self.kind = kind
@@ -64,11 +58,10 @@ class GenericMatrix:
         return self.rows[i][j]
 
     def variables(self) -> tuple:
-        """Names occurring anywhere in the matrix, in ring order."""
+        """Names occurring in the matrix (all in its triangle), in ring order."""
         used = set()
-        for row in self.rows:
-            for e in row:
-                used.update(e.variables())
+        for i, j in triangle(self.size, self.kind):
+            used.update(self.rows[i][j].variables())
         return tuple(n for n in self.ring.names if n in used)
 
     def to_json(self) -> dict:
@@ -85,6 +78,18 @@ class GenericMatrix:
         rows = [[ring_.parse(s) for s in row] for row in data["entries"]]
         return cls(ring_, rows, data["kind"])
 
+    @classmethod
+    def from_triangle(cls, ring_: Ring, m: int, entries: dict, kind: str) -> "GenericMatrix":
+        """The m x m matrix of the given kind with entries[i, j] at each
+        triangle position (i, j): the lower triangle mirrors it, negated
+        when skew, and a skew diagonal stays zero."""
+        rows = [[ring_.zero()] * m for _ in range(m)]
+        for (i, j), e in entries.items():
+            rows[i][j] = e
+            if kind != "general":
+                rows[j][i] = -e if kind == "skew" else e
+        return cls(ring_, rows, kind)
+
     def __eq__(self, other):
         return (
             isinstance(other, GenericMatrix)
@@ -96,27 +101,41 @@ class GenericMatrix:
         return f"<{self.kind} {self.size}x{self.size} matrix over {self.ring!r}>"
 
 
-def _require_skew(rows):
-    m = len(rows)
-    for i in range(m):
-        if not rows[i][i].is_zero():
-            raise NotSkew("nonzero diagonal entry")
-        for j in range(i + 1, m):
-            if rows[j][i] != -rows[i][j]:
+def triangle(m: int, kind: str) -> list:
+    """The positions (i, j) that determine an m x m matrix of the given
+    kind, row by row: i < j for skew, i <= j for sym, all for general."""
+    if kind == "general":
+        return [(i, j) for i in range(m) for j in range(m)]
+    return [(i, j) for i in range(m) for j in range(i + (kind == "skew"), m)]
+
+
+def _require_mirror(rows, kind):
+    """Lower entries mirror upper ones (negated when skew); a skew diagonal is zero."""
+    if kind not in ("skew", "sym"):
+        raise BadIndex(f"unknown matrix kind {kind!r}")
+    skew = kind == "skew"
+    for i, j in triangle(len(rows), "sym"):
+        if i == j:
+            if skew and not rows[i][i].is_zero():
+                raise NotSkew("nonzero diagonal entry")
+        elif rows[j][i] != (-rows[i][j] if skew else rows[i][j]):
+            if skew:
                 raise NotSkew(f"entry ({j},{i}) is not the negative of ({i},{j})")
+            raise BadIndex("matrix is not symmetric")
 
 
-def skew_variable_names(m: int, prefix: str = "x") -> list:
-    return [f"{prefix}_{i}_{j}" for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-
-
-def sym_variable_names(m: int, prefix: str = "x") -> list:
-    return [f"{prefix}_{i}_{j}" for i in range(1, m + 1) for j in range(i, m + 1)]
-
-
-def _check_size(m):
+def _generic(kind, m, field, prefix, ring_) -> GenericMatrix:
+    """prefix_{i+1}_{j+1} at each triangle position (i, j) of the kind."""
     if type(m) is not int or m < 0:
         raise BadParameters(f"matrix size must be an integer >= 0, got {m!r}")
+    if kind == "skew" and field.char == 2:
+        raise CharTwoForbidden("generic skew matrices need characteristic != 2")
+    positions = triangle(m, kind)
+    names = [f"{prefix}_{i + 1}_{j + 1}" for i, j in positions]
+    if ring_ is None:
+        ring_ = ring(names, field)
+    entries = {p: ring_.var(n) for p, n in zip(positions, names)}
+    return GenericMatrix.from_triangle(ring_, m, entries, kind)
 
 
 def generic_skew(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> GenericMatrix:
@@ -126,34 +145,12 @@ def generic_skew(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> Gen
     needed variable names (used by the resolution driver, whose rings carry
     extra bookkeeping coordinates).
     """
-    _check_size(m)
-    if field.char == 2:
-        raise CharTwoForbidden("generic skew matrices need characteristic != 2")
-    names = skew_variable_names(m, prefix)
-    if ring_ is None:
-        ring_ = ring(names, field)
-    rows = [[ring_.zero() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = ring_.var(f"{prefix}_{i + 1}_{j + 1}")
-            rows[i][j] = v
-            rows[j][i] = -v
-    return GenericMatrix(ring_, rows, "skew")
+    return _generic("skew", m, field, prefix, ring_)
 
 
 def generic_sym(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> GenericMatrix:
     """The generic symmetric m x m matrix in variables prefix_i_j (i <= j)."""
-    _check_size(m)
-    names = sym_variable_names(m, prefix)
-    if ring_ is None:
-        ring_ = ring(names, field)
-    rows = [[ring_.zero() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            v = ring_.var(f"{prefix}_{i + 1}_{j + 1}")
-            rows[i][j] = v
-            rows[j][i] = v
-    return GenericMatrix(ring_, rows, "sym")
+    return _generic("sym", m, field, prefix, ring_)
 
 
 def _check_index_set(idx, m: int) -> tuple:
@@ -259,7 +256,7 @@ def pfaffian(M: GenericMatrix) -> Polynomial:
     Skew-symmetry is re-validated on the entries (NotSkew otherwise);
     OddSize for odd matrices. pf(M)^2 = det(M) is a test invariant.
     """
-    _require_skew(M.rows)
+    _require_mirror(M.rows, "skew")
     if M.size % 2:
         raise OddSize("the pfaffian needs an even-sized matrix")
     R = M.ring
@@ -284,17 +281,17 @@ def pfaffian(M: GenericMatrix) -> Polynomial:
     return pf(tuple(range(M.size)))
 
 
-def minors(M: GenericMatrix, r: int, cache: MinorCache = None) -> list:
-    """All (I, J, det) for |I| = |J| = r in lexicographic (I, J) order."""
+def _index_sets(M: GenericMatrix, r: int) -> list:
+    """The strictly increasing r-tuples of row (or column) indices of M."""
     if r < 0 or r > M.size:
         raise BadIndex(f"minor size {r} out of range for a {M.size}x{M.size} matrix")
-    cache = cache or MinorCache(M)
-    out = []
-    index_sets = list(combinations(range(M.size), r))
-    for I in index_sets:
-        for J in index_sets:
-            out.append((I, J, cache.minor(I, J)))
-    return out
+    return list(combinations(range(M.size), r))
+
+
+def minors(M: GenericMatrix, r: int) -> list:
+    """All (I, J, det) for |I| = |J| = r in lexicographic (I, J) order."""
+    cache = MinorCache(M)
+    return [(I, J, cache.minor(I, J)) for I, J in product(_index_sets(M, r), repeat=2)]
 
 
 class Ideal:
@@ -366,18 +363,21 @@ def _dedup_generators(gens: Iterable[Polynomial]) -> list:
     return out
 
 
-def minors_ideal(M: GenericMatrix, r: int, cache: MinorCache = None) -> Ideal:
-    """The ideal of r-minors, with zero and sign-duplicate minors dropped."""
-    gens = _dedup_generators(det for _, _, det in minors(M, r, cache))
-    return Ideal(M.ring, gens)
+def minors_ideal(M: GenericMatrix, r: int) -> Ideal:
+    """The ideal of r-minors, with zero and sign-duplicate minors dropped.
+
+    A sym or skew matrix takes only I <= J: its (J, I)-minor is +-its
+    (I, J)-minor, which comes first in lexicographic (I, J) order, so the
+    generator tuple is the same as over all pairs.
+    """
+    sets = _index_sets(M, r)
+    pairs = (product(sets, repeat=2) if M.kind == "general"
+             else combinations_with_replacement(sets, 2))
+    cache = MinorCache(M)
+    return Ideal(M.ring, _dedup_generators(cache.minor(I, J) for I, J in pairs))
 
 
-def principal_minors_ideal(M: GenericMatrix, r: int, cache: MinorCache = None) -> Ideal:
+def principal_minors_ideal(M: GenericMatrix, r: int) -> Ideal:
     """Same, restricted to I = J (principal minors)."""
-    if r < 0 or r > M.size:
-        raise BadIndex(f"minor size {r} out of range for a {M.size}x{M.size} matrix")
-    cache = cache or MinorCache(M)
-    gens = _dedup_generators(
-        cache.minor(I, I) for I in combinations(range(M.size), r)
-    )
-    return Ideal(M.ring, gens)
+    cache = MinorCache(M)
+    return Ideal(M.ring, _dedup_generators(cache.minor(I, I) for I in _index_sets(M, r)))

@@ -35,6 +35,7 @@ from .matrices import (
     generic_skew,
     generic_sym,
     minors_ideal,
+    triangle,
 )
 from .rings import Ring, Substitution, embed
 from .verify import (
@@ -247,10 +248,10 @@ def _chart_reduction(node, chart_type, k, l):
     reduced (formula) matrix, its entries indexed by the surviving
     rows/columns relabeled to 1..n.
 
-    One pass over the upper triangle (the diagonal included unless the
-    matrix is skew) writes the y-formulas of the module docstring as
-    correction terms: for each entry (a, b), with i, j the surviving rows
-    remaining[a], remaining[b], a pair (P, Q) such that
+    Both matrices are built from their triangles (``matrices.triangle``).
+    One pass over the reduced triangle writes the y-formulas of the module
+    docstring as correction terms: for each entry (a, b), with i, j the
+    surviving rows remaining[a], remaining[b], a pair (P, Q) such that
     y_ab = eps*(x'_ij - Q) - P off-diagonally and y_ab = x'_ij - P (Q None)
     in skew and diagonal charts.  The off-diagonal row factors are
     A_i = x'_ki - x'_kk*x'_li (None in other charts)."""
@@ -258,8 +259,10 @@ def _chart_reduction(node, chart_type, k, l):
     k0, l0 = k - 1, l - 1
     chart = make_chart(Center(node.ring, M.variables()), _entry_name(M, k0, l0))
     T = chart.target
-    Mp = [[T.zero() if f.is_zero() else strict_transform_poly(f, chart)[1] for f in row]
-          for row in M.rows]
+    strict = {(i, j): strict_transform_poly(M.rows[i][j], chart)[1]
+              for i, j in triangle(M.size, M.kind) if not M.rows[i][j].is_zero()}
+    primed_matrix = GenericMatrix.from_triangle(T, M.size, strict, M.kind)
+    Mp = primed_matrix.rows
     remaining = [i for i in range(M.size) if i not in (k0, l0)]
     n = len(remaining)
     eps = A = None
@@ -267,29 +270,24 @@ def _chart_reduction(node, chart_type, k, l):
         eps = T.one() - Mp[k0][k0] * Mp[l0][l0]
         A = [Mp[k0][i] - Mp[k0][k0] * Mp[l0][i] for i in remaining]
         B = [Mp[l0][j] - Mp[l0][l0] * Mp[k0][j] for j in remaining]
-    skew = M.kind == "skew"
-    rows = [[T.zero()] * n for _ in range(n)]
-    corrections = {}
-    for a, i in enumerate(remaining):
-        for b in range(a + 1 if skew else a, n):
-            j = remaining[b]
-            if chart_type == "skew":
-                P, Q = Mp[l0][j] * Mp[k0][i] - Mp[k0][j] * Mp[l0][i], None
-            elif chart_type == "diag":
-                P, Q = Mp[k0][i] * Mp[k0][j], None
-            else:
-                P, Q = A[a] * B[b], Mp[l0][i] * Mp[k0][j]
-            corrections[a, b] = (P, Q)
-            y = Mp[i][j] - P if Q is None else eps * (Mp[i][j] - Q) - P
-            rows[a][b] = y
-            rows[b][a] = -y if skew else y
+    corrections, formulas = {}, {}
+    for a, b in triangle(n, M.kind):
+        i, j = remaining[a], remaining[b]
+        if chart_type == "skew":
+            P, Q = Mp[l0][j] * Mp[k0][i] - Mp[k0][j] * Mp[l0][i], None
+        elif chart_type == "diag":
+            P, Q = Mp[k0][i] * Mp[k0][j], None
+        else:
+            P, Q = A[a] * B[b], Mp[l0][i] * Mp[k0][j]
+        corrections[a, b] = (P, Q)
+        formulas[a, b] = Mp[i][j] - P if Q is None else eps * (Mp[i][j] - Q) - P
     return ChartReduction(
         chart=chart,
         chart_type=chart_type,
         position=(k, l),
         ring_=T,
-        matrix=GenericMatrix(T, Mp, M.kind),
-        formula_matrix=GenericMatrix(T, rows, M.kind) if n else None,
+        matrix=primed_matrix,
+        formula_matrix=GenericMatrix.from_triangle(T, n, formulas, M.kind) if n else None,
         corrections=corrections,
         row_factors=A,
         eps=eps,
@@ -545,7 +543,7 @@ def _rewrite_consistency_verdict(child):
 
 def _center_strict_unit_verdict(node, red):
     """The strict transform of the center itself is the unit ideal."""
-    gens = [node.ring.var(nm) for nm in node.matrix.variables()]
+    gens = [node.ring.var(nm) for nm in red.chart.center.names]
     st = strict_transform_ideal(Ideal(node.ring, gens), red.chart)
     return verdict(
         "center_strict_transform_empty",
@@ -559,10 +557,11 @@ def _radical_identification_verdict(matrix, include_bases):
     variable is a 2-minor, and every 2-minor lies in the variable ideal.
     This certifies both the next center and the reduced leaf transform."""
     ring_ = matrix.ring
+    names = matrix.variables()
     I2 = minors_ideal(matrix, 2)
-    var_ideal = Ideal(ring_, [ring_.var(nm) for nm in matrix.variables()])
+    var_ideal = Ideal(ring_, [ring_.var(nm) for nm in names])
     square_checks = {}
-    for nm in matrix.variables():
+    for nm in names:
         v = ring_.var(nm)
         square_checks[nm] = ideal_contains(I2, v * v) or radical_member(v, I2)
     containment = all(ideal_contains(var_ideal, g) for g in I2.gens)
@@ -572,7 +571,7 @@ def _radical_identification_verdict(matrix, include_bases):
         witness["square_in_minor_ideal"] = square_checks
     return verdict(
         "center_radical_identification",
-        {"size": matrix.size, "variables": len(matrix.variables())},
+        {"size": matrix.size, "variables": len(names)},
         passed,
         witness,
     )
@@ -619,19 +618,18 @@ def _child_verdicts(node, child, include_bases):
 def _chart_specs(kind, size, all_charts):
     """Charts to expand at a node: every chart literally, or one
     representative per symmetry orbit weighted by the orbit size."""
+    pairs = [(i + 1, j + 1) for i, j in triangle(size, "skew")]
     if kind == "skew":
         if all_charts:
-            return [("skew", k, l, 1)
-                    for k in range(1, size + 1) for l in range(k + 1, size + 1)]
-        return [("skew", 1, 2, size * (size - 1) // 2)]
+            return [("skew", k, l, 1) for k, l in pairs]
+        return [("skew", 1, 2, len(pairs))]
     if all_charts:
         return [("diag", k, k, 1) for k in range(1, size + 1)] + [
-            ("offdiag", k, l, 1)
-            for k in range(1, size + 1) for l in range(k + 1, size + 1)
+            ("offdiag", k, l, 1) for k, l in pairs
         ]
     specs = [("diag", 1, 1, size)]
-    if size >= 2:
-        specs.append(("offdiag", 1, 2, size * (size - 1) // 2))
+    if pairs:
+        specs.append(("offdiag", 1, 2, len(pairs)))
     return specs
 
 

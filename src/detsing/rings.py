@@ -220,12 +220,7 @@ class Polynomial:
 
     def variables(self) -> tuple:
         """Names actually occurring, in ring order."""
-        used = [False] * self.ring.nvars
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used[i] = True
-        return tuple(n for i, n in enumerate(self.ring.names) if used[i])
+        return tuple(compress(self.ring.names, map(any, zip(*self.terms))))
 
     def is_homogeneous(self, in_vars=None) -> bool:
         """Homogeneous in total degree, or in the degree restricted to
