@@ -51,7 +51,11 @@ class NotInCenter(DetsingError):
     """The requested chart variable does not belong to the blow-up center."""
 
 
-class SizeTooSmall(DetsingError):
+class BadParameters(DetsingError):
+    """CLI or driver parameters are invalid (maps to exit code 2)."""
+
+
+class SizeTooSmall(BadParameters):
     """The matrix is too small for the requested chart reduction."""
 
 
@@ -68,7 +72,3 @@ class ResourceLimit(DetsingError):
         super().__init__(message)
         self.basis_size = basis_size
         self.term_count = term_count
-
-
-class BadParameters(DetsingError):
-    """CLI or driver parameters are invalid (maps to exit code 2)."""

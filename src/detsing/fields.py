@@ -120,6 +120,16 @@ class PrimeField:
 QQ = Rationals()
 
 
+def require_field(field):
+    """Refuse, as BadParameters, a value that does not behave as a
+    coefficient field: it needs an int ``char`` and the element operations
+    ``of``, ``reduce``, ``neg``, ``inv`` and ``div``."""
+    if type(getattr(field, "char", None)) is not int or not all(
+        callable(getattr(field, op, None)) for op in ("of", "reduce", "neg", "inv", "div")
+    ):
+        raise BadParameters(f"not a coefficient field: {field!r}")
+
+
 def field_from_name(name: str):
     """Parse a field spec as used by the CLI and JSON formats.
 

@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
-from .fields import QQ
+from .fields import QQ, require_field
 from .rings import Polynomial, Ring, exact_div, ring
 
 
@@ -128,6 +128,7 @@ def _generic(kind, m, field, prefix, ring_) -> GenericMatrix:
     """prefix_{i+1}_{j+1} at each triangle position (i, j) of the kind."""
     if type(m) is not int or m < 0:
         raise BadParameters(f"matrix size must be an integer >= 0, got {m!r}")
+    require_field(field)
     if kind == "skew" and field.char == 2:
         raise CharTwoForbidden("generic skew matrices need characteristic != 2")
     positions = triangle(m, kind)
@@ -350,16 +351,9 @@ def _dedup_generators(gens: Iterable[Polynomial]) -> list:
     out = []
     seen = set()
     for g in gens:
-        if g.is_zero():
-            continue
-        key = frozenset(g.terms.items())
-        if key in seen:
-            continue
-        neg_key = frozenset((-g).terms.items())
-        if neg_key in seen:
-            continue
-        seen.add(key)
-        out.append(g)
+        if g and g not in seen and -g not in seen:
+            seen.add(g)
+            out.append(g)
     return out
 
 

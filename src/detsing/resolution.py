@@ -26,7 +26,7 @@ through the verify module and recorded as verdicts on each node.
 import time
 
 from .blowup import Center, make_chart, primed, strict_transform_ideal, strict_transform_poly
-from .errors import BadParameters, CharTwoForbidden, SizeTooSmall
+from .errors import BadParameters, SizeTooSmall
 from .fields import QQ, field_name
 from .matrices import (
     GenericMatrix,
@@ -406,47 +406,55 @@ def _build_child(node, red, orbit_size):
     return child
 
 
-def _check_position(node, k, l, *, diagonal):
-    m = node.size
-    if diagonal:
-        if k != l:
-            raise BadParameters("diagonal chart position must be (k,k)")
-        if not 1 <= k <= m:
-            raise BadParameters(f"position ({k},{k}) out of range for size {m}")
-    elif not 1 <= k < l <= m:
-        raise BadParameters(f"position ({k},{l}) needs 1 <= k < l <= {m}")
+# chart type -> (matrix kind, smallest size).  A chart drops the size by its
+# pivot count, 2 or 1 in a diagonal chart, and minor level j of the parent
+# becomes level j - drop of the reduced matrix.  The next center, the
+# reduced matrix's variables, is the radical of its 2-minors when skew (a
+# skew matrix has even rank) and its 1-minors when symmetric, so it sits at
+# parent level drop + 2 or drop + 1 (see ``_child_verdicts``).
+_CHARTS = {"skew": ("skew", 3), "diag": ("sym", 2), "offdiag": ("sym", 2)}
 
 
-def _reduce(node, kind, min_size, chart_type, k, l, orbit_size):
-    """Validate a chart request against the node, then build its child."""
-    if node.matrix is None or node.size < min_size:
+def _chart_step(node, chart_type, position):
+    """Check a chart request against ``_CHARTS`` and the node, then run the
+    chart step: a pair of ints (k, l) with 1 <= k < l <= size, or k == l in
+    a diagonal chart."""
+    kind, smallest = _CHARTS[chart_type]
+    if node.matrix is None or node.size < smallest:
         raise SizeTooSmall(
-            f"chart reduction needs a {kind} matrix of size >= {min_size}, "
+            f"chart reduction needs a {kind} matrix of size >= {smallest}, "
             f"got size {node.size}"
         )
     if node.matrix.kind != kind:
         raise BadParameters(f"expected a {kind} node, got {node.matrix.kind}")
-    _check_position(node, k, l, diagonal=chart_type == "diag")
-    return _build_child(node, _chart_reduction(node, chart_type, k, l), orbit_size)
+    try:
+        k, l = position
+    except (TypeError, ValueError):
+        raise BadParameters(f"a chart position is a pair (k, l), got {position!r}") from None
+    m, diagonal = node.size, chart_type == "diag"
+    if type(k) is not int or type(l) is not int or not 1 <= k <= l <= m or (k == l) != diagonal:
+        need = "1 <= k == l" if diagonal else "1 <= k < l"
+        raise BadParameters(f"{chart_type} chart position {position!r} needs ints {need} <= {m}")
+    return _chart_reduction(node, chart_type, k, l)
 
 
 def reduce_skew_chart(node, position, orbit_size=1):
     """Child of a skew node in the chart at (k, l), k < l: size drops by 2,
     the remaining rows relabel to 1..m-2."""
-    return _reduce(node, "skew", 3, "skew", *position, orbit_size)
+    return _build_child(node, _chart_step(node, "skew", position), orbit_size)
 
 
 def reduce_sym_diag_chart(node, position, orbit_size=1):
     """Child of a symmetric node in the diagonal chart at (k, k): size
     drops by 1."""
-    return _reduce(node, "sym", 2, "diag", *position, orbit_size)
+    return _build_child(node, _chart_step(node, "diag", position), orbit_size)
 
 
 def reduce_sym_offdiag_chart(node, position, orbit_size=1):
     """Child of a symmetric node in the off-diagonal chart at (k, l), k < l:
     size drops by 2 and eps = 1 - x'_kk*x'_ll joins the unit list.  For a
     2x2 node nothing remains to reduce and the child is terminal."""
-    return _reduce(node, "sym", 2, "offdiag", *position, orbit_size)
+    return _build_child(node, _chart_step(node, "offdiag", position), orbit_size)
 
 
 # --------------------------------------------------------------------------
@@ -593,17 +601,12 @@ def _child_verdicts(node, child, include_bases):
     ]
     if child.rewrite is not None:
         out.append(_rewrite_consistency_verdict(child))
-    interior = _terminal_reason(child.kind, child.residual) is None
     levels = {node.residual: ["target"]}
     if red.chart_type == "offdiag":
         levels.setdefault(2, []).append("skipped_center")
-        if interior:
-            levels.setdefault(3, []).append("next_center")
-    elif red.chart_type == "diag":
-        if interior:
-            levels.setdefault(2, []).append("next_center")
-    elif interior:
-        levels.setdefault(4, []).append("next_center")
+    if _terminal_reason(child.kind, child.residual) is None:
+        drop = node.size - child.size
+        levels.setdefault(drop + (2 if child.kind == "skew" else 1), []).append("next_center")
     for j in sorted(levels):
         out.append(_center_identity_verdict(red, j, levels[j], include_bases))
     if child.kind == "skew" and child.matrix is not None:
@@ -616,20 +619,21 @@ def _child_verdicts(node, child, include_bases):
 
 
 def _chart_specs(kind, size, all_charts):
-    """Charts to expand at a node: every chart literally, or one
-    representative per symmetry orbit weighted by the orbit size."""
+    """Charts to expand at a node, as (chart type, position, orbit size):
+    every chart literally, or one representative per symmetry orbit
+    weighted by the orbit size."""
     pairs = [(i + 1, j + 1) for i, j in triangle(size, "skew")]
     if kind == "skew":
         if all_charts:
-            return [("skew", k, l, 1) for k, l in pairs]
-        return [("skew", 1, 2, len(pairs))]
+            return [("skew", p, 1) for p in pairs]
+        return [("skew", (1, 2), len(pairs))]
     if all_charts:
-        return [("diag", k, k, 1) for k in range(1, size + 1)] + [
-            ("offdiag", k, l, 1) for k, l in pairs
+        return [("diag", (k, k), 1) for k in range(1, size + 1)] + [
+            ("offdiag", p, 1) for p in pairs
         ]
-    specs = [("diag", 1, 1, size)]
+    specs = [("diag", (1, 1), size)]
     if pairs:
-        specs.append(("offdiag", 1, 2, len(pairs)))
+        specs.append(("offdiag", (1, 2), len(pairs)))
     return specs
 
 
@@ -680,6 +684,7 @@ def _resolve(kind, m, target, field, all_charts, check, input_desc):
     maker = generic_skew if kind == "skew" else generic_sym
     nodes = []
     queue = [_root(maker(m, field), target)]
+    input_desc["field"] = field_name(field)
     while queue:
         node = queue.pop(0)
         nodes.append(node)
@@ -701,8 +706,8 @@ def _resolve(kind, m, target, field, all_charts, check, input_desc):
             verify_seconds += time.monotonic() - tv
             continue
 
-        for chart_type, k, l, orbit in _chart_specs(kind, node.size, all_charts):
-            child = _REDUCERS[chart_type](node, (k, l), orbit_size=orbit)
+        for chart_type, position, orbit in _chart_specs(kind, node.size, all_charts):
+            child = _REDUCERS[chart_type](node, position, orbit_size=orbit)
             if check != "none":
                 tv = time.monotonic()
                 child.verdicts.extend(_child_verdicts(node, child, include_bases))
@@ -746,12 +751,7 @@ def resolve_skew(m, l, field=QQ, *, all_charts=False, check="full"):
         raise BadParameters("resolve_skew needs integers m >= 1, l >= 1")
     if 2 * l > m:
         raise BadParameters(f"need 2l <= m, got l={l}, m={m}")
-    if getattr(field, "p", None) == 2:
-        raise CharTwoForbidden("skew resolutions need characteristic != 2")
-    return _resolve(
-        "skew", m, 2 * l, field, all_charts, check,
-        {"kind": "skew", "m": m, "l": l, "field": field_name(field)},
-    )
+    return _resolve("skew", m, 2 * l, field, all_charts, check, {"kind": "skew", "m": m, "l": l})
 
 
 def resolve_sym(m, r, field=QQ, *, all_charts=False, check="full"):
@@ -762,10 +762,7 @@ def resolve_sym(m, r, field=QQ, *, all_charts=False, check="full"):
         raise BadParameters("resolve_sym needs integers m >= 1, r >= 1")
     if r > m:
         raise BadParameters(f"need r <= m, got r={r}, m={m}")
-    return _resolve(
-        "sym", m, r, field, all_charts, check,
-        {"kind": "sym", "m": m, "r": r, "field": field_name(field)},
-    )
+    return _resolve("sym", m, r, field, all_charts, check, {"kind": "sym", "m": m, "r": r})
 
 
 def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
@@ -779,32 +776,16 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
     """
     if type(m) is not int or type(r) is not int:
         raise BadParameters("m and r must be integers")
-    if kind == "skew":
-        if chart_type not in (None, "skew", "offdiag"):
-            raise BadParameters("skew matrices have only off-diagonal charts")
+    if kind == "skew" and chart_type in (None, "offdiag"):
         chart_type = "skew"
-        if m < 3:
-            raise BadParameters("the skew identity needs m >= 3")
-        M = generic_skew(m, field)
-        k, l = position if position is not None else (1, 2)
-    elif kind == "sym":
-        if chart_type not in ("diag", "offdiag"):
-            raise BadParameters("sym identities need chart_type 'diag' or 'offdiag'")
-        if m < 2:
-            raise BadParameters("the symmetric identity needs m >= 2")
-        M = generic_sym(m, field)
-        if position is not None:
-            k, l = position
-        else:
-            k, l = (1, 1) if chart_type == "diag" else (1, 2)
-    else:
-        raise BadParameters(f"unknown kind {kind!r}")
+    if _CHARTS.get(chart_type, (None,))[0] != kind:
+        raise BadParameters(f"no chart type {chart_type!r} for kind {kind!r}")
     if not 1 <= r <= m:
         raise BadParameters(f"need 1 <= r <= m, got r={r}, m={m}")
-
-    node = _root(M, r)
-    _check_position(node, k, l, diagonal=chart_type == "diag")
-    red = _chart_reduction(node, chart_type, k, l)
+    if position is None:
+        position = (1, 1) if chart_type == "diag" else (1, 2)
+    maker = generic_skew if kind == "skew" else generic_sym
+    red = _chart_step(_root(maker(m, field), r), chart_type, position)
     result = _center_identity_verdict(red, r, ["standalone"], include_bases)
     result["inputs"].update(
         {"kind": kind, "m": m, "r": r, "field": field_name(field)}

@@ -19,7 +19,10 @@ Printing and parsing share one text grammar:
   coeff  := int | int '/' int
   name   := [A-Za-z][A-Za-z0-9_]*
 
-Whitespace is insignificant. parse(format(f)) == f for every polynomial.
+The parser accepts exactly this grammar, with optional whitespace around
+operators and at either end, and raises ParseError on anything else
+(``x*2``, ``2^3``, ``(x)``, ``x y``). parse(format(f)) == f for every
+polynomial.
 Terms print in descending graded reverse lexicographic order, so output is
 deterministic.
 """
@@ -39,7 +42,7 @@ from .errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
-from .fields import QQ, field_from_name, field_name
+from .fields import QQ, field_from_name, field_name, require_field
 
 Monomial = tuple  # dense exponent vector, one entry per ring variable
 
@@ -86,8 +89,10 @@ def grevlex_heap_key(a: Monomial):
     return (-sum(a),) + a[::-1]
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*/^()]))")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_SIGN_RE = re.compile(r"\s*([-+])\s*")
+_COEFF_RE = re.compile(r"([0-9]+)(?:\s*/\s*([0-9]+))?")
+_POWER_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*([0-9]+))?")
 
 
 class Ring:
@@ -100,10 +105,11 @@ class Ring:
     __slots__ = ("field", "names", "index", "_zero_mono")
 
     def __init__(self, names: Iterable[str], field=QQ):
+        require_field(field)
         names = tuple(names)
         seen = set()
         for n in names:
-            if not _NAME_RE.match(n):
+            if not _NAME_RE.fullmatch(n):
                 raise ParseError(f"bad variable name {n!r}")
             if n in seen:
                 raise DuplicateVariable(f"variable {n!r} declared twice")
@@ -572,94 +578,39 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 # -- parsing ------------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r} at offset {pos}")
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", int(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("op", op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
 def _parse(ring_: Ring, text: str) -> Polynomial:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take(kind, value=None):
-        nonlocal pos
-        tk, tv = tokens[pos]
-        if tk != kind or (value is not None and tv != value):
-            raise ParseError(f"expected {value or kind} near token {pos} in {text!r}")
-        pos += 1
-        return tv
-
-    def parse_factor():
-        """name['^'int] or a bare number; returns a Polynomial."""
-        tk, tv = peek()
-        if tk == "num":
-            take("num")
-            value = tv
-            if peek() == ("op", "/"):
-                take("op", "/")
-                den = ring_.field.of(take("num"))
-                if den == ring_.field.zero:
-                    raise ParseError("zero denominator")
-                return ring_.const(ring_.field.div(ring_.field.of(value), den))
-            if peek() == ("op", "^"):
-                take("op", "^")
-                e = take("num")
-                return ring_.const(value ** e)
-            return ring_.const(value)
-        if tk == "name":
-            take("name")
-            if tv not in ring_.index:
-                raise UnknownVariable(f"{tv!r} is not a variable of {ring_!r}")
-            v = ring_.var(tv)
-            if peek() == ("op", "^"):
-                take("op", "^")
-                e = take("num")
-                return v ** e
-            return v
-        raise ParseError(f"expected a coefficient or variable near token {pos} in {text!r}")
-
-    def parse_term():
-        f = parse_factor()
-        while peek() == ("op", "*"):
-            take("op", "*")
-            f = f * parse_factor()
-        return f
-
+    """One pass over the signed terms of ``text``: each term's coefficient
+    and monomial are read directly, then summed raw and reduced once."""
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, got {text!r}")
+    field, index = ring_.field, ring_.index
+    pieces = _SIGN_RE.split(text.strip())
+    # term, sign, term, ...: a leading sign leaves an empty first term
+    pieces = pieces[1:] if pieces[0] == "" and len(pieces) > 1 else ["+"] + pieces
     acc: dict = {}
-    sign = 1
-    tk, tv = peek()
-    if tk == "op" and tv in "+-":
-        sign = -1 if tv == "-" else 1
-        take("op")
-    while True:
-        for m, c in parse_term().terms.items():
-            acc[m] = acc.get(m, 0) + sign * c
-        tk, tv = peek()
-        if tk == "end":
-            break
-        if tk == "op" and tv in "+-":
-            sign = -1 if tv == "-" else 1
-            take("op")
-        else:
-            raise ParseError(f"expected + or - near token {pos} in {text!r}")
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        factors = [f.strip() for f in term.split("*")]
+        coeff = _COEFF_RE.fullmatch(factors[0])
+        c = field.one
+        if coeff:
+            num, den = coeff.groups()
+            c = field.of(int(num))
+            if den is not None:
+                d = field.of(int(den))
+                if d == field.zero:
+                    raise ParseError(f"zero denominator in {text!r}")
+                c = field.div(c, d)
+            del factors[0]
+        exps = list(ring_._zero_mono)
+        for factor in factors:
+            power = _POWER_RE.fullmatch(factor)
+            if power is None:
+                raise ParseError(f"bad term {term!r} in {text!r}")
+            name, e = power.groups()
+            i = index.get(name)
+            if i is None:
+                raise UnknownVariable(f"{name!r} is not a variable of {ring_!r}")
+            exps[i] += 1 if e is None else int(e)
+        m = tuple(exps)
+        acc[m] = acc.get(m, 0) + (c if sign == "+" else -c)
     return Polynomial._reduced(ring_, acc)

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, schemas, goldens."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detsing
 from detsing.cli import (
@@ -312,3 +316,78 @@ def test_term_cap_environment_override():
     assert "Traceback" not in proc.stderr
     # and the package still imports
     assert run("abc", "-c", "import detsing").returncode == 0
+
+
+# --------------------------------------------------------------------------
+# fuzzing
+
+# flag -> (values argparse accepts, values it refuses), or None for a
+# switch; the handlers must refuse some accepted values themselves (sizes -1
+# and 0, the fields Fp:2, Fp:4 and R)
+SIZES = ([str(n) for n in range(-1, 5)], ["2.5", "x", ""])
+FLAGS = {
+    "--kind": (["sym", "skew"], ["herm"]),
+    "--m": SIZES,
+    "--r": SIZES,
+    "--l": SIZES,
+    "--field": (["Q", "QQ", "Fp:7", "GF(5)", "F3", "Fp:2", "Fp:4", "R", ""], []),
+    "--verify": (["none", "identities", "full"], ["all"]),
+    "--format": (["json", "md"], ["txt"]),
+    "--fact": (["F1", "F2", "F3", "Eq2l"], ["F4"]),
+    "--identity": (["to-show-Am", "sym-diag", "sym-offdiag"], ["skew"]),
+    "--all-charts": None,
+    "--lemma-counterexample": None,
+}
+# subcommand -> (leading flags, other flags); a tuple offers a choice, and
+# a flag given as --flag=value takes no further value
+SUBCOMMANDS = {
+    "resolve": ([("--kind=sym --r", "--kind=skew --l"), "--m"],
+                ["--field", "--all-charts", "--verify", "--format"]),
+    "verify": ([("--fact", "--identity", "--lemma-counterexample"), "--m"],
+               ["--r", "--l", "--field"]),
+    "examples": ([], ["--field"]),
+    "check": ([], []),
+}
+
+
+RARELY = st.sampled_from([False] * 9 + [True])
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, each of its leading flags (most of the time), a random
+    share of its other flags, and at most one stray flag; one value in ten
+    is one that argparse refuses."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    leading, others = SUBCOMMANDS[command]
+    flags = [
+        part
+        for flag in leading if draw(RARELY) is False
+        for part in (draw(st.sampled_from(flag)) if isinstance(flag, tuple) else flag).split()
+    ]
+    others = draw(st.permutations(others))
+    flags += others[:draw(st.integers(0, len(others)))]
+    if draw(RARELY):
+        flags.append(draw(st.sampled_from(sorted(FLAGS))))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if "=" not in flag and FLAGS[flag] is not None:
+            good, bad = FLAGS[flag]
+            argv.append(draw(st.sampled_from(bad if bad and draw(RARELY) else good)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    # any argv drawn from the subcommands' own vocabulary ends with a known
+    # exit code and an error message, never an uncaught exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_PARAMETERS, EXIT_RESOURCE_LIMIT), argv
+    assert "Traceback" not in err.getvalue()

@@ -124,6 +124,20 @@ def test_skew_too_small_and_bad_positions():
         reduce_skew_chart(fresh_root("sym", 4), (1, 2))
 
 
+@pytest.mark.parametrize("position", [(1,), (1, 2, 3), (True, 2), (1, 2.0), "12", 12], ids=repr)
+def test_chart_position_is_a_pair_of_ints(position):
+    with pytest.raises(BadParameters):
+        reduce_skew_chart(fresh_root("skew", 4), position)
+    with pytest.raises(BadParameters):
+        chart_identity("skew", 4, 2, position=position)
+
+
+def test_size_too_small_is_a_bad_parameter():
+    assert issubclass(SizeTooSmall, BadParameters)
+    with pytest.raises(SizeTooSmall):
+        chart_identity("skew", 2, 2)
+
+
 # --------------------------------------------------------------------------
 # symmetric chart reductions
 
@@ -595,3 +609,14 @@ def test_chart_identity_validation():
         chart_identity("skew", 4, 0)
     with pytest.raises(BadParameters):
         chart_identity("sym", 3, True, "diag")
+
+
+@pytest.mark.parametrize("field", ["Q", None, PrimeField])
+@pytest.mark.parametrize("call", [
+    lambda field: resolve_sym(2, 2, field),
+    lambda field: resolve_skew(4, 2, field),
+    lambda field: chart_identity("sym", 3, 2, "diag", field),
+], ids=["resolve_sym", "resolve_skew", "chart_identity"])
+def test_non_field_refused(call, field):
+    with pytest.raises(BadParameters):
+        call(field)

@@ -7,8 +7,11 @@ rest of the engine relies on.
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detsing.errors import (
+    BadParameters,
     DuplicateVariable,
     ParseError,
     RingMismatch,
@@ -27,6 +30,12 @@ def R3():
 def test_ring_rejects_duplicate_names():
     with pytest.raises(DuplicateVariable):
         ring("x x")
+
+
+@pytest.mark.parametrize("field", ["Q", None, PrimeField])
+def test_ring_refuses_a_non_field(field):
+    with pytest.raises(BadParameters):
+        ring("x y", field)
 
 
 def test_ring_value_equality():
@@ -95,14 +104,65 @@ def test_parse_is_whitespace_insensitive(R3):
 
 
 def test_parse_errors(R3):
-    for bad in ["x_1_1 +", "* x_1_1", "x_1_1 x_2_2", "x_1_1^", "1/0", "x_1_1 & 2"]:
-        with pytest.raises(ParseError):
-            R3.parse(bad)
     with pytest.raises(UnknownVariable):
         R3.parse("q + 1")
     # a denominator that vanishes in the field
     with pytest.raises(ParseError):
         Ring(["x"], PrimeField(7)).parse("1/14*x")
+
+
+@pytest.mark.parametrize("text", [
+    "x*2", "2^3*x", "2*3*x", "x*1/2", "2^0", "(x)", "x y", "x^", "1/0",
+    "", "-", "x +", "* x", "x + - y", "1 2", "x^-1", "x**2", "2/x", "x & 2", 5, None,
+])
+def test_parse_refuses_text_outside_the_grammar(text):
+    # the grammar has one leading coefficient per term and integer powers
+    # of variables only; nothing else parses
+    with pytest.raises(ParseError):
+        ring("x y").parse(text)
+
+
+PARSE_NAMES = ("x", "y_1", "Z2")
+
+
+@st.composite
+def grammar_text(draw):
+    """Random text in the module grammar, with the polynomial it denotes
+    built from Ring.var, + and *.  Spaces surround operators at random; a
+    leading '+', repeated names, '^1', '1*', '0*', unreduced fractions and
+    repeated monomials all occur."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    R = Ring(PARSE_NAMES, field)
+    space = st.sampled_from(["", " ", "  "])
+
+    def op(symbol):
+        return draw(space) + symbol + draw(space)
+
+    text, expected = draw(space), R.zero()
+    for t in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["+", "-"] if t else ["", "+", "-"]))
+        text += op(sign) if sign else ""
+        factors, value = [], R.one()
+        if draw(st.booleans()):
+            num = draw(st.integers(0, 12))
+            den = draw(st.one_of(st.none(), st.integers(1, 6)))
+            factors.append(str(num) if den is None else f"{num}{op('/')}{den}")
+            value = value * (num if den is None else Fraction(num, den))
+        for _ in range(draw(st.integers(0 if factors else 1, 4))):
+            name = draw(st.sampled_from(PARSE_NAMES))
+            e = draw(st.one_of(st.none(), st.integers(0, 3)))
+            factors.append(name if e is None else f"{name}{op('^')}{e}")
+            value = value * (R.var(name) if e is None else R.var(name) ** e)
+        text += op("*").join(factors)
+        expected = expected - value if sign == "-" else expected + value
+    return R, text + draw(space), expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(grammar_text())
+def test_parse_matches_the_grammar_hypothesis(case):
+    R, text, expected = case
+    assert R.parse(text) == expected
 
 
 def test_prime_field_coefficients():
@@ -120,8 +180,6 @@ def test_prime_field_coefficients():
 def test_field_from_name_round_trip():
     assert field_from_name("Q") == QQ
     assert field_from_name("Fp:11") == PrimeField(11)
-    from detsing.errors import BadParameters
-
     with pytest.raises(BadParameters):
         field_from_name("Fp:6")
     with pytest.raises(BadParameters):

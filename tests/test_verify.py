@@ -201,6 +201,12 @@ def test_check_fact_f1_f3():
             check_fact(fact, m, l=1)
 
 
+@pytest.mark.parametrize("field", ["Q", None, PrimeField])
+def test_check_fact_refuses_a_non_field(field):
+    with pytest.raises(BadParameters):
+        check_fact("F1", 3, field)
+
+
 def test_check_fact_f2_m4():
     assert check_fact("F2", 4, QQ, l=2)
     assert check_fact("Eq2l", 4, PrimeField(7), l=2)
