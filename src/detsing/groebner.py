@@ -11,11 +11,17 @@ lcm that some coprime pair has, and pruning of old pairs whose lcm strictly
 contains the new leading monomial. Pairs are selected by the sugar
 strategy. Each pending pair carries the lcm and the sugar computed when it
 was formed, and the working basis holds only live elements: retired ones
-are removed, and the survivors keep their order.
+are removed, and the survivors keep their order. A pruned pair is not
+removed from the heap: its entry is marked dead in place, and the pair loop
+drops it when it is popped.
 
-The reducer scan tests a support mask before divisibility (Bachmann &
-Schoenemann, ISSAC '98): a basis element whose leading monomial has a
-variable the term lacks is skipped without comparing exponents.
+Support masks (Bachmann & Schoenemann, ISSAC '98) stand in front of the
+exponent comparisons: a monomial whose support has a variable the other
+lacks cannot divide it. The reducer scan, the chain filter, the pruning of
+old pairs and the retiring of basis elements test masks before
+divisibility, and disjoint masks decide coprimality. Masks see the first
+64 variables only, so in wider rings the coprimality test also compares
+exponents.
 """
 
 from __future__ import annotations
@@ -44,16 +50,24 @@ DEFAULT_MAX_TERMS = 200_000
 _MAX_TERMS_ENV = os.environ.get("DETSING_MAX_TERMS")
 
 
+def _positive(name: str, value) -> int:
+    """value when it is an int >= 1 and not a bool, else BadParameters."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise BadParameters(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def term_cap(max_terms: int = None) -> int:
     """The term cap of a call: max_terms when given, else the
     DETSING_MAX_TERMS environment variable (read at import), else
     DEFAULT_MAX_TERMS.
 
-    A variable that is not a positive integer raises BadParameters here,
-    at the first capped call, so that importing the package still succeeds.
+    A cap that is not a positive integer raises BadParameters; for the
+    variable that happens here, at the first capped call, so that importing
+    the package still succeeds.
     """
     if max_terms is not None:
-        return max_terms
+        return _positive("max_terms", max_terms)
     if _MAX_TERMS_ENV is None:
         return DEFAULT_MAX_TERMS
     try:
@@ -228,13 +242,19 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     criterion drops those whose lcm is a proper multiple of another new
     pair's lcm; of those that share an lcm, only the one with the oldest g
     is kept, and none is kept when any of them is coprime. `pairs` is a
-    heap of (priority, lcm, g, h) entries with priority (sugar, key(lcm),
-    ages): the ages make every priority unique, so the pop order never
-    depends on the heap layout.
+    heap of [priority, lcm, lcm mask, g, h] entries with priority (sugar,
+    key(lcm), ages): the ages make every priority unique, so the pop order
+    never depends on the heap layout. A pruned entry stays in the heap with
+    g set to None, and groebner() skips it when it is popped.
     """
+    hlm, hmask = h.lm, h.mask
+    # the masks see the first 64 variables only; past them, disjoint masks
+    # do not make two monomials coprime
+    wide = len(hlm) > 64
     # candidate new pairs, smallest lcm first, pairs sharing an lcm adjacent
-    cands = sorted((order.key(lcm := m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
-    # one [key, lcm, g] per distinct lcm, g None when a pair with it is coprime
+    cands = sorted((order.key(lcm := m_lcm(g.lm, hlm)), g.age, lcm, g) for g in G)
+    # one [key, lcm, lcm mask, g] per distinct lcm, g None when a pair with
+    # it is coprime
     kept: list = []
     # Ascending lcm order: any proper divisor of the current lcm was seen
     # already, so filtering against `kept` realizes the chain criterion.
@@ -242,28 +262,33 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     # reduces to zero and makes the other pairs with its lcm redundant, but
     # the lcm still takes part in the chain filter.
     for key, _, lcm, g in cands:
-        coprime = _coprime(g.lm, h.lm)
+        coprime = not (g.mask & hmask) and (not wide or _coprime(g.lm, hlm))
         if kept and kept[-1][1] == lcm:
             if coprime:
-                kept[-1][2] = None
+                kept[-1][3] = None
             continue
-        if any(m_divides(other, lcm) for _, other, _ in kept):
-            continue
-        kept.append([key, lcm, None if coprime else g])
-    # prune old pairs: drop (g1, g2) when lm(h) properly divides their lcm
-    pairs[:] = [
-        (priority, lcm, g1, g2) for priority, lcm, g1, g2 in pairs
-        if not (m_divides(h.lm, lcm) and m_lcm(g1.lm, h.lm) != lcm and m_lcm(g2.lm, h.lm) != lcm)
-    ]
-    heapq.heapify(pairs)
-    deg_h = sum(h.lm)
-    for key, lcm, g in kept:
+        mask = g.mask | hmask
+        off = ~mask
+        for other in kept:
+            if not (other[2] & off) and m_divides(other[1], lcm):
+                break
+        else:
+            kept.append([key, lcm, mask, None if coprime else g])
+    # prune old pairs: mark (g1, g2) dead when lm(h) properly divides their lcm
+    for entry in pairs:
+        if not (hmask & ~entry[2]) and entry[3] is not None:
+            lcm = entry[1]
+            if m_divides(hlm, lcm) and m_lcm(entry[3].lm, hlm) != lcm and m_lcm(entry[4].lm, hlm) != lcm:
+                entry[3] = None
+    deg_h = sum(hlm)
+    for key, lcm, mask, g in kept:
         if g is not None:
             deg = sum(lcm)
             sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
-            heapq.heappush(pairs, ((sugar,) + key + (g.age, h.age), lcm, g, h))
-    # retire basis elements made redundant by h
-    G[:] = [g for g in G if not (m_divides(h.lm, g.lm) and g.lm != h.lm)]
+            heapq.heappush(pairs, [(sugar,) + key + (g.age, h.age), lcm, mask, g, h])
+    # retire basis elements made redundant by h; h is reduced against G, so
+    # lm(h) divides no lm in G without properly dividing it
+    G[:] = [g for g in G if hmask & ~g.mask or not m_divides(hlm, g.lm)]
     G.append(h)
 
 
@@ -322,25 +347,32 @@ def groebner(
     Raises ResourceLimit when the basis or any working polynomial outgrows
     its cap. The result is independent of generator order (tested).
     """
-    max_basis = DEFAULT_MAX_BASIS if max_basis is None else max_basis
+    max_basis = DEFAULT_MAX_BASIS if max_basis is None else _positive("max_basis", max_basis)
     max_terms = term_cap(max_terms)
     gen_list = list(gens.gens) if hasattr(gens, "gens") else list(gens)
     if not gen_list:
         raise ValueError("need at least one generator (possibly zero)")
-    ring_ = gen_list[0].ring
+    ring_ = gen_list[0].ring if isinstance(gen_list[0], Polynomial) else None
     for g in gen_list:
-        if g.ring != ring_:
-            raise RingMismatch("generators live in different rings")
+        if not isinstance(g, Polynomial) or g.ring != ring_:
+            raise RingMismatch("generators must be polynomials of one ring")
     if order is None:
         order = grevlex_order(ring_)
     field = ring_.field
 
-    # deterministic seed order: by leading monomial, then term count, then text
-    nonzero = [g for g in gen_list if not g.is_zero()]
-    if not nonzero:
+    # deterministic seed order: by leading monomial, then term count, then
+    # text; the text is printed only for runs that tie on the first two
+    keyed = sorted(
+        (((order.key(g.leading(order.key)[0]), g.num_terms()), g) for g in gen_list if g.terms),
+        key=itemgetter(0),
+    )
+    if not keyed:
         # the zero ideal: empty basis, reduce() is the identity
         return GroebnerBasis(ring_, order, ())
-    nonzero.sort(key=lambda g: (order.key(g.leading(order.key)[0]), g.num_terms(), g.format()))
+    nonzero: list = []
+    for _, run in itertools.groupby(keyed, key=itemgetter(0)):
+        run = [g for _, g in run]
+        nonzero += sorted(run, key=Polynomial.format) if len(run) > 1 else run
 
     G: list = []
     pairs: list = []
@@ -352,9 +384,11 @@ def groebner(
             _update(G, pairs, _Gen(reduced, next(iter(reduced)), sugar, next(ages)), order)
 
     while pairs:
+        priority, lcm, _, g1, g2 = heapq.heappop(pairs)
+        if g1 is None:
+            continue
         if len(G) > max_basis:
             raise ResourceLimit(f"basis exceeded the size cap ({max_basis})", basis_size=len(G))
-        priority, lcm, g1, g2 = heapq.heappop(pairs)
         reduced = _reduce_terms(_spoly_terms(g1, g2, lcm, field), G, order, field, max_terms)
         if reduced:
             _update(G, pairs, _Gen(reduced, next(iter(reduced)), priority[0], next(ages)), order)

@@ -210,9 +210,15 @@ class MinorCache:
         return acc
 
 
+def _require_matrix(M) -> None:
+    if not isinstance(M, GenericMatrix):
+        raise BadParameters(f"expected a GenericMatrix, got {type(M).__name__}")
+
+
 def determinant(M: GenericMatrix, method: str = "cofactor") -> Polynomial:
     """Exact determinant. method is "cofactor" or "bareiss"; the two are
     independent implementations and agree (enforced by tests)."""
+    _require_matrix(M)
     if method == "cofactor":
         full = tuple(range(M.size))
         return MinorCache(M).minor(full, full)
@@ -257,6 +263,7 @@ def pfaffian(M: GenericMatrix) -> Polynomial:
     Skew-symmetry is re-validated on the entries (NotSkew otherwise);
     OddSize for odd matrices. pf(M)^2 = det(M) is a test invariant.
     """
+    _require_matrix(M)
     _require_mirror(M.rows, "skew")
     if M.size % 2:
         raise OddSize("the pfaffian needs an even-sized matrix")

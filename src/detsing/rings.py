@@ -62,7 +62,7 @@ def m_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def m_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 _MASK_BITS = tuple(1 << i for i in range(64))

@@ -7,13 +7,18 @@ not sympy is a frozen copy of the Groebner kernel and of exact division as
 they stood before the support masks, the complete Gebauer-Moeller update,
 the direct heap keys and the heap division (see "Frozen kernel" below);
 the differential tests hold the package's kernel to it. It shares only the
-Polynomial container with the package. A second frozen route is the field
-of rationals as it stood when every element was a Fraction (``FractionQQ``);
-rings over it run the package's own algebra, and the differential tests
-hold the int-when-integral ``QQ`` to it.
+Polynomial container with the package. A second frozen route is the pair
+bookkeeping of the complete Gebauer-Moeller update as it stood before its
+mask pretests and deletion marks (see "Frozen pair update" below); it runs
+the package's reducer and records the pairs it pops, so the differential
+tests can require the same traversal, not only the same basis. A third
+frozen route is the field of rationals as it stood when every element was
+a Fraction (``FractionQQ``); rings over it run the package's own algebra,
+and the differential tests hold the int-when-integral ``QQ`` to it.
 """
 
 import heapq
+import importlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, count
 
@@ -21,6 +26,9 @@ import sympy
 
 from detsing.errors import ResourceLimit
 from detsing.rings import Polynomial
+
+# the module: the package's top level binds the name groebner to the function
+engine = importlib.import_module("detsing.groebner")
 
 
 def to_sympy(f, syms=None):
@@ -328,6 +336,81 @@ def oracle_exact_div(f, g):
             else:
                 del rest[tm]
     return Polynomial(f.ring, quotient)
+
+
+# -- Frozen pair update --------------------------------------------------------
+# The complete Gebauer-Moeller update and the pair loop of groebner() as they
+# stood before the mask pretests, the mask coprimality test and the deletion
+# marks; the reducer, the S-polynomial and the basis elements are the
+# package's. Change nothing here except to fix the copy itself.
+
+
+def _gm_update(G, pairs, h, order):
+    cands = sorted((order.key(lcm := _m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
+    kept = []
+    for key, _, lcm, g in cands:
+        coprime = _coprime(g.lm, h.lm)
+        if kept and kept[-1][1] == lcm:
+            if coprime:
+                kept[-1][2] = None
+            continue
+        if any(_m_divides(other, lcm) for _, other, _ in kept):
+            continue
+        kept.append([key, lcm, None if coprime else g])
+    pairs[:] = [
+        (priority, lcm, g1, g2) for priority, lcm, g1, g2 in pairs
+        if not (_m_divides(h.lm, lcm) and _m_lcm(g1.lm, h.lm) != lcm
+                and _m_lcm(g2.lm, h.lm) != lcm)
+    ]
+    heapq.heapify(pairs)
+    deg_h = sum(h.lm)
+    for key, lcm, g in kept:
+        if g is not None:
+            deg = sum(lcm)
+            sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
+            heapq.heappush(pairs, ((sugar,) + key + (g.age, h.age), lcm, g, h))
+    G[:] = [g for g in G if not (_m_divides(h.lm, g.lm) and g.lm != h.lm)]
+    G.append(h)
+
+
+def gm_oracle_groebner(gens, order):
+    """Run the frozen pair update on gens. Returns the reduced basis (a tuple
+    of Polynomials), the leading monomials of the working basis before
+    inter-reduction, in ascending order, and the popped pairs as
+    (priority, lcm, g.age, h.age) tuples in pop order."""
+    gen_list = list(gens)
+    ring_ = gen_list[0].ring
+    field = ring_.field
+    nonzero = [g for g in gen_list if not g.is_zero()]
+    if not nonzero:
+        return (), [], []
+    nonzero.sort(key=lambda g: (order.key(g.leading(order.key)[0]), g.num_terms(), g.format()))
+    G = []
+    pairs = []
+    popped = []
+    ages = count()
+    for g in nonzero:
+        reduced = engine._reduce_terms(g.terms, G, order, field, ORACLE_MAX_TERMS)
+        if reduced:
+            sugar = max(sum(m) for m in reduced)
+            _gm_update(G, pairs, engine._Gen(reduced, next(iter(reduced)), sugar, next(ages)), order)
+    while pairs:
+        if len(G) > ORACLE_MAX_BASIS:
+            raise ResourceLimit("oracle basis exceeded the size cap")
+        priority, lcm, g1, g2 = heapq.heappop(pairs)
+        popped.append((priority, lcm, g1.age, g2.age))
+        spoly = engine._spoly_terms(g1, g2, lcm, field)
+        reduced = engine._reduce_terms(spoly, G, order, field, ORACLE_MAX_TERMS)
+        if reduced:
+            h = engine._Gen(reduced, next(iter(reduced)), priority[0], next(ages))
+            _gm_update(G, pairs, h, order)
+    G.sort(key=lambda g: order.key(g.lm))
+    polys = []
+    for i, g in enumerate(G):
+        terms = engine._reduce_terms(g.terms, G[:i] + G[i + 1:], order, field, ORACLE_MAX_TERMS)
+        inv = field.inv(g.lc)
+        polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
+    return tuple(polys), [g.lm for g in G], popped
 
 
 # -- Frozen field -------------------------------------------------------------

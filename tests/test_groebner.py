@@ -12,7 +12,7 @@ import random
 import pytest
 import sympy
 
-from detsing.errors import ResourceLimit, RingMismatch
+from detsing.errors import BadParameters, ResourceLimit, RingMismatch
 from detsing.fields import PrimeField
 from detsing.groebner import (
     GroebnerBasis,
@@ -114,9 +114,13 @@ def test_elimination_order_extracts_elimination_ideal():
 
 
 def test_ring_mismatch(R):
-    gb = groebner([R.var("x")])
+    x = R.var("x")
+    gb = groebner([x])
     with pytest.raises(RingMismatch):
         gb.reduce(ring("a").var("a"))
+    for gens in ([x, ring("a").var("a")], [x, 3], [3, x], ["x"]):
+        with pytest.raises(RingMismatch):
+            groebner(gens)
 
 
 def test_prime_field_basis():
@@ -138,6 +142,26 @@ def test_resource_limits(R):
     gb = groebner([x ** 2 - y, x * y - z])
     with pytest.raises(ResourceLimit):
         gb.reduce((x + y + z) ** 5, max_terms=5)
+
+
+@pytest.mark.parametrize(
+    "cap, value",
+    [("max_terms", 0), ("max_terms", 2.5), ("max_terms", -1), ("max_terms", "5"),
+     ("max_terms", True), ("max_basis", 0), ("max_basis", True), ("max_basis", 2.5)],
+)
+def test_caps_must_be_positive_integers(R, cap, value):
+    # the rule term_cap applies to DETSING_MAX_TERMS; a bad cap is bad input,
+    # never a ResourceLimit or a basis computed under no cap
+    x, y, _ = R.vars()
+    gens = [x ** 2 - y, x * y - 1]
+    with pytest.raises(BadParameters, match=cap):
+        groebner(gens, **{cap: value})
+    if cap == "max_terms":
+        gb = groebner(gens)
+        with pytest.raises(BadParameters, match=cap):
+            gb.reduce(x ** 3, max_terms=value)
+        with pytest.raises(BadParameters, match=cap):
+            gb.contains(x ** 3, max_terms=value)
 
 
 def _cubics():
@@ -179,6 +203,15 @@ def test_traversal_is_pinned(gens, max_basis, max_terms, reductions, monkeypatch
     monkeypatch.setattr(engine, "_reduce_terms", counted)
     groebner(gens)
     assert len(calls) == reductions
+
+
+def test_basis_cap_is_checked_before_live_pairs_only(R):
+    # The seed x kills the pair (x*y, x^2 - y) and forms two live pairs; the
+    # second of them adds y. Only the dead entry is left then, and popping
+    # it is not a step of the traversal, so the cap of 1, checked before
+    # each live pair, is never exceeded at a check.
+    x, y, z = R.vars()
+    assert set(groebner([x * y, x * y * z - x, x ** 2 - y], max_basis=1).polys) == {x, y}
 
 
 def _rand_poly(rng, R, deg, homogeneous=False):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from detsing.errors import BadIndex, CharTwoForbidden, NotSkew, OddSize
+from detsing.errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
     GenericMatrix,
@@ -101,6 +101,13 @@ def test_pfaffian_errors():
     A = generic_skew(2)
     general = GenericMatrix(A.ring, A.rows, "general")
     assert pfaffian(general) == A.ring.var("x_1_2")
+
+
+@pytest.mark.parametrize("value", ["x", [[ring("a").var("a")]], None], ids=["str", "nested-list", "None"])
+@pytest.mark.parametrize("fn", [determinant, pfaffian], ids=["determinant", "pfaffian"])
+def test_non_matrix_input_is_refused(fn, value):
+    with pytest.raises(BadParameters, match="GenericMatrix"):
+        fn(value)
 
 
 def test_odd_skew_determinants_vanish():
