@@ -3,7 +3,11 @@
 Two independent determinant routes are kept on purpose. The cofactor route
 shares sub-minors through a cache (which also powers bulk minor extraction);
 Bareiss is fraction-free elimination with exact polynomial division. They
-cross-check each other in the test suite and must never be merged.
+cross-check each other in the test suite and must never be merged. They
+stay independent algorithms that share one product kernel,
+``rings.sum_of_products``: a Bareiss numerator, a cofactor expansion and a
+pfaffian expansion are each one call. The kernel is checked in the tests
+against frozen copies of the loops it replaced and against sympy.
 
 Conventions, all pinned by tests:
   * triangle(m, kind) lists the positions that determine a matrix: i < j
@@ -23,7 +27,7 @@ from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ, require_field
-from .rings import Polynomial, Ring, exact_div, ring
+from .rings import Polynomial, Ring, exact_div, ring, sum_of_products
 
 
 class GenericMatrix:
@@ -156,7 +160,7 @@ def generic_sym(m: int, field=QQ, prefix: str = "x", ring_: Ring = None) -> Gene
 
 def _check_index_set(idx, m: int) -> tuple:
     idx = tuple(idx)
-    if any(not isinstance(i, int) or i < 0 or i >= m for i in idx):
+    if any(isinstance(i, bool) or not isinstance(i, int) or i < 0 or i >= m for i in idx):
         raise BadIndex(f"index out of range for size {m}: {idx}")
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise BadIndex(f"index set must be strictly increasing: {idx}")
@@ -164,6 +168,7 @@ def _check_index_set(idx, m: int) -> tuple:
 
 
 def submatrix(M: GenericMatrix, rows: Iterable[int], cols: Iterable[int]) -> GenericMatrix:
+    _require_matrix(M)
     rows = _check_index_set(rows, M.size)
     cols = _check_index_set(cols, M.size)
     if len(rows) != len(cols):
@@ -190,24 +195,17 @@ class MinorCache:
         got = self._cache.get(key)
         if got is not None:
             return got
-        # expand along the last row of I
-        i = I[-1]
+        # expand along the last row of I; the sign (-1)^(k + t + 1) is for
+        # the 1-based position (k, t + 1), and a 1x1 minor is its entry
         I_rest = I[:-1]
         k = len(I)
-        acc = self.M.ring.zero()
-        row = self.M.rows[i]
-        for t, j in enumerate(J):
-            e = row[j]
-            if e.is_zero():
-                continue
-            sub = self.minor(I_rest, J[:t] + J[t + 1:])
-            if sub.is_zero():
-                continue
-            term = e * sub
-            # sign (-1)^(k + t + 1) for 1-based positions (k, t+1)
-            acc = acc + term if (k + t) % 2 else acc - term
-        self._cache[(I, J)] = acc
-        return acc
+        row = self.M.rows[I[-1]]
+        got = row[J[0]] if k == 1 else sum_of_products(self.M.ring, [
+            (-1 if (k + t) % 2 == 0 else 1, e, self.minor(I_rest, J[:t] + J[t + 1:]))
+            for t, j in enumerate(J) if (e := row[j])
+        ])
+        self._cache[key] = got
+        return got
 
 
 def _require_matrix(M) -> None:
@@ -249,7 +247,7 @@ def _det_bareiss(M: GenericMatrix) -> Polynomial:
         for i in range(k + 1, n):
             r_ik = rows[i][k]
             for j in range(k + 1, n):
-                num = rows[i][j] * piv - r_ik * rows[k][j]
+                num = sum_of_products(R, ((1, rows[i][j], piv), (-1, r_ik, rows[k][j])))
                 rows[i][j] = exact_div(num, prev) if not num.is_zero() else R.zero()
             rows[i][k] = R.zero()
         prev = piv
@@ -274,23 +272,24 @@ def pfaffian(M: GenericMatrix) -> Polynomial:
         got = memo.get(idx)
         if got is not None:
             return got
-        i0 = idx[0]
+        row = M.rows[idx[0]]
         rest = idx[1:]
-        acc = R.zero()
-        for t, j in enumerate(rest):
-            e = M.rows[i0][j]
-            if e.is_zero():
-                continue
-            term = e * pf(rest[:t] + rest[t + 1:])
-            acc = acc + term if t % 2 == 0 else acc - term
-        memo[idx] = acc
-        return acc
+        got = sum_of_products(R, [
+            (-1 if t % 2 else 1, e, pf(rest[:t] + rest[t + 1:]))
+            for t, j in enumerate(rest) if (e := row[j])
+        ])
+        memo[idx] = got
+        return got
 
     return pf(tuple(range(M.size)))
 
 
 def _index_sets(M: GenericMatrix, r: int) -> list:
-    """The strictly increasing r-tuples of row (or column) indices of M."""
+    """The strictly increasing r-tuples of row (or column) indices of M,
+    once M is known to be a matrix and r a size."""
+    _require_matrix(M)
+    if type(r) is not int:
+        raise BadParameters(f"minor size must be an int, got {r!r}")
     if r < 0 or r > M.size:
         raise BadIndex(f"minor size {r} out of range for a {M.size}x{M.size} matrix")
     return list(combinations(range(M.size), r))
@@ -298,8 +297,9 @@ def _index_sets(M: GenericMatrix, r: int) -> list:
 
 def minors(M: GenericMatrix, r: int) -> list:
     """All (I, J, det) for |I| = |J| = r in lexicographic (I, J) order."""
+    sets = _index_sets(M, r)
     cache = MinorCache(M)
-    return [(I, J, cache.minor(I, J)) for I, J in product(_index_sets(M, r), repeat=2)]
+    return [(I, J, cache.minor(I, J)) for I, J in product(sets, repeat=2)]
 
 
 class Ideal:
@@ -380,5 +380,6 @@ def minors_ideal(M: GenericMatrix, r: int) -> Ideal:
 
 def principal_minors_ideal(M: GenericMatrix, r: int) -> Ideal:
     """Same, restricted to I = J (principal minors)."""
+    sets = _index_sets(M, r)
     cache = MinorCache(M)
-    return Ideal(M.ring, _dedup_generators(cache.minor(I, I) for I in _index_sets(M, r)))
+    return Ideal(M.ring, _dedup_generators(cache.minor(I, I) for I in sets))

@@ -8,6 +8,11 @@ keeps monomial arithmetic at tuple speed for the ring sizes that occur here
 Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
+``sum_of_products`` forms a whole sum of products c*f*g that way, for the
+determinant routes in ``matrices``. Inside it only, each monomial is packed
+one byte per variable into an int, so a monomial product is one int
+addition; packing is exact while no exponent sum passes 255, and a sum it
+cannot prove within that bound is taken with Polynomial arithmetic.
 A substitution expands each term factor by factor, which is cheap for the
 chart tree's images: monomials, or polynomials met at power 1 or 2.
 
@@ -31,8 +36,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from itertools import compress
-from operator import add, le, neg, sub
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, le, neg, or_, sub
 from typing import Iterable
 
 from .errors import (
@@ -525,6 +531,52 @@ def embed(f: Polynomial, target: Ring) -> Polynomial:
             out[j] = e
         terms[tuple(out)] = coeff
     return Polynomial(target, terms)
+
+
+def sum_of_products(ring_: Ring, triples) -> Polynomial:
+    """The sum of c*f*g over (c, f, g) triples, c an int, f and g in ring_.
+
+    Raw products of coefficients meet in one dict and each coefficient is
+    reduced once. Inside, a monomial is packed one byte per variable, first
+    variable most significant, so a monomial product is one int addition.
+    That is exact while no exponent sum passes 255, so that no byte
+    carries. The bytes of the OR of the larger factor's packed monomials
+    bound its exponents from above; a monomial of the smaller factor passes
+    at once when neither has a byte of 128 or more, and otherwise when its
+    exponents plus those bounds stay at most 255. When a check fails, or an
+    exponent does not fit a byte, the whole sum is taken with Polynomial
+    arithmetic instead. Packed ints never leave this function.
+    """
+    triples = list(triples)
+    n = ring_.nvars
+    high = int.from_bytes(b"\x80" * n, "big")
+    acc: dict = {}
+    get = acc.get
+    try:
+        for c, f, g in triples:
+            if type(c) is not int:
+                raise TypeError(f"not an int coefficient: {c!r}")
+            if f.ring is not ring_ and f.ring != ring_ or g.ring is not ring_ and g.ring != ring_:
+                raise RingMismatch("factor not in the given ring")
+            small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
+            if not (c and small):
+                continue
+            packed = list(map(int.from_bytes, map(bytes, large), repeat("big")))
+            top = reduce(or_, packed)
+            large_items = list(zip(packed, large.values()))
+            for m1, c1 in small.items():
+                b1 = bytes(m1)
+                p1 = int.from_bytes(b1, "big")
+                if (p1 | top) & high and max(map(add, b1, top.to_bytes(n, "big"))) > 255:
+                    raise ValueError("an exponent sum passes 255")
+                c1 *= c
+                for p2, c2 in large_items:
+                    p = p1 + p2
+                    acc[p] = get(p, 0) + c1 * c2
+    except ValueError:
+        return sum((f * g * c for c, f, g in triples), ring_.zero())
+    reduce_ = ring_.field.reduce
+    return Polynomial(ring_, {tuple(p.to_bytes(n, "big")): r for p, c in acc.items() if (r := reduce_(c))})
 
 
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:

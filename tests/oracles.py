@@ -14,7 +14,12 @@ the package's reducer and records the pairs it pops, so the differential
 tests can require the same traversal, not only the same basis. A third
 frozen route is the field of rationals as it stood when every element was
 a Fraction (``FractionQQ``); rings over it run the package's own algebra,
-and the differential tests hold the int-when-integral ``QQ`` to it.
+and the differential tests hold the int-when-integral ``QQ`` to it. A
+fourth is the determinant loops as they stood before the packed product
+kernel (see "Frozen determinant loops" below): the Bareiss numerator, the
+cofactor expansion and the pfaffian expansion, each on Polynomial ``*``,
+``+`` and ``-``; the differential tests hold ``rings.sum_of_products`` and
+its callers in ``matrices`` to them.
 """
 
 import heapq
@@ -25,7 +30,7 @@ from itertools import combinations_with_replacement, count
 import sympy
 
 from detsing.errors import ResourceLimit
-from detsing.rings import Polynomial
+from detsing.rings import Polynomial, exact_div
 
 # the module: the package's top level binds the name groebner to the function
 engine = importlib.import_module("detsing.groebner")
@@ -452,3 +457,99 @@ class FractionQQ:
 
     def __repr__(self):
         return "FractionQQ"
+
+
+# -- Frozen determinant loops --------------------------------------------------
+# The Bareiss elimination, the shared cofactor expansion and the pfaffian
+# recursion as they stood before rings.sum_of_products: each sum is built
+# from one product and one copy of the running sum per term. Exact division
+# is the package's. Change nothing here except to fix the copy itself.
+
+
+def frozen_bareiss(M):
+    """det(M) by fraction-free elimination, numerators on * and -."""
+    n = M.size
+    R = M.ring
+    if n == 0:
+        return R.one()
+    rows = [list(row) for row in M.rows]
+    sign = 1
+    prev = R.one()
+    for k in range(n - 1):
+        if rows[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not rows[i][k].is_zero():
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return R.zero()
+        piv = rows[k][k]
+        for i in range(k + 1, n):
+            r_ik = rows[i][k]
+            for j in range(k + 1, n):
+                num = rows[i][j] * piv - r_ik * rows[k][j]
+                rows[i][j] = exact_div(num, prev) if not num.is_zero() else R.zero()
+            rows[i][k] = R.zero()
+        prev = piv
+    det = rows[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+class FrozenMinorCache:
+    """minor(I, J) by cofactor expansion along the last row of I, shared
+    through a cache, accumulated term by term."""
+
+    def __init__(self, M):
+        self.M = M
+        self._cache = {((), ()): M.ring.one()}
+
+    def minor(self, I, J):
+        got = self._cache.get((I, J))
+        if got is not None:
+            return got
+        i = I[-1]
+        I_rest = I[:-1]
+        k = len(I)
+        acc = self.M.ring.zero()
+        row = self.M.rows[i]
+        for t, j in enumerate(J):
+            e = row[j]
+            if e.is_zero():
+                continue
+            sub = self.minor(I_rest, J[:t] + J[t + 1:])
+            if sub.is_zero():
+                continue
+            term = e * sub
+            acc = acc + term if (k + t) % 2 else acc - term
+        self._cache[(I, J)] = acc
+        return acc
+
+
+def frozen_cofactor(M):
+    full = tuple(range(M.size))
+    return FrozenMinorCache(M).minor(full, full)
+
+
+def frozen_pfaffian(M):
+    """pf(M) by the first-row recursion, accumulated term by term."""
+    R = M.ring
+    memo = {(): R.one()}
+
+    def pf(idx):
+        got = memo.get(idx)
+        if got is not None:
+            return got
+        i0 = idx[0]
+        rest = idx[1:]
+        acc = R.zero()
+        for t, j in enumerate(rest):
+            e = M.rows[i0][j]
+            if e.is_zero():
+                continue
+            term = e * pf(rest[:t] + rest[t + 1:])
+            acc = acc + term if t % 2 == 0 else acc - term
+        memo[idx] = acc
+        return acc
+
+    return pf(tuple(range(M.size)))

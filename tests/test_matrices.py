@@ -103,11 +103,43 @@ def test_pfaffian_errors():
     assert pfaffian(general) == A.ring.var("x_1_2")
 
 
-@pytest.mark.parametrize("value", ["x", [[ring("a").var("a")]], None], ids=["str", "nested-list", "None"])
-@pytest.mark.parametrize("fn", [determinant, pfaffian], ids=["determinant", "pfaffian"])
+ENTRY_POINTS = {
+    "determinant": determinant,
+    "pfaffian": pfaffian,
+    "minors": lambda M: minors(M, 1),
+    "minors_ideal": lambda M: minors_ideal(M, 1),
+    "principal_minors_ideal": lambda M: principal_minors_ideal(M, 1),
+    "submatrix": lambda M: submatrix(M, (0,), (0,)),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["x", [[1]], [[ring("a").var("a")]], None], ids=["str", "int-rows", "nested-list", "None"]
+)
+@pytest.mark.parametrize("fn", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 def test_non_matrix_input_is_refused(fn, value):
     with pytest.raises(BadParameters, match="GenericMatrix"):
         fn(value)
+
+
+@pytest.mark.parametrize("fn", [minors, minors_ideal, principal_minors_ideal])
+def test_minor_size_must_be_an_int_in_range(fn):
+    A = generic_skew(4)
+    for r in (True, False, 2.0, "2", None):
+        with pytest.raises(BadParameters, match="minor size"):
+            fn(A, r)
+    for r in (-1, 5):
+        with pytest.raises(BadIndex):
+            fn(A, r)
+    assert len(fn(A, 0)) == 1  # the empty minor is 1
+
+
+def test_submatrix_refuses_bool_indices():
+    A = generic_skew(4)
+    for rows, cols in [((False, True), (0, True)), ((0, 1), (False, 1)), ((True,), (2,))]:
+        with pytest.raises(BadIndex):
+            submatrix(A, rows, cols)
+    assert submatrix(A, (0, 1), (0, 1)).rows == ((A.entry(0, 0), A.entry(0, 1)), (A.entry(1, 0), A.entry(1, 1)))
 
 
 def test_odd_skew_determinants_vanish():

@@ -8,6 +8,7 @@ central laws with shrinkable generators.
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,9 @@ from detsing.matrices import (
     generic_skew,
     generic_sym,
     minors_ideal,
+    pfaffian,
 )
-from detsing.rings import Ring, Substitution, exact_div, ring
+from detsing.rings import Ring, Substitution, exact_div, ring, sum_of_products
 from detsing.verify import check_fact, ideal_contains
 
 from .oracles import macaulay_member, to_sympy
@@ -111,9 +113,13 @@ def test_substitution_is_a_ring_homomorphism_randomized():
 
 
 def assert_canonical(f):
-    """Every stored coefficient is a nonzero canonical element: over Q an
-    int != 0 or a Fraction with denominator > 1, over F_p an int in
-    range(1, p)."""
+    """Every stored monomial is a tuple of nvars non-negative ints, and every
+    stored coefficient is a nonzero canonical element: over Q an int != 0
+    or a Fraction with denominator > 1, over F_p an int in range(1, p)."""
+    n = f.ring.nvars
+    for m in f.terms:
+        assert type(m) is tuple and len(m) == n
+        assert all(type(e) is int and e >= 0 for e in m)
     p = f.ring.field.char
     for c in f.terms.values():
         if p == 0:
@@ -136,6 +142,24 @@ def test_coefficients_stay_canonical_randomized():
                 results.append(exact_div(f * g, g))
             for h in results:
                 assert_canonical(h)
+
+
+@pytest.mark.parametrize("field", FIELDS + (PrimeField(3),), ids=["QQ", "F7", "F101", "F3"])
+def test_matrix_outputs_stay_canonical(field):
+    """No packed int leaks out of the product kernel behind the matrices."""
+    R = Ring(["a", "b", "c"], field)
+    rng = random.Random(SEED)
+    for _ in range(20):
+        f, g, h = (random_poly(rng, R) for _ in range(3))
+        assert_canonical(sum_of_products(R, [(1, f, g), (-2, g, h), (3, h, h)]))
+    for M in (generic_sym(4, field), generic_skew(5, field), generic_skew(6, field)):
+        outputs = [determinant(M, "cofactor"), determinant(M, "bareiss")]
+        if M.kind == "skew" and M.size % 2 == 0:
+            outputs.append(pfaffian(M))
+        for r in range(1, M.size + 1):
+            outputs.extend(minors_ideal(M, r).gens)
+        for out in outputs:
+            assert_canonical(out)
 
 
 # --------------------------------------------------------------------------
