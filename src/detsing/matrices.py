@@ -3,11 +3,11 @@
 Two independent determinant routes are kept on purpose. The cofactor route
 shares sub-minors through a cache (which also powers bulk minor extraction);
 Bareiss is fraction-free elimination with exact polynomial division. They
-cross-check each other in the test suite and must never be merged. They
-stay independent algorithms that share one product kernel,
-``rings.sum_of_products``: a Bareiss numerator, a cofactor expansion and a
-pfaffian expansion are each one call. The kernel is checked in the tests
-against frozen copies of the loops it replaced and against sympy.
+cross-check each other in the test suite and must never be merged: the
+two algorithms share only the product kernel ``rings.sum_of_products``, in
+which a Bareiss numerator, a cofactor expansion and a pfaffian expansion
+are each one call. The tests check the kernel against frozen copies of the
+loops it replaced and against sympy.
 
 Conventions, all pinned by tests:
   * triangle(m, kind) lists the positions that determine a matrix: i < j

@@ -537,15 +537,13 @@ def sum_of_products(ring_: Ring, triples) -> Polynomial:
     """The sum of c*f*g over (c, f, g) triples, c an int, f and g in ring_.
 
     Raw products of coefficients meet in one dict and each coefficient is
-    reduced once. Inside, a monomial is packed one byte per variable, first
-    variable most significant, so a monomial product is one int addition.
-    That is exact while no exponent sum passes 255, so that no byte
-    carries. The bytes of the OR of the larger factor's packed monomials
-    bound its exponents from above; a monomial of the smaller factor passes
-    at once when neither has a byte of 128 or more, and otherwise when its
-    exponents plus those bounds stay at most 255. When a check fails, or an
-    exponent does not fit a byte, the whole sum is taken with Polynomial
-    arithmetic instead. Packed ints never leave this function.
+    reduced once. Monomials are packed one byte per variable, first
+    variable most significant, and no byte may carry. The bytes of the OR
+    of the larger factor's packed monomials bound its exponents; a monomial
+    of the smaller factor passes at once when neither has a byte of 128 or
+    more, else when its exponents plus those bounds stay at most 255. A
+    failed check, or an exponent above 255, sends the whole sum to
+    Polynomial arithmetic. Packed ints never leave this function.
     """
     triples = list(triples)
     n = ring_.nvars
