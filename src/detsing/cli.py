@@ -146,15 +146,13 @@ def worked_examples(field=QQ):
 
     A2 = generic_skew(2, field)
     det2 = determinant(A2)
-    x12 = A2.ring.var("x_1_2")
-    add("skew-2-determinant", det2 == x12 * x12, det=det2.format())
+    add("skew-2-determinant", det2 == A2.ring.parse("x_1_2^2"), det=det2.format())
 
     B2 = generic_sym(2, field)
     detB2 = determinant(B2)
-    vb = {n: B2.ring.var(n) for n in B2.ring.names}
     add(
         "sym-2-determinant",
-        detB2 == vb["x_1_1"] * vb["x_2_2"] - vb["x_1_2"] * vb["x_1_2"],
+        detB2 == B2.ring.parse("x_1_1*x_2_2 - x_1_2^2"),
         det=detB2.format(),
     )
 
@@ -192,11 +190,9 @@ def worked_examples(field=QQ):
 
     chB2 = make_chart(Center(B2.ring, B2.ring.names), "x_1_1")
     order2, strict2 = strict_transform_poly(detB2, chB2)
-    T2 = chB2.target
-    v2 = {n: T2.var(n) for n in T2.names}
     add(
         "sym-2-diag-chart-strict-determinant",
-        order2 == 2 and strict2 == v2["x_2_2p"] - v2["x_1_2p"] * v2["x_1_2p"],
+        order2 == 2 and strict2 == chB2.target.parse("x_2_2p - x_1_2p^2"),
         order=order2,
         strict=strict2.format(),
     )
@@ -205,10 +201,9 @@ def worked_examples(field=QQ):
     chB3 = make_chart(Center(B3.ring, B3.ring.names), "x_1_1")
     order3, strict3 = strict_transform_poly(determinant(B3), chB3)
     T3 = chB3.target
-    v3 = {n: T3.var(n) for n in T3.names}
-    y22 = v3["x_2_2p"] - v3["x_1_2p"] * v3["x_1_2p"]
-    y23 = v3["x_2_3p"] - v3["x_1_2p"] * v3["x_1_3p"]
-    y33 = v3["x_3_3p"] - v3["x_1_3p"] * v3["x_1_3p"]
+    y22 = T3.parse("x_2_2p - x_1_2p^2")
+    y23 = T3.parse("x_2_3p - x_1_2p*x_1_3p")
+    y33 = T3.parse("x_3_3p - x_1_3p^2")
     reduced = GenericMatrix(T3, [[y22, y23], [y23, y33]], "sym")
     add(
         "sym-3-diag-chart-strict-determinant",

@@ -76,10 +76,10 @@ class Rationals:
 
 
 class PrimeField:
-    """The field F_p for a prime p. Elements are ints in range(p)."""
+    """The field F_p for a prime p, an int. Elements are ints in range(p)."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if type(p) is not int or not _is_prime(p):
             raise BadParameters(f"not a prime: {p!r}")
         self.p = p
         self.char = p
@@ -134,7 +134,11 @@ def field_from_name(name: str):
     """Parse a field spec as used by the CLI and JSON formats.
 
     "Q" (or "QQ") is the rationals; "Fp:7" (or "GF(7)") is a prime field.
+    Anything else, a spec that is not a string included, raises
+    BadParameters.
     """
+    if not isinstance(name, str):
+        raise BadParameters(f"a field spec must be a string, got {name!r}")
     text = name.strip()
     if text in ("Q", "QQ"):
         return QQ

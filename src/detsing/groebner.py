@@ -19,9 +19,7 @@ Support masks (Bachmann & Schoenemann, ISSAC '98) stand in front of the
 exponent comparisons: a monomial whose support has a variable the other
 lacks cannot divide it. The reducer scan, the chain filter, the pruning of
 old pairs and the retiring of basis elements test masks before
-divisibility, and disjoint masks decide coprimality. Masks see the first
-64 variables only, so in wider rings the coprimality test also compares
-exponents.
+divisibility, and disjoint masks decide coprimality.
 """
 
 from __future__ import annotations
@@ -229,10 +227,6 @@ def _spoly_terms(g1: _Gen, g2: _Gen, lcm, field) -> dict:
     return terms
 
 
-def _coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     """Gebauer-Moeller installation of a new basis element h.
 
@@ -248,9 +242,6 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     g set to None, and groebner() skips it when it is popped.
     """
     hlm, hmask = h.lm, h.mask
-    # the masks see the first 64 variables only; past them, disjoint masks
-    # do not make two monomials coprime
-    wide = len(hlm) > 64
     # candidate new pairs, smallest lcm first, pairs sharing an lcm adjacent
     cands = sorted((order.key(lcm := m_lcm(g.lm, hlm)), g.age, lcm, g) for g in G)
     # one [key, lcm, lcm mask, g] per distinct lcm, g None when a pair with
@@ -262,7 +253,7 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     # reduces to zero and makes the other pairs with its lcm redundant, but
     # the lcm still takes part in the chain filter.
     for key, _, lcm, g in cands:
-        coprime = not (g.mask & hmask) and (not wide or _coprime(g.lm, hlm))
+        coprime = not (g.mask & hmask)
         if kept and kept[-1][1] == lcm:
             if coprime:
                 kept[-1][3] = None

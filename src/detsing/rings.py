@@ -75,13 +75,16 @@ _MASK_BITS = tuple(1 << i for i in range(64))
 
 
 def m_mask(a: Monomial) -> int:
-    """Support mask: bit i is set when variable i occurs in a (i < 64).
+    """Support mask: bit i is set exactly when variable i occurs in a.
 
     m_divides(a, b) implies not (m_mask(a) & ~m_mask(b)), so a nonzero
-    result rules out divisibility without comparing exponents. Variables
-    past the 64th are left out, which keeps that implication.
+    result rules out divisibility without comparing exponents, and two
+    monomials are coprime exactly when their masks are disjoint. Rings of
+    up to 64 variables read the bits from a table.
     """
-    return sum(compress(_MASK_BITS, a))
+    if len(a) <= 64:
+        return sum(compress(_MASK_BITS, a))
+    return sum(1 << i for i, e in enumerate(a) if e)
 
 
 def grevlex_key(a: Monomial):

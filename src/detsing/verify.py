@@ -1,10 +1,12 @@
 """Verification oracle for ideal-theoretic claims.
 
 Everything here reduces to Gröbner normal forms: membership, equality of
-ideals, radical membership (Rabinowitsch), saturation (elimination), the
-coordinate-subspace regularity certificate, the standing facts about skew
-and symmetric generic matrices, and the per-leaf embedded-resolution
-verdicts.  Results can be wrapped as JSON verdict objects.
+ideals, radical membership and saturation, the coordinate-subspace
+regularity certificate, the standing facts about skew and symmetric generic
+matrices, and the per-leaf embedded-resolution verdicts.  Radical membership
+and saturation share one Rabinowitsch extension I + ⟨1 − t·f⟩, with t a
+fresh variable after those of the ring; saturation eliminates t from it.
+Results can be wrapped as JSON verdict objects.
 """
 
 from collections import OrderedDict
@@ -44,10 +46,8 @@ def groebner_of(I: Ideal, order=None) -> GroebnerBasis:
     key = (I, None if order is None else order.spec)
     basis = _GB_CACHE.get(key)
     if basis is None:
-        if I.gens:
-            basis = groebner(I.gens, order)
-        else:
-            basis = GroebnerBasis(I.ring, order or grevlex_order(I.ring), ())
+        # the zero ideal has no generators; groebner() gives it the empty basis
+        basis = groebner(I.gens or [I.ring.zero()], order)
     return _remember(key, basis)
 
 
@@ -78,22 +78,24 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     return groebner_of(I).polys == groebner_of(J).polys
 
 
-def _fresh_name(ring_: Ring, stem: str) -> str:
-    name = stem
-    while name in ring_.index:
-        name += "_"
-    return name
+def _rabinowitsch(I: Ideal, f: Polynomial):
+    """The generators of I + ⟨1 − t·f⟩ in R[t], and the name of t: a fresh
+    variable, placed after the variables of R."""
+    if f.ring != I.ring:
+        raise RingMismatch("polynomial and ideal live in different rings")
+    R = I.ring
+    t = "t"
+    while t in R.index:
+        t += "_"
+    ext = Ring(list(R.names) + [t], R.field)
+    gens = [embed(g, ext) for g in I.gens]
+    gens.append(ext.one() - ext.var(t) * embed(f, ext))
+    return gens, t
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """f ∈ √I iff 1 ∈ I + ⟨1 − t·f⟩ with t a fresh variable."""
-    if f.ring != I.ring:
-        raise RingMismatch("polynomial and ideal live in different rings")
-    R = I.ring
-    t = _fresh_name(R, "t")
-    ext = Ring(list(R.names) + [t], R.field)
-    gens = [embed(g, ext) for g in I.gens]
-    gens.append(ext.one() - ext.var(t) * embed(f, ext))
+    gens, _ = _rabinowitsch(I, f)
     return groebner(gens).is_unit_ideal()
 
 
@@ -103,26 +105,21 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     The generators of the result are its reduced grevlex basis, which is
     also entered in the basis cache.
     """
-    if u.ring != I.ring:
-        raise RingMismatch("polynomial and ideal live in different rings")
+    gens, t = _rabinowitsch(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
     R = I.ring
-    t = _fresh_name(R, "t")
-    ext = Ring([t] + list(R.names), R.field)
-    gens = [embed(g, ext) for g in I.gens]
-    gens.append(ext.one() - ext.var(t) * embed(u, ext))
-    gb = groebner(gens, elimination_order(ext, [t]))
+    gb = groebner(gens, elimination_order(gens[-1].ring, [t]))
     # The t-free part of a reduced basis for the block order is the reduced
     # basis of the elimination ideal for the order restricted to R, which is
     # grevlex; groebner_of(out) would compute the same polynomials again.
     # Under the block order a polynomial is t-free exactly when its leading
-    # monomial is, and dropping that monomial's first exponent (t's) maps it
+    # monomial is, and dropping that monomial's last exponent (t's) maps it
     # into R.
-    free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[0]]
+    free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[-1]]
     kept = tuple(embed(p, R) for p, _ in free)
     out = Ideal(R, kept)
-    _remember((out, None), GroebnerBasis(R, grevlex_order(R), kept, [lm[1:] for _, lm in free]))
+    _remember((out, None), GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free]))
     return out
 
 
@@ -202,8 +199,8 @@ def check_lemma_counterexample(field=QQ) -> dict:
     _, g2p = strict_transform_poly(g2, chart)
     _, hp = strict_transform_poly(h, chart)
     transformed = Ideal(chart.target, [g1p, g2p])
-    in_transform = ideal_contains(transformed, hp)
     certificate = containment_witness(transformed, hp)
+    in_transform = certificate is None
 
     return verdict(
         "strict_transform_counterexample",

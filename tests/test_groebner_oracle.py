@@ -17,17 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detsing import verify
 from detsing.fields import QQ, PrimeField
 from detsing.groebner import _reduce_terms, elimination_order, grevlex_order, groebner, lex_order
-from detsing.matrices import generic_skew, generic_sym, minors_ideal
+from detsing.matrices import Ideal, generic_skew, generic_sym, minors_ideal
 from detsing.rings import Polynomial, Ring, embed, exact_div, m_divides, m_mask, ring
 
-from .oracles import gm_oracle_groebner, oracle_exact_div, oracle_groebner, oracle_normal_form
+from .oracles import _coprime, gm_oracle_groebner, oracle_exact_div, oracle_groebner, oracle_normal_form
 
 engine = importlib.import_module("detsing.groebner")
 
 FIELDS = (QQ, PrimeField(7), PrimeField(101))
 FIELD_IDS = ("QQ", "F7", "F101")
+SATURATION_FIELDS = (QQ, PrimeField(3), PrimeField(7), PrimeField(101))
+SATURATION_FIELD_IDS = ("QQ", "F3", "F7", "F101")
 
 
 def _orders(R):
@@ -83,17 +86,22 @@ def _with_inverse(gens, u):
     return out
 
 
-def _saturation_inputs(field):
+def _saturation_pairs(field):
+    """(generators of I, u) for saturations (I : u^∞)."""
     sym4 = generic_sym(4, field)
     skew5 = generic_skew(5, field)
     sym3 = generic_sym(3, field)
     return [
-        _with_inverse(minors_ideal(sym4, 3).gens, sym4.ring.var("x_1_1")),
-        _with_inverse(minors_ideal(sym4, 3).gens, minors_ideal(sym4, 2).gens[0]),
-        _with_inverse(minors_ideal(skew5, 4).gens, skew5.ring.var("x_1_2")),
-        _with_inverse(minors_ideal(sym3, 2).gens, sym3.ring.var("x_2_3")),
-        _with_inverse(_cubics(field), _cubics(field)[0].ring.var("x")),
+        (minors_ideal(sym4, 3).gens, sym4.ring.var("x_1_1")),
+        (minors_ideal(sym4, 3).gens, minors_ideal(sym4, 2).gens[0]),
+        (minors_ideal(skew5, 4).gens, skew5.ring.var("x_1_2")),
+        (minors_ideal(sym3, 2).gens, sym3.ring.var("x_2_3")),
+        (_cubics(field), _cubics(field)[0].ring.var("x")),
     ]
+
+
+def _saturation_inputs(field):
+    return [_with_inverse(gens, u) for gens, u in _saturation_pairs(field)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -179,7 +187,26 @@ def test_mask_never_rejects_a_divisor(pair):
 def test_mask_sets_one_bit_per_variable():
     assert m_mask((0, 2, 0, 1)) == 0b1010
     assert m_mask((0,) * 70) == 0
-    assert m_mask((1,) * 70) == (1 << 64) - 1
+    assert m_mask((1,) * 70) == (1 << 70) - 1
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 70, 130])
+def test_masks_decide_coprimality_at_every_width(width):
+    # Disjoint masks must mean coprime in any ring, also past 64 variables,
+    # where the groebner kernel has no second, exponent-wise test.
+    rng = random.Random(width)
+    for _ in range(300):
+        a, b = (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width)) for _ in range(2))
+        if rng.random() < 0.3:
+            # sparse pairs, so that coprime ones occur at every width
+            a = tuple(e if rng.random() < 0.1 else 0 for e in a)
+            b = tuple(e if rng.random() < 0.1 else 0 for e in b)
+        assert (not (m_mask(a) & m_mask(b))) == _coprime(a, b)
+        assert m_mask(a) == sum(1 << i for i, e in enumerate(a) if e)
+        ab = tuple(x + y for x, y in zip(a, b))
+        for lo, hi in ((a, ab), (b, ab), (a, b)):
+            if m_divides(lo, hi):
+                assert not (m_mask(lo) & ~m_mask(hi))
 
 
 class _PopRecorder:
@@ -248,6 +275,46 @@ def test_saturations_keep_the_frozen_traversal():
     assert dead > 0
 
 
+def _t_first_saturation(gens, u):
+    """(I : u^∞) as saturate built it with t first: eliminate t from
+    I + <1 - t*u> under the block order, keep the basis elements whose
+    leading monomial has no t."""
+    ext_gens = _with_inverse(gens, u)
+    gb = groebner(ext_gens, elimination_order(ext_gens[0].ring, ["t"]))
+    return tuple(embed(p, u.ring) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[0])
+
+
+def _reduce_calls(monkeypatch, run):
+    """run()'s result and the sizes (terms, basis, remainder) of each
+    _reduce_terms call it makes, in order."""
+    calls = []
+    reduce_terms = engine._reduce_terms
+
+    def recorded(terms, basis, *rest):
+        out = reduce_terms(terms, basis, *rest)
+        calls.append((len(terms), len(basis), len(out)))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_reduce_terms", recorded)
+        result = run()
+    return result, calls
+
+
+@pytest.mark.parametrize("field", SATURATION_FIELDS, ids=SATURATION_FIELD_IDS)
+def test_saturation_keeps_the_t_first_traversal(field, monkeypatch):
+    # saturate places t last; the block order compares the same exponents,
+    # so it does the work of the t-first construction, call for call, and
+    # the basis it hands to the cache has R's leading monomials.
+    for gens, u in _saturation_pairs(field):
+        frozen, frozen_calls = _reduce_calls(monkeypatch, lambda: _t_first_saturation(gens, u))
+        out, calls = _reduce_calls(monkeypatch, lambda: verify.saturate(Ideal(u.ring, gens), u))
+        assert calls == frozen_calls
+        assert out.gens == frozen
+        handed_over = verify.groebner_of(out)
+        assert handed_over.leading_monomials() == groebner(frozen).leading_monomials()
+
+
 # inhomogeneous polynomials in x, y, z: up to three terms of degree <= 3
 _TERMS = st.lists(
     st.tuples(
@@ -277,14 +344,14 @@ def test_random_inhomogeneous_inputs_keep_the_frozen_traversal(field, order_name
 
 
 def test_pair_sharing_a_variable_past_the_mask_is_not_coprime():
-    # The support mask sees the first 64 variables only: v1*v65 and v0*v65
-    # have disjoint masks but share v65, so their pair must still be formed.
-    # Treated as coprime, it would be dropped and the basis would miss v0 - v1.
+    # v1*v65 and v0*v65 share v65, past the 64th variable: their masks must
+    # intersect, so that their pair is formed. Treated as coprime, it would
+    # be dropped and the basis would miss v0 - v1.
     R = ring(" ".join(f"v{i}" for i in range(70)))
     v0, v1, v65 = R.var("v0"), R.var("v1"), R.var("v65")
     gens = [v0 * v65 - 1, v1 * v65 - 1]
     lms = [g.leading(grevlex_order(R).key)[0] for g in gens]
-    assert not (m_mask(lms[0]) & m_mask(lms[1]))
+    assert m_mask(lms[0]) & m_mask(lms[1])
     recorder = _assert_same_traversal(gens, grevlex_order(R))
     # seeds: v1*v65 - 1 is age 0, v0*v65 - 1 age 1
     assert (0, 1) in [(g_age, h_age) for *_, g_age, h_age in recorder.popped]

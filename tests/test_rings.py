@@ -186,6 +186,20 @@ def test_field_from_name_round_trip():
         field_from_name("R")
 
 
+@pytest.mark.parametrize("spec", [7, 5.0, None, b"Q", ["Q"]])
+def test_field_spec_that_is_not_a_string_is_refused(spec):
+    with pytest.raises(BadParameters):
+        field_from_name(spec)
+    with pytest.raises(BadParameters):
+        Ring.from_json({"field": spec, "vars": ["x"]})
+
+
+@pytest.mark.parametrize("p", [7.0, 2.0, True, "7", Fraction(7)])
+def test_prime_field_refuses_a_characteristic_that_is_not_an_int(p):
+    with pytest.raises(BadParameters):
+        PrimeField(p)
+
+
 def test_substitution_frozen_example():
     # det B_2 under the first diagonal blow-up chart:
     # x_1_1 -> a, x_1_2 -> a*b, x_2_2 -> a*c

@@ -102,6 +102,16 @@ def test_saturation(R):
     assert ideal_equal(saturate(I, R.one()), I)
     with pytest.raises(BadParameters):
         saturate(I, R.zero())
+    # a unit from another ring is refused as such, even when it is zero
+    for other in (ring("q").var("q"), ring("q").zero()):
+        with pytest.raises(RingMismatch):
+            saturate(I, other)
+        with pytest.raises(RingMismatch):
+            radical_member(other, I)
+    # fresh-variable hygiene: a ring that already uses the name t
+    Rt = ring("t u")
+    t, u = Rt.vars()
+    assert ideal_equal(saturate(Ideal(Rt, [t * u, t ** 2]), u), Ideal(Rt, [t]))
 
 
 def test_saturation_clears_exceptional_powers(R):
