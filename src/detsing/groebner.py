@@ -16,10 +16,20 @@ removed from the heap: its entry is marked dead in place, and the pair loop
 drops it when it is popped.
 
 Support masks (Bachmann & Schoenemann, ISSAC '98) stand in front of the
-exponent comparisons: a monomial whose support has a variable the other
-lacks cannot divide it. The reducer scan, the chain filter, the pruning of
-old pairs and the retiring of basis elements test masks before
+exponent comparisons of the pair bookkeeping: a monomial whose support has
+a variable the other lacks cannot divide it. The chain filter, the pruning
+of old pairs and the retiring of basis elements test masks before
 divisibility, and disjoint masks decide coprimality.
+
+The reducer and the S-polynomials work on packed monomials (same paper):
+one int of W-bit fields whose int order is the monomial order, with M =
+2^(W-1) - 1 the largest field value: [deg, M - x_n, ..., M - x_1] for
+grevlex, the same per block for an elimination order, [x_1, ..., x_n] for
+lex. A monomial product is one int addition and divisibility one guard-bit
+test. The seeds, each reduction step and each new pair check that no field
+passes M; a failed check redoes the call at twice the width, so no result
+depends on W. groebner() packs its seeds and unpacks its basis once; a
+GroebnerBasis packs its elements at its first reduce().
 """
 
 from __future__ import annotations
@@ -27,25 +37,23 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from operator import itemgetter, neg
+from operator import attrgetter, itemgetter, mul, neg
 from typing import Iterable
 
 from .errors import BadParameters, ResourceLimit, RingMismatch
 from .rings import (
     Polynomial,
     Ring,
-    grevlex_heap_key,
     grevlex_key,
-    m_div,
     m_divides,
     m_lcm,
     m_mask,
-    m_mul,
 )
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_TERMS = 200_000
 _MAX_TERMS_ENV = os.environ.get("DETSING_MAX_TERMS")
+_WIDTH = 16  # bits per packed field at the first try
 
 
 def _positive(name: str, value) -> int:
@@ -82,16 +90,15 @@ def term_cap(max_terms: int = None) -> int:
 class MonomialOrder:
     """A total order on exponent tuples given by a flat integer sort key.
 
-    key(m) ascends with the order; heap_key(m) is its negation, built
-    directly, for min-heaps that must pop the largest monomial first.
+    key(m) ascends with the order. spec names the order and the number of
+    variables of its ring; the Groebner kernel builds its packing from it.
     """
 
-    __slots__ = ("spec", "key", "heap_key")
+    __slots__ = ("spec", "key")
 
-    def __init__(self, spec: tuple, key, heap_key):
+    def __init__(self, spec: tuple, key):
         self.spec = spec
         self.key = key
-        self.heap_key = heap_key
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.spec == other.spec
@@ -104,11 +111,11 @@ class MonomialOrder:
 
 
 def grevlex_order(ring_: Ring) -> MonomialOrder:
-    return MonomialOrder(("grevlex", ring_.nvars), grevlex_key, grevlex_heap_key)
+    return MonomialOrder(("grevlex", ring_.nvars), grevlex_key)
 
 
 def lex_order(ring_: Ring) -> MonomialOrder:
-    return MonomialOrder(("lex", ring_.nvars), tuple, lambda m: tuple(map(neg, m)))
+    return MonomialOrder(("lex", ring_.nvars), tuple)
 
 
 def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
@@ -129,68 +136,142 @@ def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
         f, b = v[:k], v[k:]
         return (sum(f), *map(neg, f), sum(b), *map(neg, b))
 
-    def heap_key(m):
-        v = permute(m)
-        f, b = v[:k], v[k:]
-        return (-sum(f),) + f + (-sum(b),) + b
+    return MonomialOrder(("elim", ring_.nvars, front), key)
 
-    return MonomialOrder(("elim", ring_.nvars, front), key, heap_key)
+
+class _Overflow(Exception):
+    """A packed field would pass its largest value M."""
+
+
+class _Packing:
+    """The packed monomials of one order at field width W.
+
+    Each field holds +1 or -1 times the exponent sum of some variables, plus
+    M when negated: pack(a) = C + sum(a_i * weights[i]), so pack(a*b) =
+    pack(a) + pack(b) - C. Packed a divides packed b exactly when
+    (a - b + K) & GV == GC: K lifts each field of a - b into [0, 2^W), and
+    a field's guard (top) bit is then set exactly when a's field is at
+    least b's, if negated, or greater, if not. deg(p) adds up the fields
+    that are not negated.
+    """
+
+    __slots__ = ("order", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg")
+
+    def __init__(self, order: MonomialOrder, width: int):
+        kind, n = order.spec[:2]
+        M = self.M = (1 << width - 1) - 1
+        self.order, self.width = order, width
+        if kind == "lex":
+            fields = [(1, (i,)) for i in range(n)]
+        else:
+            front = order.spec[2] if kind == "elim" else ()
+            blocks = [b for b in (front, tuple(i for i in range(n) if i not in front)) if b]
+            fields = [f for b in blocks for f in [(1, b)] + [(-1, (i,)) for i in b[::-1]]]
+        self.weights, self.slots, shifts = [0] * n, [None] * n, []
+        self.C = self.K = self.GV = self.GC = 0
+        for j, (sign, block) in enumerate(reversed(fields)):
+            s, guard = j * width, 1 << (j + 1) * width - 1
+            for i in block:
+                self.weights[i] += sign << s
+            if len(block) == 1:
+                # unpack reads each variable from a field that holds it alone
+                self.slots[block[0]] = (s, sign, M if sign < 0 else 0)
+            self.K += M + (sign < 0) << s
+            self.GV += guard
+            if sign < 0:
+                self.C += M << s
+                self.GC += guard
+            else:
+                shifts.append(s)
+        fm, top = (1 << width) - 1, (len(fields) - 1) * width
+        # for grevlex the degree is the top field
+        self.deg = (lambda p: p >> top) if shifts == [top] else (lambda p: sum([p >> s & fm for s in shifts]))
+
+    def pack(self, a) -> int:
+        return sum(map(mul, a, self.weights), self.C)
+
+    def unpack(self, p: int) -> tuple:
+        fm = (1 << self.width) - 1
+        return tuple([base + sign * (p >> s & fm) for s, sign, base in self.slots])
+
+    def pack_terms(self, terms: dict) -> dict:
+        """Packed copy of a term dict; _Overflow when a degree passes M."""
+        if max(map(sum, terms), default=0) > self.M:
+            raise _Overflow
+        return dict(zip(map(self.pack, terms), terms.values()))
+
+
+def _widening(order: MonomialOrder, run, pk: _Packing = None):
+    """run(pk), by default at the default width, and while it overflows,
+    again at twice the width."""
+    pk = pk or _Packing(order, _WIDTH)
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            pk = _Packing(order, 2 * pk.width)
 
 
 class _Gen:
-    """A basis element: term dict plus its leading monomial, the leading
-    coefficient, the support mask of the leading monomial, and sugar."""
+    """A basis element: packed term dict plus its packed and tuple leading
+    monomial, the leading coefficient, the support mask of the leading
+    monomial, sugar, age and room: a multiple of the element that cancels
+    a monomial m packs exactly while deg(m) <= room."""
 
-    __slots__ = ("terms", "lm", "lc", "mask", "sugar", "age")
+    __slots__ = ("terms", "plm", "lm", "lc", "mask", "room", "sugar", "age")
 
-    def __init__(self, terms: dict, lm, sugar: int, age: int):
+    def __init__(self, pk: _Packing, terms: dict, sugar: int, age: int):
         self.terms = terms
-        self.lm = lm
-        self.lc = terms[lm]
+        self.plm = plm = max(terms)
+        self.lm = lm = pk.unpack(plm)
+        self.lc = terms[plm]
         self.mask = m_mask(lm)
+        self.room = pk.M - max(map(pk.deg, terms)) + sum(lm)
         self.sugar = sugar
         self.age = age
 
 
-def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_terms: int) -> dict:
-    """Full normal form of a term dict against the basis elements.
+def _reduce_terms(terms: dict, basis: list, pk: _Packing, field, max_terms: int) -> dict:
+    """Full normal form of a packed term dict against the basis elements.
 
-    Lazy max-heap over candidate monomials; every monomial introduced by a
-    reduction step is strictly smaller than the one just cancelled, so each
-    monomial is settled exactly once, from the largest down: the first key
-    of the remainder is its leading monomial.
+    Lazy max-heap (of negated ints) over candidate monomials; every monomial
+    introduced by a reduction step is strictly smaller than the one just
+    cancelled, so each monomial is settled exactly once, from the largest
+    down: the first key of the remainder is its leading monomial.
     """
     if not terms:
         return {}
     work = dict(terms)
-    heap_key = order.heap_key
-    heap = [(heap_key(m), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
     remainder: dict = {}
     reduce, div = field.reduce, field.div
+    deg, K, GV, GC = pk.deg, pk.K, pk.GV, pk.GC
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heapq.heappop(heap)
         c = work.get(m)
         if c is None:
             continue
-        off = ~m_mask(m)
+        lifted = K - m
         for g in basis:
-            if not (g.mask & off) and m_divides(g.lm, m):
+            if (g.plm + lifted) & GV == GC:
                 break
         else:
             remainder[m] = c
             del work[m]
             continue
-        shift = m_div(m, g.lm)
+        if deg(m) > g.room:
+            raise _Overflow
+        shift = m - g.plm
         coef = div(c, g.lc)
         for gm, gc in g.terms.items():
-            tm = m_mul(gm, shift)
+            tm = gm + shift
             cur = work.get(tm)
             if cur is None:
                 val = reduce(-gc * coef)
                 if val:
                     work[tm] = val
-                    heapq.heappush(heap, (heap_key(tm), tm))
+                    heapq.heappush(heap, -tm)
             else:
                 val = reduce(cur - gc * coef)
                 if val:
@@ -206,19 +287,19 @@ def _reduce_terms(terms: dict, basis: list, order: MonomialOrder, field, max_ter
     return remainder
 
 
-def _spoly_terms(g1: _Gen, g2: _Gen, lcm, field) -> dict:
-    """Term dict of the S-polynomial of g1 and g2, whose leading monomials
-    have the given lcm."""
-    s1 = m_div(lcm, g1.lm)
-    s2 = m_div(lcm, g2.lm)
+def _spoly_terms(g1: _Gen, g2: _Gen, lcm: int, field) -> dict:
+    """Packed term dict of the S-polynomial of g1 and g2, whose leading
+    monomials have the given packed lcm."""
+    s1 = lcm - g1.plm
+    s2 = lcm - g2.plm
     reduce = field.reduce
     inv1 = field.inv(g1.lc)
     inv2 = field.inv(g2.lc)
     terms: dict = {}
     for m, c in g1.terms.items():
-        terms[m_mul(m, s1)] = reduce(c * inv1)
+        terms[m + s1] = reduce(c * inv1)
     for m, c in g2.terms.items():
-        tm = m_mul(m, s2)
+        tm = m + s2
         val = reduce(terms.get(tm, 0) - c * inv2)
         if val:
             terms[tm] = val
@@ -227,7 +308,7 @@ def _spoly_terms(g1: _Gen, g2: _Gen, lcm, field) -> dict:
     return terms
 
 
-def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
+def _update(G: list, pairs: list, h: _Gen, pk: _Packing):
     """Gebauer-Moeller installation of a new basis element h.
 
     Forms the filtered pairs (g, h), prunes old pairs whose lcm is a proper
@@ -237,34 +318,36 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
     pair's lcm; of those that share an lcm, only the one with the oldest g
     is kept, and none is kept when any of them is coprime. `pairs` is a
     heap of [priority, lcm, lcm mask, g, h] entries with priority (sugar,
-    key(lcm), ages): the ages make every priority unique, so the pop order
-    never depends on the heap layout. A pruned entry stays in the heap with
-    g set to None, and groebner() skips it when it is popped.
+    packed lcm, ages): the ages make every priority unique, so the pop
+    order never depends on the heap layout. A pruned entry stays in the
+    heap with g set to None, and groebner() skips it when it is popped.
+    A kept pair whose S-polynomial would not pack raises _Overflow.
     """
     hlm, hmask = h.lm, h.mask
     # candidate new pairs, smallest lcm first, pairs sharing an lcm adjacent
-    cands = sorted((order.key(lcm := m_lcm(g.lm, hlm)), g.age, lcm, g) for g in G)
-    # one [key, lcm, lcm mask, g] per distinct lcm, g None when a pair with
-    # it is coprime
+    key = pk.order.key
+    cands = sorted((key(lcm := m_lcm(g.lm, hlm)), g.age, lcm, g) for g in G)
+    # one [lcm, lcm mask, g] per distinct lcm, g None when a pair with it is
+    # coprime
     kept: list = []
     # Ascending lcm order: any proper divisor of the current lcm was seen
     # already, so filtering against `kept` realizes the chain criterion.
     # Buchberger's coprimality criterion: a coprime pair's S-polynomial
     # reduces to zero and makes the other pairs with its lcm redundant, but
     # the lcm still takes part in the chain filter.
-    for key, _, lcm, g in cands:
+    for _, _, lcm, g in cands:
         coprime = not (g.mask & hmask)
-        if kept and kept[-1][1] == lcm:
+        if kept and kept[-1][0] == lcm:
             if coprime:
-                kept[-1][3] = None
+                kept[-1][2] = None
             continue
         mask = g.mask | hmask
         off = ~mask
         for other in kept:
-            if not (other[2] & off) and m_divides(other[1], lcm):
+            if not (other[1] & off) and m_divides(other[0], lcm):
                 break
         else:
-            kept.append([key, lcm, mask, None if coprime else g])
+            kept.append([lcm, mask, None if coprime else g])
     # prune old pairs: mark (g1, g2) dead when lm(h) properly divides their lcm
     for entry in pairs:
         if not (hmask & ~entry[2]) and entry[3] is not None:
@@ -272,11 +355,13 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
             if m_divides(hlm, lcm) and m_lcm(entry[3].lm, hlm) != lcm and m_lcm(entry[4].lm, hlm) != lcm:
                 entry[3] = None
     deg_h = sum(hlm)
-    for key, lcm, mask, g in kept:
+    for lcm, mask, g in kept:
         if g is not None:
             deg = sum(lcm)
+            if deg > g.room or deg > h.room:
+                raise _Overflow
             sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
-            heapq.heappush(pairs, [(sugar,) + key + (g.age, h.age), lcm, mask, g, h])
+            heapq.heappush(pairs, [(sugar, pk.pack(lcm), g.age, h.age), lcm, mask, g, h])
     # retire basis elements made redundant by h; h is reduced against G, so
     # lm(h) divides no lm in G without properly dividing it
     G[:] = [g for g in G if hmask & ~g.mask or not m_divides(hlm, g.lm)]
@@ -286,26 +371,33 @@ def _update(G: list, pairs: list, h: _Gen, order: MonomialOrder):
 class GroebnerBasis:
     """A reduced, monic Groebner basis bound to a ring and an order."""
 
-    __slots__ = ("ring", "order", "polys", "_gens")
+    __slots__ = ("ring", "order", "polys", "_lms", "_packed")
 
     def __init__(self, ring_: Ring, order: MonomialOrder, polys: tuple, lms=None):
         """lms: the leading monomials of polys, when they are already known."""
         self.ring = ring_
         self.order = order
         self.polys = polys
-        if lms is None:
-            lms = [max(p.terms, key=order.key) for p in polys]
-        # sugar and age steer pair selection only, which a finished basis has done
-        self._gens = [_Gen(p.terms, lm, 0, 0) for p, lm in zip(polys, lms)]
+        self._lms = [max(p.terms, key=order.key) for p in polys] if lms is None else lms
+        # (packing, packed elements), made by the first reduce()
+        self._packed = (None, None)
 
     def reduce(self, f: Polynomial, max_terms: int = None) -> Polynomial:
         """Full normal form of f against the basis."""
         if f.ring != self.ring:
             raise RingMismatch("polynomial is not in the basis ring")
-        terms = _reduce_terms(
-            f.terms, self._gens, self.order, self.ring.field, term_cap(max_terms)
-        )
-        return Polynomial(self.ring, terms)
+        cap = term_cap(max_terms)
+
+        def run(pk):
+            held, gens = self._packed
+            if held is not pk:
+                # sugar and age steer only pair selection, which is done
+                gens = [_Gen(pk, pk.pack_terms(p.terms), 0, 0) for p in self.polys]
+                self._packed = (pk, gens)
+            terms = _reduce_terms(pk.pack_terms(f.terms), gens, pk, self.ring.field, cap)
+            return Polynomial(self.ring, {pk.unpack(m): c for m, c in terms.items()})
+
+        return _widening(self.order, run, self._packed[0])
 
     def contains(self, f: Polynomial, max_terms: int = None) -> bool:
         return self.reduce(f, max_terms=max_terms).is_zero()
@@ -314,7 +406,7 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0].is_one()
 
     def leading_monomials(self) -> list:
-        return [g.lm for g in self._gens]
+        return list(self._lms)
 
     def __iter__(self):
         return iter(self.polys)
@@ -336,7 +428,9 @@ def groebner(
     """Reduced Groebner basis of the given generators (list or Ideal).
 
     Raises ResourceLimit when the basis or any working polynomial outgrows
-    its cap. The result is independent of generator order (tested).
+    its cap. The result is independent of generator order (tested). An
+    order that is not one of the three kinds above raises BadParameters, and
+    one of a ring of another size RingMismatch.
     """
     max_basis = DEFAULT_MAX_BASIS if max_basis is None else _positive("max_basis", max_basis)
     max_terms = term_cap(max_terms)
@@ -349,7 +443,10 @@ def groebner(
             raise RingMismatch("generators must be polynomials of one ring")
     if order is None:
         order = grevlex_order(ring_)
-    field = ring_.field
+    elif not isinstance(order, MonomialOrder) or order.spec[0] not in ("grevlex", "elim", "lex"):
+        raise BadParameters(f"order must be a grevlex, elimination or lex MonomialOrder, got {order!r}")
+    elif order.spec[1] != ring_.nvars:
+        raise RingMismatch(f"{order!r} is an order of {order.spec[1]} variables, not {ring_.nvars}")
 
     # deterministic seed order: by leading monomial, then term count, then
     # text; the text is printed only for runs that tie on the first two
@@ -364,36 +461,40 @@ def groebner(
     for _, run in itertools.groupby(keyed, key=itemgetter(0)):
         run = [g for _, g in run]
         nonzero += sorted(run, key=Polynomial.format) if len(run) > 1 else run
+    return _widening(order, lambda pk: _buchberger(ring_, nonzero, pk, max_basis, max_terms))
 
+
+def _buchberger(ring_: Ring, seeds: list, pk: _Packing, max_basis: int, max_terms: int) -> GroebnerBasis:
+    """The reduced basis of the sorted nonzero seeds, on packed monomials."""
+    field = ring_.field
     G: list = []
     pairs: list = []
     ages = itertools.count()
-    for g in nonzero:
-        reduced = _reduce_terms(g.terms, G, order, field, max_terms)
+    for g in seeds:
+        reduced = _reduce_terms(pk.pack_terms(g.terms), G, pk, field, max_terms)
         if reduced:
-            sugar = max(sum(m) for m in reduced)
-            _update(G, pairs, _Gen(reduced, next(iter(reduced)), sugar, next(ages)), order)
+            _update(G, pairs, _Gen(pk, reduced, max(map(pk.deg, reduced)), next(ages)), pk)
 
     while pairs:
-        priority, lcm, _, g1, g2 = heapq.heappop(pairs)
+        priority, _, _, g1, g2 = heapq.heappop(pairs)
         if g1 is None:
             continue
         if len(G) > max_basis:
             raise ResourceLimit(f"basis exceeded the size cap ({max_basis})", basis_size=len(G))
-        reduced = _reduce_terms(_spoly_terms(g1, g2, lcm, field), G, order, field, max_terms)
+        reduced = _reduce_terms(_spoly_terms(g1, g2, priority[1], field), G, pk, field, max_terms)
         if reduced:
-            _update(G, pairs, _Gen(reduced, next(iter(reduced)), priority[0], next(ages)), order)
+            _update(G, pairs, _Gen(pk, reduced, priority[0], next(ages)), pk)
 
     # Inter-reduce the survivors into the unique reduced basis. No leading
     # monomial divides another, so each element keeps its leading term, and
     # sorting G by it once puts the result in order.
-    G.sort(key=lambda g: order.key(g.lm))
+    G.sort(key=attrgetter("plm"))
     polys = []
     for i, g in enumerate(G):
-        terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], order, field, max_terms)
+        terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], pk, field, max_terms)
         inv = field.inv(g.lc)
-        polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
-    return GroebnerBasis(ring_, order, tuple(polys), [g.lm for g in G])
+        polys.append(Polynomial(ring_, {pk.unpack(m): field.reduce(c * inv) for m, c in terms.items()}))
+    return GroebnerBasis(ring_, pk.order, tuple(polys), [g.lm for g in G])
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis, max_terms: int = None) -> Polynomial:

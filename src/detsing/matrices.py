@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ, require_field
-from .rings import Polynomial, Ring, exact_div, ring, sum_of_products
+from .rings import Polynomial, Ring, exact_div, json_list, ring, sum_of_products
 
 
 class GenericMatrix:
@@ -78,9 +78,11 @@ class GenericMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "GenericMatrix":
-        ring_ = Ring.from_json(data["ring"])
-        rows = [[ring_.parse(s) for s in row] for row in data["entries"]]
-        return cls(ring_, rows, data["kind"])
+        rows = json_list(data, "entries")
+        ring_ = Ring.from_json(data.get("ring"))
+        if data.get("kind") not in ("skew", "sym", "general") or not all(type(r) is list for r in rows):
+            raise BadParameters("a JSON matrix needs a known 'kind' and its 'entries' as lists of rows")
+        return cls(ring_, [[ring_.parse(s) for s in row] for row in rows], data["kind"])
 
     @classmethod
     def from_triangle(cls, ring_: Ring, m: int, entries: dict, kind: str) -> "GenericMatrix":
@@ -323,8 +325,9 @@ class Ideal:
 
     @classmethod
     def from_json(cls, data: dict) -> "Ideal":
-        ring_ = Ring.from_json(data["ring"])
-        return cls(ring_, tuple(ring_.parse(s) for s in data["generators"]))
+        gens = json_list(data, "generators")
+        ring_ = Ring.from_json(data.get("ring"))
+        return cls(ring_, tuple(ring_.parse(s) for s in gens))
 
     def __iter__(self):
         return iter(self.gens)

@@ -9,10 +9,13 @@ Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
 ``sum_of_products`` forms a whole sum of products c*f*g that way, for the
-determinant routes in ``matrices``. Inside it only, each monomial is packed
+determinant routes in ``matrices``. Inside it, each monomial is packed
 one byte per variable into an int, so a monomial product is one int
 addition; packing is exact while no exponent sum passes 255, and a sum it
-cannot prove within that bound is taken with Polynomial arithmetic.
+cannot prove within that bound is taken with Polynomial arithmetic. The
+Groebner kernel packs monomials too, in its own order-preserving layout
+(see ``groebner``); packed ints never leave either, and every other
+routine works on exponent tuples.
 A substitution expands each term factor by factor, which is cheap for the
 chart tree's images: monomials, or polynomials met at power 1 or 2.
 
@@ -42,6 +45,7 @@ from operator import add, le, neg, or_, sub
 from typing import Iterable
 
 from .errors import (
+    BadParameters,
     DuplicateVariable,
     ParseError,
     RingMismatch,
@@ -118,7 +122,7 @@ class Ring:
         names = tuple(names)
         seen = set()
         for n in names:
-            if not _NAME_RE.fullmatch(n):
+            if not isinstance(n, str) or not _NAME_RE.fullmatch(n):
                 raise ParseError(f"bad variable name {n!r}")
             if n in seen:
                 raise DuplicateVariable(f"variable {n!r} declared twice")
@@ -162,7 +166,7 @@ class Ring:
 
     @classmethod
     def from_json(cls, data: dict) -> "Ring":
-        return cls(data["vars"], field_from_name(data["field"]))
+        return cls(json_list(data, "vars"), field_from_name(data.get("field")))
 
     def __eq__(self, other):
         return (
@@ -176,6 +180,14 @@ class Ring:
     def __repr__(self):
         shown = ",".join(self.names[:6]) + (",..." if len(self.names) > 6 else "")
         return f"Ring({self.field!r}; {shown})"
+
+
+def json_list(data, key: str) -> list:
+    """data[key] when data is a JSON object and data[key] a list."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, list):
+        raise BadParameters(f"expected a JSON object whose {key!r} is a list")
+    return value
 
 
 def ring(names: Iterable[str], field=QQ) -> Ring:

@@ -7,11 +7,16 @@ not sympy is a frozen copy of the Groebner kernel and of exact division as
 they stood before the support masks, the complete Gebauer-Moeller update,
 the direct heap keys and the heap division (see "Frozen kernel" below);
 the differential tests hold the package's kernel to it. It shares only the
-Polynomial container with the package. A second frozen route is the pair
-bookkeeping of the complete Gebauer-Moeller update as it stood before its
-mask pretests and deletion marks (see "Frozen pair update" below); it runs
-the package's reducer and records the pairs it pops, so the differential
-tests can require the same traversal, not only the same basis. A third
+Polynomial container with the package. Its reducer and S-polynomial work
+on exponent tuples and do what the package's did before they moved to
+packed monomials: the same reducer choice (the first basis element whose
+leading monomial divides) and the same largest-first heap order. A second
+frozen route is the pair bookkeeping of the complete Gebauer-Moeller
+update as it stood before its mask pretests and deletion marks (see
+"Frozen pair update" below); it runs the frozen reducer and S-polynomial,
+and records the pairs it pops and the sizes of its normal forms, so the
+differential tests can require the same traversal and the same work, not
+only the same basis. A third
 frozen route is the field of rationals as it stood when every element was
 a Fraction (``FractionQQ``); rings over it run the package's own algebra,
 and the differential tests hold the int-when-integral ``QQ`` to it. A
@@ -23,7 +28,6 @@ its callers in ``matrices`` to them.
 """
 
 import heapq
-import importlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, count
 
@@ -31,9 +35,6 @@ import sympy
 
 from detsing.errors import ResourceLimit
 from detsing.rings import Polynomial, exact_div
-
-# the module: the package's top level binds the name groebner to the function
-engine = importlib.import_module("detsing.groebner")
 
 
 def to_sympy(f, syms=None):
@@ -346,14 +347,14 @@ def oracle_exact_div(f, g):
 # -- Frozen pair update --------------------------------------------------------
 # The complete Gebauer-Moeller update and the pair loop of groebner() as they
 # stood before the mask pretests, the mask coprimality test and the deletion
-# marks; the reducer, the S-polynomial and the basis elements are the
-# package's. Change nothing here except to fix the copy itself.
+# marks, on the frozen reducer and S-polynomial above. Change nothing here
+# except to fix the copy itself.
 
 
-def _gm_update(G, pairs, h, order):
-    cands = sorted((order.key(lcm := _m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
+def _gm_update(G, pairs, h, key):
+    cands = sorted((key(lcm := _m_lcm(g.lm, h.lm)), g.age, lcm, g) for g in G)
     kept = []
-    for key, _, lcm, g in cands:
+    for k, _, lcm, g in cands:
         coprime = _coprime(g.lm, h.lm)
         if kept and kept[-1][1] == lcm:
             if coprime:
@@ -361,7 +362,7 @@ def _gm_update(G, pairs, h, order):
             continue
         if any(_m_divides(other, lcm) for _, other, _ in kept):
             continue
-        kept.append([key, lcm, None if coprime else g])
+        kept.append([k, lcm, None if coprime else g])
     pairs[:] = [
         (priority, lcm, g1, g2) for priority, lcm, g1, g2 in pairs
         if not (_m_divides(h.lm, lcm) and _m_lcm(g1.lm, h.lm) != lcm
@@ -369,11 +370,11 @@ def _gm_update(G, pairs, h, order):
     ]
     heapq.heapify(pairs)
     deg_h = sum(h.lm)
-    for key, lcm, g in kept:
+    for k, lcm, g in kept:
         if g is not None:
             deg = sum(lcm)
             sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
-            heapq.heappush(pairs, ((sugar,) + key + (g.age, h.age), lcm, g, h))
+            heapq.heappush(pairs, ((sugar,) + k + (g.age, h.age), lcm, g, h))
     G[:] = [g for g in G if not (_m_divides(h.lm, g.lm) and g.lm != h.lm)]
     G.append(h)
 
@@ -381,41 +382,48 @@ def _gm_update(G, pairs, h, order):
 def gm_oracle_groebner(gens, order):
     """Run the frozen pair update on gens. Returns the reduced basis (a tuple
     of Polynomials), the leading monomials of the working basis before
-    inter-reduction, in ascending order, and the popped pairs as
-    (priority, lcm, g.age, h.age) tuples in pop order."""
+    inter-reduction, in ascending order, the popped pairs as (sugar, lcm,
+    g.age, h.age) tuples in pop order, and the sizes (terms in, basis,
+    remainder) of every normal form, in order."""
     gen_list = list(gens)
     ring_ = gen_list[0].ring
+    key = _frozen_key(order.spec)
     field = ring_.field
+    calls = []
+
+    def normal_form(terms, basis):
+        out = _reduce_terms(terms, basis, key, field, ORACLE_MAX_TERMS)
+        calls.append((len(terms), len(basis), len(out)))
+        return out
+
     nonzero = [g for g in gen_list if not g.is_zero()]
     if not nonzero:
-        return (), [], []
-    nonzero.sort(key=lambda g: (order.key(g.leading(order.key)[0]), g.num_terms(), g.format()))
+        return (), [], [], calls
+    nonzero.sort(key=lambda g: (key(g.leading(key)[0]), g.num_terms(), g.format()))
     G = []
     pairs = []
     popped = []
     ages = count()
     for g in nonzero:
-        reduced = engine._reduce_terms(g.terms, G, order, field, ORACLE_MAX_TERMS)
+        reduced = normal_form(g.terms, G)
         if reduced:
             sugar = max(sum(m) for m in reduced)
-            _gm_update(G, pairs, engine._Gen(reduced, next(iter(reduced)), sugar, next(ages)), order)
+            _gm_update(G, pairs, _Gen(reduced, key, sugar, next(ages)), key)
     while pairs:
         if len(G) > ORACLE_MAX_BASIS:
             raise ResourceLimit("oracle basis exceeded the size cap")
         priority, lcm, g1, g2 = heapq.heappop(pairs)
-        popped.append((priority, lcm, g1.age, g2.age))
-        spoly = engine._spoly_terms(g1, g2, lcm, field)
-        reduced = engine._reduce_terms(spoly, G, order, field, ORACLE_MAX_TERMS)
+        popped.append((priority[0], lcm, g1.age, g2.age))
+        reduced = normal_form(_spoly_terms(g1, g2, lcm, field), G)
         if reduced:
-            h = engine._Gen(reduced, next(iter(reduced)), priority[0], next(ages))
-            _gm_update(G, pairs, h, order)
-    G.sort(key=lambda g: order.key(g.lm))
+            _gm_update(G, pairs, _Gen(reduced, key, priority[0], next(ages)), key)
+    G.sort(key=lambda g: key(g.lm))
     polys = []
     for i, g in enumerate(G):
-        terms = engine._reduce_terms(g.terms, G[:i] + G[i + 1:], order, field, ORACLE_MAX_TERMS)
+        terms = normal_form(g.terms, G[:i] + G[i + 1:])
         inv = field.inv(g.lc)
         polys.append(Polynomial(ring_, {m: field.reduce(c * inv) for m, c in terms.items()}))
-    return tuple(polys), [g.lm for g in G], popped
+    return tuple(polys), [g.lm for g in G], popped, calls
 
 
 # -- Frozen field -------------------------------------------------------------

@@ -16,6 +16,7 @@ from detsing.errors import BadParameters, ResourceLimit, RingMismatch
 from detsing.fields import PrimeField
 from detsing.groebner import (
     GroebnerBasis,
+    MonomialOrder,
     elimination_order,
     grevlex_order,
     groebner,
@@ -23,7 +24,7 @@ from detsing.groebner import (
     normal_form,
 )
 from detsing.matrices import generic_skew, generic_sym, minors_ideal
-from detsing.rings import ring
+from detsing.rings import grevlex_key, ring
 
 from .oracles import macaulay_member, to_sympy
 
@@ -121,6 +122,26 @@ def test_ring_mismatch(R):
     for gens in ([x, ring("a").var("a")], [x, 3], [3, x], ["x"]):
         with pytest.raises(RingMismatch):
             groebner(gens)
+
+
+def test_order_of_another_ring_is_refused(R):
+    # the packed monomials are built from the order's ring size, so an
+    # order of another ring must not run
+    S = ring("x y z w")
+    gens = [R.parse("x^2 - y"), R.parse("x*y - z")]
+    for order in (grevlex_order(S), lex_order(S), elimination_order(S, ["w"]),
+                  grevlex_order(ring("x y"))):
+        with pytest.raises(RingMismatch):
+            groebner(gens, order)
+    assert groebner(gens, grevlex_order(ring("a b c"))).polys == groebner(gens).polys
+
+
+@pytest.mark.parametrize(
+    "order", ["grevlex", ("grevlex", 3), grevlex_key, 0, MonomialOrder(("weighted", 3), grevlex_key)]
+)
+def test_order_that_is_not_a_monomial_order_is_refused(R, order):
+    with pytest.raises(BadParameters):
+        groebner([R.parse("x^2 - y")], order)
 
 
 def test_prime_field_basis():

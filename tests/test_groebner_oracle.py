@@ -12,6 +12,7 @@ must do more: pop the same live pairs in the same order.
 import heapq
 import importlib
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from detsing import verify
 from detsing.fields import QQ, PrimeField
-from detsing.groebner import _reduce_terms, elimination_order, grevlex_order, groebner, lex_order
+from detsing.groebner import elimination_order, grevlex_order, groebner, lex_order
 from detsing.matrices import Ideal, generic_skew, generic_sym, minors_ideal
 from detsing.rings import Polynomial, Ring, embed, exact_div, m_divides, m_mask, ring
 
@@ -130,7 +131,8 @@ def test_random_ideals_match_frozen_kernel(field):
 
 def test_remainder_starts_with_its_leading_monomial():
     # groebner() takes the first key of each remainder as its leading
-    # monomial, and GroebnerBasis takes the finished basis's as given.
+    # monomial, and GroebnerBasis takes the finished basis's as given; a
+    # remainder keeps its terms largest first when it is unpacked.
     rng = random.Random(11)
     M = generic_sym(4)
     for order in _orders(M.ring).values():
@@ -138,7 +140,7 @@ def test_remainder_starts_with_its_leading_monomial():
         assert basis.leading_monomials() == [max(p.terms, key=order.key) for p in basis.polys]
         for _ in range(20):
             f = _random_poly(rng, M.ring, max_terms=8)
-            rem = list(_reduce_terms(f.terms, basis._gens, order, M.ring.field, 10 ** 6))
+            rem = list(basis.reduce(f).terms)
             assert rem == sorted(rem, key=order.key, reverse=True)
 
 
@@ -211,9 +213,10 @@ def test_masks_decide_coprimality_at_every_width(width):
 
 class _PopRecorder:
     """Stands in for the engine's heapq module and records each live pair
-    that groebner() pops, as (priority, lcm, g.age, h.age). Pair entries are
-    the heap's lists [priority, lcm, lcm mask, g, h], with g None once dead;
-    the reducer's entries are tuples."""
+    that groebner() pops, as (sugar, lcm, g.age, h.age). Pair entries are
+    the heap's lists [priority, lcm, lcm mask, g, h], with g None once dead
+    and priority (sugar, packed lcm, g.age, h.age); the reducer's entries
+    are ints."""
 
     heappush = staticmethod(heapq.heappush)
     heapify = staticmethod(heapq.heapify)
@@ -229,7 +232,7 @@ class _PopRecorder:
             if g is None:
                 self.dead += 1
             else:
-                self.popped.append((priority, lcm, g.age, h.age))
+                self.popped.append((priority[0], lcm, g.age, h.age))
         return item
 
 
@@ -243,7 +246,7 @@ def _assert_same_traversal(gens, order):
         basis = groebner(gens, order)
     finally:
         engine.heapq = heapq
-    polys, lms, popped = gm_oracle_groebner(gens, order)
+    polys, lms, popped, _ = gm_oracle_groebner(gens, order)
     assert recorder.popped == popped
     assert basis.leading_monomials() == lms
     assert basis.polys == polys
@@ -313,6 +316,96 @@ def test_saturation_keeps_the_t_first_traversal(field, monkeypatch):
         assert out.gens == frozen
         handed_over = verify.groebner_of(out)
         assert handed_over.leading_monomials() == groebner(frozen).leading_monomials()
+
+
+
+def _f2_requests(field, monkeypatch):
+    """The (generators, order) of each groebner() call that
+    check_fact("F2", 4, l=2) makes from a cold basis cache."""
+    asked = []
+
+    def recording(gens, order=None, **caps):
+        asked.append((list(gens), order or grevlex_order(gens[0].ring)))
+        return groebner(gens, order, **caps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "groebner", recording)
+        patch.setattr(verify, "_GB_CACHE", OrderedDict())
+        assert verify.check_fact("F2", 4, field, l=2)
+    return asked
+
+
+@pytest.mark.parametrize("field", FIELDS[:2], ids=FIELD_IDS[:2])
+def test_packed_kernel_does_the_frozen_work(field, monkeypatch):
+    # Every normal form of groebner() takes as many terms in, against a
+    # basis as large, and leaves as many terms as the frozen tuple kernel's
+    # does, call for call.
+    jobs = _f2_requests(field, monkeypatch)
+    for kind, m in _TRAVERSAL_IDEALS:
+        M = (generic_sym if kind == "sym" else generic_skew)(m, field)
+        jobs += [(minors_ideal(M, j).gens, grevlex_order(M.ring)) for j in range(1, m + 1)]
+    for gens in _saturation_inputs(field):
+        jobs += [(gens, order) for order in _orders(gens[0].ring).values()]
+    for gens, order in jobs:
+        if gens:
+            _, calls = _reduce_calls(monkeypatch, lambda: groebner(gens, order))
+            assert calls == gm_oracle_groebner(gens, order)[3]
+
+
+def _widths(monkeypatch):
+    """The list of widths of the packings the engine makes from now on."""
+    widths = []
+    packing = engine._Packing
+
+    def recorded(order, width):
+        widths.append(width)
+        return packing(order, width)
+
+    monkeypatch.setattr(engine, "_Packing", recorded)
+    return widths
+
+
+@pytest.mark.parametrize("field", FIELDS[:2], ids=FIELD_IDS[:2])
+def test_fields_too_narrow_are_redone_at_twice_the_width(field, monkeypatch):
+    # At 4 bits a field holds at most 7, so the S-polynomials of these
+    # ideals overflow and their calls are redone at 8 bits; the bases and
+    # normal forms must not notice.
+    monkeypatch.setattr(engine, "_WIDTH", 4)
+    widths = _widths(monkeypatch)
+    rng = random.Random(4)
+    # binomials whose traversals pass 7 where one check alone sees it: in
+    # a reduction step that raises the degree, in an S-polynomial
+    R = ring("x y z", field)
+    binomials = [["x*y^2 - x", "x*y^3 - y^6"], ["x^2*y^3 - x", "x^3*y^3 - y"],
+                 ["x - y^4*z", "x^2*z - 1"], ["x - y^3", "x^3 - z"]]
+    inputs = [_cubics(field)] + _saturation_inputs(field) + [list(map(R.parse, b)) for b in binomials]
+    for kind, m in _TRAVERSAL_IDEALS:
+        M = (generic_sym if kind == "sym" else generic_skew)(m, field)
+        inputs += [minors_ideal(M, j).gens for j in range(1, m + 1)]
+    for gens in filter(None, inputs):
+        R = gens[0].ring
+        for order in dict(_orders(R), lex=lex_order(R)).values():
+            _assert_same_kernel(gens, order, rng, normal_forms=2)
+    assert 4 in widths and 8 in widths
+
+
+def test_degrees_past_the_default_width(monkeypatch):
+    # 40000 passes the largest field value at the default width, so each
+    # call starts again at twice the width
+    widths = _widths(monkeypatch)
+    x, y, z = ring("x y z").vars()
+    gens = [x ** 40000 - y, x ** 39999 * z - 1, y ** 2 - z]
+    for order in (grevlex_order(x.ring), elimination_order(x.ring, ["z"]), lex_order(x.ring)):
+        basis = groebner(gens, order)
+        assert basis.polys == oracle_groebner(gens, order)
+        for f in (x * y ** 3 - z, y ** 3 + x * z):
+            assert basis.reduce(f) == oracle_normal_form(f, basis.polys, order)
+    # a basis packed at the default width repacks for a reduction that
+    # does not fit it
+    basis = groebner([x - y])
+    assert basis.reduce(x ** 40000 * z) == y ** 40000 * z
+    assert basis.reduce(x * z) == y * z
+    assert set(widths) == {engine._WIDTH, 2 * engine._WIDTH}
 
 
 # inhomogeneous polynomials in x, y, z: up to three terms of degree <= 3

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from detsing.errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize
+from detsing.errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, ParseError
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
     GenericMatrix,
@@ -272,6 +272,39 @@ def test_matrix_json_round_trip():
     back = GenericMatrix.from_json(data)
     assert back == A and back.kind == "skew"
     assert data["entries"][1][0] == "-x_1_2"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"generators": "x"}, {"generators": None}, {"ring": {"vars": "xy"}}, {"ring": None}],
+)
+def test_ideal_json_of_the_wrong_shape_is_refused(change):
+    data = dict(Ideal(ring("x y"), [ring("x y").var("x")]).to_json(), **change)
+    with pytest.raises(BadParameters):
+        Ideal.from_json(data)
+    for key in ("ring", "generators"):
+        with pytest.raises(BadParameters):
+            Ideal.from_json({k: v for k, v in data.items() if k != key})
+    for gens in (["x +"], ["x", 1]):
+        with pytest.raises(ParseError):
+            Ideal.from_json(dict(data, generators=gens, ring={"field": "Q", "vars": ["x"]}))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"entries": "x"}, {"entries": ["x"]}, {"entries": None},
+     {"kind": "hermitian"}, {"kind": None}, {"ring": ["x_1_1"]}],
+)
+def test_matrix_json_of_the_wrong_shape_is_refused(change):
+    data = dict(generic_sym(2).to_json(), **change)
+    with pytest.raises(BadParameters):
+        GenericMatrix.from_json(data)
+    for key in ("ring", "entries", "kind"):
+        with pytest.raises(BadParameters):
+            GenericMatrix.from_json({k: v for k, v in data.items() if k != key})
+    for entries in ([["x_1_1 *"]], [[1]]):
+        with pytest.raises(ParseError):
+            GenericMatrix.from_json(dict(generic_sym(1).to_json(), entries=entries))
 
 
 def test_ideal_json_and_map():

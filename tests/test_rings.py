@@ -336,6 +336,22 @@ def test_ring_json_round_trip():
     assert Ring.from_json(R.to_json()) == R
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"field": "Q", "vars": "xy"}, {"field": "Q", "vars": None},
+     {"field": "Q"}, {"vars": ["x"]}, ["Q", ["x"]], None, "Q"],
+)
+def test_ring_json_of_the_wrong_shape_is_refused(data):
+    with pytest.raises(BadParameters):
+        Ring.from_json(data)
+
+
+@pytest.mark.parametrize("names", [["x", "2y"], [1, 2], ["x", None]])
+def test_ring_json_with_bad_names_is_a_parse_error(names):
+    with pytest.raises(ParseError):
+        Ring.from_json({"field": "Q", "vars": names})
+
+
 def test_polynomial_hash_consistency(R3):
     f = R3.parse("x_1_1*x_2_2 - x_1_2^2")
     g = R3.parse("-x_1_2^2 + x_1_1*x_2_2")
