@@ -43,6 +43,7 @@ from .matrices import (
     minors,
     minors_ideal,
     pfaffian,
+    principal_minors_ideal,
     submatrix,
 )
 from .resolution import (
@@ -116,6 +117,7 @@ __all__ = [
     "minors_ideal",
     "normal_form",
     "pfaffian",
+    "principal_minors_ideal",
     "radical_member",
     "reduce_skew_chart",
     "reduce_sym_diag_chart",

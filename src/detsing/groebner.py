@@ -15,21 +15,18 @@ are removed, and the survivors keep their order. A pruned pair is not
 removed from the heap: its entry is marked dead in place, and the pair loop
 drops it when it is popped.
 
-Support masks (Bachmann & Schoenemann, ISSAC '98) stand in front of the
-exponent comparisons of the pair bookkeeping: a monomial whose support has
-a variable the other lacks cannot divide it. The chain filter, the pruning
-of old pairs and the retiring of basis elements test masks before
-divisibility, and disjoint masks decide coprimality.
-
-The reducer and the S-polynomials work on packed monomials (same paper):
-one int of W-bit fields whose int order is the monomial order, with M =
-2^(W-1) - 1 the largest field value: [deg, M - x_n, ..., M - x_1] for
+The whole kernel works on packed monomials (Bachmann & Schoenemann, ISSAC
+'98): one int of W-bit fields whose int order is the monomial order, with
+M = 2^(W-1) - 1 the largest field value: [deg, M - x_n, ..., M - x_1] for
 grevlex, the same per block for an elimination order, [x_1, ..., x_n] for
 lex. A monomial product is one int addition and divisibility one guard-bit
-test. The seeds, each reduction step and each new pair check that no field
-passes M; a failed check redoes the call at twice the width, so no result
-depends on W. groebner() packs its seeds and unpacks its basis once; a
-GroebnerBasis packs its elements at its first reduce().
+test. The pair update takes lcms fieldwise on the packed ints, sorts its
+candidates by them, and decides coprimality by packed support masks: one
+guard bit per variable that occurs, so disjoint masks mean coprime. The
+seeds, each reduction step, each candidate lcm and each new pair check
+that no field passes M; a failed check redoes the call at twice the width,
+so no result depends on W. groebner() packs its seeds and unpacks its
+basis once; a GroebnerBasis packs its elements at its first reduce().
 """
 
 from __future__ import annotations
@@ -40,15 +37,8 @@ import os
 from operator import attrgetter, itemgetter, mul, neg
 from typing import Iterable
 
-from .errors import BadParameters, ResourceLimit, RingMismatch
-from .rings import (
-    Polynomial,
-    Ring,
-    grevlex_key,
-    m_divides,
-    m_lcm,
-    m_mask,
-)
+from .errors import BadParameters, DuplicateVariable, ResourceLimit, RingMismatch, UnknownVariable
+from .rings import Polynomial, Ring, grevlex_key
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_TERMS = 200_000
@@ -121,8 +111,18 @@ def lex_order(ring_: Ring) -> MonomialOrder:
 def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
     """Block order eliminating front_names: grevlex on the front block,
     ties broken by grevlex on the rest. Any basis element free of the front
-    block then generates the elimination ideal."""
-    front = tuple(ring_.index[n] for n in front_names)
+    block then generates the elimination ideal. A name outside the ring
+    raises UnknownVariable, a repeated one DuplicateVariable, and a string
+    in place of a collection of names BadParameters."""
+    if isinstance(front_names, str):
+        raise BadParameters(f"front_names must be a collection of names, not the string {front_names!r}")
+    names = tuple(front_names)
+    for n in names:
+        if not isinstance(n, str) or n not in ring_.index:
+            raise UnknownVariable(f"{n!r} is not a variable of {ring_!r}")
+    if len(set(names)) < len(names):
+        raise DuplicateVariable(f"front_names names a variable twice: {names!r}")
+    front = tuple(ring_.index[n] for n in names)
     front_set = set(front)
     back = tuple(i for i in range(ring_.nvars) if i not in front_set)
     # each block reversed, as grevlex compares it; itemgetter of a single
@@ -153,39 +153,73 @@ class _Packing:
     a field's guard (top) bit is then set exactly when a's field is at
     least b's, if negated, or greater, if not. deg(p) adds up the fields
     that are not negated.
+
+    p ^ C turns every M - x field into x. On those, lcm(a, b) takes the
+    fieldwise max by guard-bit subtraction and then sums each block's
+    exponent fields into its degree field with one multiplication by a
+    ones vector; no sum carries, as a block degree of an lcm is at most
+    2M < 2^W, and one above M raises _Overflow. mask(p) sets the guard bit
+    of each exponent field whose variable occurs in p: disjoint masks mean
+    coprime, and a | b implies not (mask(a) & ~mask(b)).
     """
 
-    __slots__ = ("order", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg")
+    __slots__ = ("order", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg", "lcm", "mask")
 
     def __init__(self, order: MonomialOrder, width: int):
         kind, n = order.spec[:2]
         M = self.M = (1 << width - 1) - 1
+        fm = (1 << width) - 1
         self.order, self.width = order, width
+        # (sign, variables, degree field?), most significant first
         if kind == "lex":
-            fields = [(1, (i,)) for i in range(n)]
+            fields = [(1, (i,), False) for i in range(n)]
         else:
             front = order.spec[2] if kind == "elim" else ()
             blocks = [b for b in (front, tuple(i for i in range(n) if i not in front)) if b]
-            fields = [f for b in blocks for f in [(1, b)] + [(-1, (i,)) for i in b[::-1]]]
+            fields = [f for b in blocks for f in [(1, b, True)] + [(-1, (i,), False) for i in b[::-1]]]
         self.weights, self.slots, shifts = [0] * n, [None] * n, []
-        self.C = self.K = self.GV = self.GC = 0
-        for j, (sign, block) in enumerate(reversed(fields)):
+        # E holds M in every exponent field, and none in the degree fields
+        C = K = GV = GC = E = 0
+        # per block: (its exponent fields' mask, ones vector, degree field)
+        sums = []
+        for j, (sign, block, degree) in enumerate(reversed(fields)):
             s, guard = j * width, 1 << (j + 1) * width - 1
             for i in block:
                 self.weights[i] += sign << s
-            if len(block) == 1:
-                # unpack reads each variable from a field that holds it alone
+            if degree:
+                # the block's exponent fields are the len(block) just below
+                low = s - len(block) * width
+                sums.append((E >> low << low, sum(1 << k * width for k in range(1, len(block) + 1)), fm << s))
+            else:
                 self.slots[block[0]] = (s, sign, M if sign < 0 else 0)
-            self.K += M + (sign < 0) << s
-            self.GV += guard
+                E += M << s
+            K += M + (sign < 0) << s
+            GV += guard
             if sign < 0:
-                self.C += M << s
-                self.GC += guard
+                C += M << s
+                GC += guard
             else:
                 shifts.append(s)
-        fm, top = (1 << width) - 1, (len(fields) - 1) * width
+        self.C, self.K, self.GV, self.GC = C, K, GV, GC
+        top, W1 = (len(fields) - 1) * width, width - 1
         # for grevlex the degree is the top field
         self.deg = (lambda p: p >> top) if shifts == [top] else (lambda p: sum([p >> s & fm for s in shifts]))
+
+        def lcm(a: int, b: int) -> int:
+            a ^= C
+            b ^= C
+            # t has a field's guard bit where a's field is at least b's;
+            # (t << 1) - (t >> W1) fills those fields with ones
+            t = ((a | GV) - b) & GV
+            v = (b ^ (a ^ b) & ((t << 1) - (t >> W1))) & E
+            for exps, ones, field in sums:
+                v |= (v & exps) * ones & field
+            if v & GV:
+                raise _Overflow
+            return v ^ C
+
+        self.lcm = lcm
+        self.mask = lambda p: ((p ^ C) & E) + E & GV
 
     def pack(self, a) -> int:
         return sum(map(mul, a, self.weights), self.C)
@@ -213,20 +247,19 @@ def _widening(order: MonomialOrder, run, pk: _Packing = None):
 
 
 class _Gen:
-    """A basis element: packed term dict plus its packed and tuple leading
-    monomial, the leading coefficient, the support mask of the leading
-    monomial, sugar, age and room: a multiple of the element that cancels
-    a monomial m packs exactly while deg(m) <= room."""
+    """A basis element: packed term dict, its packed leading monomial, the
+    leading coefficient, the support mask of the leading monomial, sugar,
+    age and room: a multiple of the element that cancels a monomial m packs
+    exactly while deg(m) <= room."""
 
-    __slots__ = ("terms", "plm", "lm", "lc", "mask", "room", "sugar", "age")
+    __slots__ = ("terms", "plm", "lc", "mask", "room", "sugar", "age")
 
     def __init__(self, pk: _Packing, terms: dict, sugar: int, age: int):
         self.terms = terms
         self.plm = plm = max(terms)
-        self.lm = lm = pk.unpack(plm)
         self.lc = terms[plm]
-        self.mask = m_mask(lm)
-        self.room = pk.M - max(map(pk.deg, terms)) + sum(lm)
+        self.mask = pk.mask(plm)
+        self.room = pk.M - max(map(pk.deg, terms)) + pk.deg(plm)
         self.sugar = sugar
         self.age = age
 
@@ -316,55 +349,57 @@ def _update(G: list, pairs: list, h: _Gen, pk: _Packing):
     became divisible by lm(h), and appends h. Of the new pairs, the chain
     criterion drops those whose lcm is a proper multiple of another new
     pair's lcm; of those that share an lcm, only the one with the oldest g
-    is kept, and none is kept when any of them is coprime. `pairs` is a
-    heap of [priority, lcm, lcm mask, g, h] entries with priority (sugar,
-    packed lcm, ages): the ages make every priority unique, so the pop
-    order never depends on the heap layout. A pruned entry stays in the
-    heap with g set to None, and groebner() skips it when it is popped.
-    A kept pair whose S-polynomial would not pack raises _Overflow.
+    is kept, and none is kept when any of them is coprime. Every monomial
+    here is packed. `pairs` is a heap of [priority, g, h] entries with
+    priority (sugar, lcm, g.age, h.age): the ages make every priority
+    unique, so the pop order never depends on the heap layout, and the
+    S-polynomial reads its lcm from priority[1]. A pruned entry stays in
+    the heap with g set to None, and groebner() skips it when it is popped.
+    A candidate lcm or a kept pair's S-polynomial that would not pack
+    raises _Overflow.
     """
-    hlm, hmask = h.lm, h.mask
+    hlm, hmask = h.plm, h.mask
+    lcm, K, GV, GC = pk.lcm, pk.K, pk.GV, pk.GC
     # candidate new pairs, smallest lcm first, pairs sharing an lcm adjacent
-    key = pk.order.key
-    cands = sorted((key(lcm := m_lcm(g.lm, hlm)), g.age, lcm, g) for g in G)
-    # one [lcm, lcm mask, g] per distinct lcm, g None when a pair with it is
-    # coprime
+    cands = sorted([(lcm(g.plm, hlm), g.age, g) for g in G])
+    # one [lcm, g] per distinct lcm, g None when a pair with it is coprime
     kept: list = []
     # Ascending lcm order: any proper divisor of the current lcm was seen
     # already, so filtering against `kept` realizes the chain criterion.
     # Buchberger's coprimality criterion: a coprime pair's S-polynomial
     # reduces to zero and makes the other pairs with its lcm redundant, but
     # the lcm still takes part in the chain filter.
-    for _, _, lcm, g in cands:
+    for m, _, g in cands:
         coprime = not (g.mask & hmask)
-        if kept and kept[-1][0] == lcm:
+        if kept and kept[-1][0] == m:
             if coprime:
-                kept[-1][2] = None
+                kept[-1][1] = None
             continue
-        mask = g.mask | hmask
-        off = ~mask
-        for other in kept:
-            if not (other[1] & off) and m_divides(other[0], lcm):
+        lifted = K - m
+        for other, _ in kept:
+            if (other + lifted) & GV == GC:
                 break
         else:
-            kept.append([lcm, mask, None if coprime else g])
+            kept.append([m, None if coprime else g])
     # prune old pairs: mark (g1, g2) dead when lm(h) properly divides their lcm
+    lifted = hlm + K
     for entry in pairs:
-        if not (hmask & ~entry[2]) and entry[3] is not None:
-            lcm = entry[1]
-            if m_divides(hlm, lcm) and m_lcm(entry[3].lm, hlm) != lcm and m_lcm(entry[4].lm, hlm) != lcm:
-                entry[3] = None
-    deg_h = sum(hlm)
-    for lcm, mask, g in kept:
+        if entry[1] is not None:
+            m = entry[0][1]
+            if (lifted - m) & GV == GC and lcm(entry[1].plm, hlm) != m and lcm(entry[2].plm, hlm) != m:
+                entry[1] = None
+    deg = pk.deg
+    deg_h = deg(hlm)
+    for m, g in kept:
         if g is not None:
-            deg = sum(lcm)
-            if deg > g.room or deg > h.room:
+            d = deg(m)
+            if d > g.room or d > h.room:
                 raise _Overflow
-            sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - deg_h)
-            heapq.heappush(pairs, [(sugar, pk.pack(lcm), g.age, h.age), lcm, mask, g, h])
+            sugar = max(g.sugar + d - deg(g.plm), h.sugar + d - deg_h)
+            heapq.heappush(pairs, [(sugar, m, g.age, h.age), g, h])
     # retire basis elements made redundant by h; h is reduced against G, so
     # lm(h) divides no lm in G without properly dividing it
-    G[:] = [g for g in G if hmask & ~g.mask or not m_divides(hlm, g.lm)]
+    G[:] = [g for g in G if (lifted - g.plm) & GV != GC]
     G.append(h)
 
 
@@ -476,7 +511,7 @@ def _buchberger(ring_: Ring, seeds: list, pk: _Packing, max_basis: int, max_term
             _update(G, pairs, _Gen(pk, reduced, max(map(pk.deg, reduced)), next(ages)), pk)
 
     while pairs:
-        priority, _, _, g1, g2 = heapq.heappop(pairs)
+        priority, g1, g2 = heapq.heappop(pairs)
         if g1 is None:
             continue
         if len(G) > max_basis:
@@ -494,7 +529,7 @@ def _buchberger(ring_: Ring, seeds: list, pk: _Packing, max_basis: int, max_term
         terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], pk, field, max_terms)
         inv = field.inv(g.lc)
         polys.append(Polynomial(ring_, {pk.unpack(m): field.reduce(c * inv) for m, c in terms.items()}))
-    return GroebnerBasis(ring_, pk.order, tuple(polys), [g.lm for g in G])
+    return GroebnerBasis(ring_, pk.order, tuple(polys), [pk.unpack(g.plm) for g in G])
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis, max_terms: int = None) -> Polynomial:

@@ -14,8 +14,9 @@ one byte per variable into an int, so a monomial product is one int
 addition; packing is exact while no exponent sum passes 255, and a sum it
 cannot prove within that bound is taken with Polynomial arithmetic. The
 Groebner kernel packs monomials too, in its own order-preserving layout
-(see ``groebner``); packed ints never leave either, and every other
-routine works on exponent tuples.
+(see ``groebner``), and does all its monomial work on them: products,
+divisibility, lcms and support masks. Packed ints never leave either, and
+every other routine works on exponent tuples.
 A substitution expands each term factor by factor, which is cheap for the
 chart tree's images: monomials, or polynomials met at power 1 or 2.
 
@@ -69,26 +70,6 @@ def m_divides(a: Monomial, b: Monomial) -> bool:
 def m_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
     return tuple(map(sub, a, b))
-
-
-def m_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple([x if x > y else y for x, y in zip(a, b)])
-
-
-_MASK_BITS = tuple(1 << i for i in range(64))
-
-
-def m_mask(a: Monomial) -> int:
-    """Support mask: bit i is set exactly when variable i occurs in a.
-
-    m_divides(a, b) implies not (m_mask(a) & ~m_mask(b)), so a nonzero
-    result rules out divisibility without comparing exponents, and two
-    monomials are coprime exactly when their masks are disjoint. Rings of
-    up to 64 variables read the bits from a table.
-    """
-    if len(a) <= 64:
-        return sum(compress(_MASK_BITS, a))
-    return sum(1 << i for i, e in enumerate(a) if e)
 
 
 def grevlex_key(a: Monomial):

@@ -13,7 +13,7 @@ from collections import OrderedDict
 
 from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
-from .fields import QQ, PrimeField, field_name
+from .fields import QQ, field_name
 from .groebner import (
     GroebnerBasis,
     elimination_order,
@@ -22,8 +22,6 @@ from .groebner import (
 )
 from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian
 from .rings import Polynomial, Ring, embed
-
-DEFAULT_PRIMES = (3, 5, 7, 101)
 
 # Basis cache per (ideal, order spec), grevlex entries keyed None: least
 # recently used first, at most _GB_CACHE_SIZE entries. A hit refreshes its
@@ -137,10 +135,6 @@ def coordinate_subspace(I: Ideal):
 
 
 # --- standing facts about generic skew/symmetric matrices ------------------
-
-
-def default_fields(primes=DEFAULT_PRIMES):
-    return (QQ,) + tuple(PrimeField(p) for p in primes)
 
 
 def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:

@@ -27,13 +27,13 @@ from detsing.rings import Ring, exact_div, ring
 from detsing.verify import (
     check_fact,
     check_lemma_counterexample,
-    default_fields,
     groebner_of,
     ideal_contains,
     ideal_equal,
     saturate,
 )
 
+from . import default_fields
 from .oracles import macaulay_member
 
 BUDGET_SECONDS = {1: 1.0, 2: 5.0, 3: 5.0, 4: 1.0, 5: 60.0, 6: 600.0, 7: 600.0, 8: 120.0}

@@ -12,7 +12,7 @@ import random
 import pytest
 import sympy
 
-from detsing.errors import BadParameters, ResourceLimit, RingMismatch
+from detsing.errors import BadParameters, DuplicateVariable, ResourceLimit, RingMismatch, UnknownVariable
 from detsing.fields import PrimeField
 from detsing.groebner import (
     GroebnerBasis,
@@ -112,6 +112,25 @@ def test_elimination_order_extracts_elimination_ideal():
     gb = groebner([t * x - 1, t * y - x], elimination_order(Rt, ["t"]))
     free = [p for p in gb if p.degree_in("t") == 0]
     assert Rt.parse("x^2 - y") in free
+
+
+def test_elimination_order_refuses_an_unknown_name():
+    for names in (["z"], [["x"]], [0]):
+        with pytest.raises(UnknownVariable):
+            elimination_order(ring("x y"), names)
+
+
+def test_elimination_order_refuses_a_string_of_names():
+    # "xy" is not the names x and y
+    with pytest.raises(BadParameters):
+        elimination_order(ring("x y"), "xy")
+
+
+def test_elimination_order_refuses_a_repeated_name():
+    R = ring("x y")
+    with pytest.raises(DuplicateVariable):
+        elimination_order(R, ["x", "x"])
+    assert elimination_order(R, iter(["x"])) == elimination_order(R, ["x"])
 
 
 def test_ring_mismatch(R):

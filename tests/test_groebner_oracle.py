@@ -2,7 +2,9 @@
 frozen copies in ``oracles`` (the kernel before support masks, the complete
 Gebauer-Moeller update, direct heap keys and heap division), and the pair
 bookkeeping against the frozen update before its mask pretests and
-deletion marks.
+deletion marks, and the packed lcm, divisibility test and support masks
+of the pair update against the tuple lcm, divisibility and exponent
+masks.
 
 Reduced bases are unique, so the two kernels must return equal tuples;
 normal forms against a reduced basis are unique too. The pair bookkeeping
@@ -22,9 +24,9 @@ from detsing import verify
 from detsing.fields import QQ, PrimeField
 from detsing.groebner import elimination_order, grevlex_order, groebner, lex_order
 from detsing.matrices import Ideal, generic_skew, generic_sym, minors_ideal
-from detsing.rings import Polynomial, Ring, embed, exact_div, m_divides, m_mask, ring
+from detsing.rings import Polynomial, Ring, embed, exact_div, m_divides, ring
 
-from .oracles import _coprime, gm_oracle_groebner, oracle_exact_div, oracle_groebner, oracle_normal_form
+from .oracles import _coprime, _m_lcm, gm_oracle_groebner, oracle_exact_div, oracle_groebner, oracle_normal_form
 
 engine = importlib.import_module("detsing.groebner")
 
@@ -169,6 +171,108 @@ def test_exact_division_matches_frozen_division(field):
     assert checked_raise >= 10
 
 
+def _ring_of(n):
+    return ring(" ".join(f"v{i}" for i in range(n)))
+
+
+def _exponent_mask(pk, a):
+    """The support mask of exponent tuple a, on the packed layout of pk: the
+    guard bit of the field that holds variable i, for each i that occurs."""
+    return sum(1 << pk.slots[i][0] + pk.width - 1 for i, e in enumerate(a) if e)
+
+
+def _blocks(order):
+    """The variable blocks of an order whose degrees each have a field."""
+    kind, n = order.spec[:2]
+    if kind == "lex":
+        return [(i,) for i in range(n)]
+    front = order.spec[2] if kind == "elim" else ()
+    return [b for b in (front, tuple(i for i in range(n) if i not in front)) if b]
+
+
+def _monomial(rng, n, pool, M):
+    """A monomial of degree <= M in n variables, most of it on the pool."""
+    e = [0] * n
+    d = rng.randint(0, M) if rng.random() < 0.9 else 0
+    picks = [rng.choice(pool) if rng.random() < 0.8 else rng.randrange(n) for _ in range(rng.randint(1, 4))]
+    cuts = sorted(rng.randint(0, d) for _ in picks[1:])
+    for i, lo, hi in zip(picks, [0] + cuts, cuts + [d]):
+        e[i] += hi - lo
+    return tuple(e)
+
+
+_PACKED_ORDERS = {
+    "grevlex": grevlex_order,
+    "elim1": lambda R: elimination_order(R, [R.names[-1]]),
+    # a front block of several variables spread over the ring
+    "elim": lambda R: elimination_order(R, R.names[1::7][:4] or R.names),
+    "lex": lex_order,
+}
+
+
+@pytest.mark.parametrize("n", [1, 18, 28, 70, 130])
+@pytest.mark.parametrize("width", [4, 8, 16])
+@pytest.mark.parametrize("kind", list(_PACKED_ORDERS))
+def test_packed_lcm_and_mask_match_the_tuple_ones(kind, width, n):
+    # Pairs of monomials of degree <= M over a few shared variables, so
+    # that lcms with a block degree past M, which must raise _Overflow,
+    # and lcms that pack both occur.
+    order = _PACKED_ORDERS[kind](_ring_of(n))
+    pk = engine._Packing(order, width)
+    rng = random.Random(f"{kind}/{width}/{n}")
+    blocks = _blocks(order)
+    seen = {"packed": 0, "overflow": 0, "coprime": 0, "divides": 0}
+    for _ in range(150):
+        pool = rng.sample(range(n), rng.randint(1, min(n, 5)))
+        a, b = (_monomial(rng, n, pool, pk.M) for _ in range(2))
+        pa, pb = pk.pack(a), pk.pack(b)
+        lcm = _m_lcm(a, b)
+        if all(sum(lcm[i] for i in block) <= pk.M for block in blocks):
+            assert pk.lcm(pa, pb) == pk.lcm(pb, pa) == pk.pack(lcm)
+            assert pk.unpack(pk.lcm(pa, pb)) == lcm
+            seen["packed"] += 1
+        else:
+            for x, y in ((pa, pb), (pb, pa)):
+                with pytest.raises(engine._Overflow):
+                    pk.lcm(x, y)
+            seen["overflow"] += 1
+        assert pk.lcm(pa, pa) == pa
+        ma, mb = pk.mask(pa), pk.mask(pb)
+        assert ma == _exponent_mask(pk, a) and mb == _exponent_mask(pk, b)
+        assert (not (ma & mb)) == _coprime(a, b)
+        seen["coprime"] += _coprime(a, b)
+        # the guard-bit divisibility test of the pair update, and the mask
+        # never rejects a divisor
+        for lo, hi in ((a, b), (b, a), (a, lcm), (b, lcm)):
+            if all(sum(hi[i] for i in block) <= pk.M for block in blocks):
+                divides = (pk.pack(lo) - pk.pack(hi) + pk.K) & pk.GV == pk.GC
+                assert divides == m_divides(lo, hi)
+                if divides:
+                    assert not (pk.mask(pk.pack(lo)) & ~pk.mask(pk.pack(hi)))
+                    seen["divides"] += lo != hi
+    assert seen["packed"] >= 20 and seen["divides"] >= 20 and seen["coprime"] >= 5
+    # an lcm of x^a and x^b is x^max(a, b), and lex bounds each exponent
+    assert seen["overflow"] >= 10 or kind == "lex" or n == 1
+
+
+def test_lcm_past_the_largest_field_value_overflows():
+    # at 4 bits M is 7: x^4 and y^4 have an lcm of degree 8, in the one
+    # grevlex block, in the front block of the first elimination order and
+    # in the back block of the second
+    R = ring("x y z w")
+    x4, y4, z4 = (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0)
+    for order in (grevlex_order(R), elimination_order(R, ["x", "y"]), elimination_order(R, ["z", "w"])):
+        pk = engine._Packing(order, 4)
+        with pytest.raises(engine._Overflow):
+            pk.lcm(pk.pack(x4), pk.pack(y4))
+    # a block order bounds each block alone: x^4 * z^4 packs
+    pk = engine._Packing(elimination_order(R, ["x", "y"]), 4)
+    assert pk.unpack(pk.lcm(pk.pack(x4), pk.pack(z4))) == (4, 0, 4, 0)
+    # lex bounds each exponent alone: no lcm of packed monomials passes M
+    pk = engine._Packing(lex_order(R), 4)
+    assert pk.unpack(pk.lcm(pk.pack((7, 7, 7, 7)), pk.pack((1, 2, 3, 4)))) == (7, 7, 7, 7)
+
+
 def _monomial_pairs():
     exps = st.integers(min_value=0, max_value=3)
     return st.integers(min_value=1, max_value=80).flatmap(
@@ -181,58 +285,70 @@ def _monomial_pairs():
 def test_mask_never_rejects_a_divisor(pair):
     a, d = pair
     b = tuple(x + y for x, y in zip(a, d))
+    pk = engine._Packing(grevlex_order(_ring_of(len(a))), engine._WIDTH)
+    mask = {m: pk.mask(pk.pack(m)) for m in (a, b, d)}
     for lo, hi in ((a, b), (a, d), (d, a)):
         if m_divides(lo, hi):
-            assert not (m_mask(lo) & ~m_mask(hi))
+            assert not (mask[lo] & ~mask[hi])
 
 
 def test_mask_sets_one_bit_per_variable():
-    assert m_mask((0, 2, 0, 1)) == 0b1010
-    assert m_mask((0,) * 70) == 0
-    assert m_mask((1,) * 70) == (1 << 70) - 1
+    pk = engine._Packing(grevlex_order(ring("x y z w")), 16)
+    # the fields, most significant first: deg, M - w, M - z, M - y, M - x
+    assert pk.mask(pk.pack((0, 2, 0, 1))) == 1 << 4 * 16 - 1 | 1 << 2 * 16 - 1
+    pk = engine._Packing(grevlex_order(_ring_of(70)), 16)
+    assert pk.mask(pk.pack((0,) * 70)) == 0
+    everything = pk.mask(pk.pack((1,) * 70))
+    assert bin(everything).count("1") == 70
+    assert everything == pk.GV - (1 << 71 * 16 - 1)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 70, 130])
 def test_masks_decide_coprimality_at_every_width(width):
-    # Disjoint masks must mean coprime in any ring, also past 64 variables,
-    # where the groebner kernel has no second, exponent-wise test.
+    # Disjoint packed masks must mean coprime in any ring, also in wide
+    # ones, where the pair update has no second, exponent-wise test.
     rng = random.Random(width)
-    for _ in range(300):
-        a, b = (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width)) for _ in range(2))
-        if rng.random() < 0.3:
-            # sparse pairs, so that coprime ones occur at every width
-            a = tuple(e if rng.random() < 0.1 else 0 for e in a)
-            b = tuple(e if rng.random() < 0.1 else 0 for e in b)
-        assert (not (m_mask(a) & m_mask(b))) == _coprime(a, b)
-        assert m_mask(a) == sum(1 << i for i, e in enumerate(a) if e)
-        ab = tuple(x + y for x, y in zip(a, b))
-        for lo, hi in ((a, ab), (b, ab), (a, b)):
-            if m_divides(lo, hi):
-                assert not (m_mask(lo) & ~m_mask(hi))
+    R = _ring_of(width)
+    for order in (grevlex_order(R), elimination_order(R, [R.names[-1]])):
+        pk = engine._Packing(order, engine._WIDTH)
+        for _ in range(150):
+            a, b = (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width)) for _ in range(2))
+            if rng.random() < 0.3:
+                # sparse pairs, so that coprime ones occur at every width
+                a = tuple(e if rng.random() < 0.1 else 0 for e in a)
+                b = tuple(e if rng.random() < 0.1 else 0 for e in b)
+            ma, mb = pk.mask(pk.pack(a)), pk.mask(pk.pack(b))
+            assert (not (ma & mb)) == _coprime(a, b)
+            assert ma == _exponent_mask(pk, a)
+            ab = tuple(x + y for x, y in zip(a, b))
+            for lo, hi in ((a, ab), (b, ab), (a, b)):
+                if m_divides(lo, hi):
+                    assert not (pk.mask(pk.pack(lo)) & ~pk.mask(pk.pack(hi)))
 
 
 class _PopRecorder:
     """Stands in for the engine's heapq module and records each live pair
-    that groebner() pops, as (sugar, lcm, g.age, h.age). Pair entries are
-    the heap's lists [priority, lcm, lcm mask, g, h], with g None once dead
-    and priority (sugar, packed lcm, g.age, h.age); the reducer's entries
-    are ints."""
+    that groebner() pops, as (sugar, lcm, g.age, h.age), the lcm unpacked
+    at the default width. Pair entries are the heap's lists [priority, g,
+    h], with g None once dead and priority (sugar, packed lcm, g.age,
+    h.age); the reducer's entries are ints."""
 
     heappush = staticmethod(heapq.heappush)
     heapify = staticmethod(heapq.heapify)
 
-    def __init__(self):
+    def __init__(self, order):
+        self.unpack = engine._Packing(order, engine._WIDTH).unpack
         self.popped = []
         self.dead = 0
 
     def heappop(self, heap):
         item = heapq.heappop(heap)
         if type(item) is list:
-            priority, lcm, _, g, h = item
+            priority, g, h = item
             if g is None:
                 self.dead += 1
             else:
-                self.popped.append((priority[0], lcm, g.age, h.age))
+                self.popped.append((priority[0], self.unpack(priority[1]), g.age, h.age))
         return item
 
 
@@ -240,7 +356,7 @@ def _assert_same_traversal(gens, order):
     """groebner(gens, order) pops the live pairs the frozen update pops, in
     the same order, and ends with the same working and reduced bases.
     Returns the recorder."""
-    recorder = _PopRecorder()
+    recorder = _PopRecorder(order)
     engine.heapq = recorder
     try:
         basis = groebner(gens, order)
@@ -444,7 +560,8 @@ def test_pair_sharing_a_variable_past_the_mask_is_not_coprime():
     v0, v1, v65 = R.var("v0"), R.var("v1"), R.var("v65")
     gens = [v0 * v65 - 1, v1 * v65 - 1]
     lms = [g.leading(grevlex_order(R).key)[0] for g in gens]
-    assert m_mask(lms[0]) & m_mask(lms[1])
+    pk = engine._Packing(grevlex_order(R), engine._WIDTH)
+    assert pk.mask(pk.pack(lms[0])) & pk.mask(pk.pack(lms[1]))
     recorder = _assert_same_traversal(gens, grevlex_order(R))
     # seeds: v1*v65 - 1 is age 0, v0*v65 - 1 age 1
     assert (0, 1) in [(g_age, h_age) for *_, g_age, h_age in recorder.popped]

@@ -1,10 +1,11 @@
 """Every module-level import and private name in the package is read by
-its module.
+its module, and every public function or class is exported or read.
 
-A deletion or a merge can leave an import, or a private helper such as a
-``_require_...`` check, behind that nothing reads any more; these tests
-parse each module with ``ast`` and name them. ``__init__.py`` is skipped
-by the import check: its imports are the package's public names.
+A deletion or a merge can leave an import, a private helper such as a
+``_require_...`` check, or a public helper that only tests still call,
+behind that nothing reads any more; these tests parse each module with
+``ast`` and name them. ``__init__.py`` is skipped by the import check: its
+imports are the package's public names.
 """
 
 import ast
@@ -77,3 +78,44 @@ def test_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_private_names_are_read(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def unread_public_names(sources, exported):
+    """(module, line, name) of each public module-level function or class of
+    the given {module: source} that is not in `exported` and that no module
+    reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        node.id for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (module, stmt.lineno, stmt.name)
+        for module, tree in trees.items() for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_") and stmt.name not in exported and stmt.name not in read
+    )
+
+
+def exported_names(init_source):
+    """The strings of the ``__all__`` list of a package's ``__init__``."""
+    for stmt in ast.parse(init_source).body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def test_finds_an_unread_public_name():
+    sources = {
+        "a": "def shown():\n    return helper()\ndef helper():\n    return 1\nclass Dead:\n    pass\n",
+        "b": "from .a import shown\ndef unused(x):\n    return shown(x)\ndef exported():\n    pass\n",
+    }
+    assert unread_public_names(sources, {"shown", "exported"}) == [("a", 5, "Dead"), ("b", 2, "unused")]
+    assert exported_names("__all__ = ['x', 'y']\n") == {"x", "y"}
+
+
+def test_public_names_are_exported_or_read():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unread_public_names(sources, exported_names(sources["__init__.py"])) == []

@@ -22,7 +22,6 @@ from detsing.verify import (
     check_fact,
     containment_witness,
     coordinate_subspace,
-    default_fields,
     groebner_of,
     ideal_contains,
     ideal_equal,
@@ -30,6 +29,8 @@ from detsing.verify import (
     saturate,
     verdict,
 )
+
+from . import default_fields
 
 
 @pytest.fixture
