@@ -15,18 +15,16 @@ are removed, and the survivors keep their order. A pruned pair is not
 removed from the heap: its entry is marked dead in place, and the pair loop
 drops it when it is popped.
 
-The whole kernel works on packed monomials (Bachmann & Schoenemann, ISSAC
-'98): one int of W-bit fields whose int order is the monomial order, with
-M = 2^(W-1) - 1 the largest field value: [deg, M - x_n, ..., M - x_1] for
-grevlex, the same per block for an elimination order, [x_1, ..., x_n] for
-lex. A monomial product is one int addition and divisibility one guard-bit
-test. The pair update takes lcms fieldwise on the packed ints, sorts its
-candidates by them, and decides coprimality by packed support masks: one
-guard bit per variable that occurs, so disjoint masks mean coprime. The
-seeds, each reduction step, each candidate lcm and each new pair check
-that no field passes M; a failed check redoes the call at twice the width,
-so no result depends on W. groebner() packs its seeds and unpacks its
-basis once; a GroebnerBasis packs its elements at its first reduce().
+The whole kernel works on the packed monomials of ``rings._Packing``, on
+which a product is one int addition and divisibility one guard-bit test.
+The pair update takes lcms fieldwise on the packed ints, sorts its
+candidates by them, and decides coprimality by packed support masks:
+disjoint masks mean coprime. The seeds, each reduction step, each
+candidate lcm and each new pair check that no field passes its largest
+value; a failed check redoes the call at twice the width
+(``rings._widening``), so no result depends on the width. groebner()
+packs its seeds and unpacks its basis once; a GroebnerBasis packs its
+elements at its first reduce().
 """
 
 from __future__ import annotations
@@ -34,16 +32,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from operator import attrgetter, itemgetter, mul, neg
+from operator import attrgetter, itemgetter, neg
 from typing import Iterable
 
 from .errors import BadParameters, DuplicateVariable, ResourceLimit, RingMismatch, UnknownVariable
-from .rings import Polynomial, Ring, grevlex_key
+from .rings import Polynomial, Ring, _Overflow, _Packing, _widening, grevlex_key
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_TERMS = 200_000
 _MAX_TERMS_ENV = os.environ.get("DETSING_MAX_TERMS")
-_WIDTH = 16  # bits per packed field at the first try
 
 
 def _positive(name: str, value) -> int:
@@ -81,7 +78,8 @@ class MonomialOrder:
     """A total order on exponent tuples given by a flat integer sort key.
 
     key(m) ascends with the order. spec names the order and the number of
-    variables of its ring; the Groebner kernel builds its packing from it.
+    variables of its ring; ``rings._Packing`` builds the kernel's packing
+    from it.
     """
 
     __slots__ = ("spec", "key")
@@ -137,113 +135,6 @@ def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
         return (sum(f), *map(neg, f), sum(b), *map(neg, b))
 
     return MonomialOrder(("elim", ring_.nvars, front), key)
-
-
-class _Overflow(Exception):
-    """A packed field would pass its largest value M."""
-
-
-class _Packing:
-    """The packed monomials of one order at field width W.
-
-    Each field holds +1 or -1 times the exponent sum of some variables, plus
-    M when negated: pack(a) = C + sum(a_i * weights[i]), so pack(a*b) =
-    pack(a) + pack(b) - C. Packed a divides packed b exactly when
-    (a - b + K) & GV == GC: K lifts each field of a - b into [0, 2^W), and
-    a field's guard (top) bit is then set exactly when a's field is at
-    least b's, if negated, or greater, if not. deg(p) adds up the fields
-    that are not negated.
-
-    p ^ C turns every M - x field into x. On those, lcm(a, b) takes the
-    fieldwise max by guard-bit subtraction and then sums each block's
-    exponent fields into its degree field with one multiplication by a
-    ones vector; no sum carries, as a block degree of an lcm is at most
-    2M < 2^W, and one above M raises _Overflow. mask(p) sets the guard bit
-    of each exponent field whose variable occurs in p: disjoint masks mean
-    coprime, and a | b implies not (mask(a) & ~mask(b)).
-    """
-
-    __slots__ = ("order", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg", "lcm", "mask")
-
-    def __init__(self, order: MonomialOrder, width: int):
-        kind, n = order.spec[:2]
-        M = self.M = (1 << width - 1) - 1
-        fm = (1 << width) - 1
-        self.order, self.width = order, width
-        # (sign, variables, degree field?), most significant first
-        if kind == "lex":
-            fields = [(1, (i,), False) for i in range(n)]
-        else:
-            front = order.spec[2] if kind == "elim" else ()
-            blocks = [b for b in (front, tuple(i for i in range(n) if i not in front)) if b]
-            fields = [f for b in blocks for f in [(1, b, True)] + [(-1, (i,), False) for i in b[::-1]]]
-        self.weights, self.slots, shifts = [0] * n, [None] * n, []
-        # E holds M in every exponent field, and none in the degree fields
-        C = K = GV = GC = E = 0
-        # per block: (its exponent fields' mask, ones vector, degree field)
-        sums = []
-        for j, (sign, block, degree) in enumerate(reversed(fields)):
-            s, guard = j * width, 1 << (j + 1) * width - 1
-            for i in block:
-                self.weights[i] += sign << s
-            if degree:
-                # the block's exponent fields are the len(block) just below
-                low = s - len(block) * width
-                sums.append((E >> low << low, sum(1 << k * width for k in range(1, len(block) + 1)), fm << s))
-            else:
-                self.slots[block[0]] = (s, sign, M if sign < 0 else 0)
-                E += M << s
-            K += M + (sign < 0) << s
-            GV += guard
-            if sign < 0:
-                C += M << s
-                GC += guard
-            else:
-                shifts.append(s)
-        self.C, self.K, self.GV, self.GC = C, K, GV, GC
-        top, W1 = (len(fields) - 1) * width, width - 1
-        # for grevlex the degree is the top field
-        self.deg = (lambda p: p >> top) if shifts == [top] else (lambda p: sum([p >> s & fm for s in shifts]))
-
-        def lcm(a: int, b: int) -> int:
-            a ^= C
-            b ^= C
-            # t has a field's guard bit where a's field is at least b's;
-            # (t << 1) - (t >> W1) fills those fields with ones
-            t = ((a | GV) - b) & GV
-            v = (b ^ (a ^ b) & ((t << 1) - (t >> W1))) & E
-            for exps, ones, field in sums:
-                v |= (v & exps) * ones & field
-            if v & GV:
-                raise _Overflow
-            return v ^ C
-
-        self.lcm = lcm
-        self.mask = lambda p: ((p ^ C) & E) + E & GV
-
-    def pack(self, a) -> int:
-        return sum(map(mul, a, self.weights), self.C)
-
-    def unpack(self, p: int) -> tuple:
-        fm = (1 << self.width) - 1
-        return tuple([base + sign * (p >> s & fm) for s, sign, base in self.slots])
-
-    def pack_terms(self, terms: dict) -> dict:
-        """Packed copy of a term dict; _Overflow when a degree passes M."""
-        if max(map(sum, terms), default=0) > self.M:
-            raise _Overflow
-        return dict(zip(map(self.pack, terms), terms.values()))
-
-
-def _widening(order: MonomialOrder, run, pk: _Packing = None):
-    """run(pk), by default at the default width, and while it overflows,
-    again at twice the width."""
-    pk = pk or _Packing(order, _WIDTH)
-    while True:
-        try:
-            return run(pk)
-        except _Overflow:
-            pk = _Packing(order, 2 * pk.width)
 
 
 class _Gen:
@@ -430,9 +321,9 @@ class GroebnerBasis:
                 gens = [_Gen(pk, pk.pack_terms(p.terms), 0, 0) for p in self.polys]
                 self._packed = (pk, gens)
             terms = _reduce_terms(pk.pack_terms(f.terms), gens, pk, self.ring.field, cap)
-            return Polynomial(self.ring, {pk.unpack(m): c for m, c in terms.items()})
+            return Polynomial(self.ring, pk.unpack_terms(terms))
 
-        return _widening(self.order, run, self._packed[0])
+        return _widening(self.order.spec, run, self._packed[0])
 
     def contains(self, f: Polynomial, max_terms: int = None) -> bool:
         return self.reduce(f, max_terms=max_terms).is_zero()
@@ -496,10 +387,11 @@ def groebner(
     for _, run in itertools.groupby(keyed, key=itemgetter(0)):
         run = [g for _, g in run]
         nonzero += sorted(run, key=Polynomial.format) if len(run) > 1 else run
-    return _widening(order, lambda pk: _buchberger(ring_, nonzero, pk, max_basis, max_terms))
+    return _widening(order.spec, lambda pk: _buchberger(ring_, order, nonzero, pk, max_basis, max_terms))
 
 
-def _buchberger(ring_: Ring, seeds: list, pk: _Packing, max_basis: int, max_terms: int) -> GroebnerBasis:
+def _buchberger(ring_: Ring, order: MonomialOrder, seeds: list, pk: _Packing, max_basis: int,
+                max_terms: int) -> GroebnerBasis:
     """The reduced basis of the sorted nonzero seeds, on packed monomials."""
     field = ring_.field
     G: list = []
@@ -529,7 +421,7 @@ def _buchberger(ring_: Ring, seeds: list, pk: _Packing, max_basis: int, max_term
         terms = _reduce_terms(g.terms, G[:i] + G[i + 1:], pk, field, max_terms)
         inv = field.inv(g.lc)
         polys.append(Polynomial(ring_, {pk.unpack(m): field.reduce(c * inv) for m, c in terms.items()}))
-    return GroebnerBasis(ring_, pk.order, tuple(polys), [pk.unpack(g.plm) for g in G])
+    return GroebnerBasis(ring_, order, tuple(polys), [pk.unpack(g.plm) for g in G])
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis, max_terms: int = None) -> Polynomial:

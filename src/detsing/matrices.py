@@ -6,8 +6,10 @@ Bareiss is fraction-free elimination with exact polynomial division. They
 cross-check each other in the test suite and must never be merged: the
 two algorithms share only the product kernel ``rings.sum_of_products``, in
 which a Bareiss numerator, a cofactor expansion and a pfaffian expansion
-are each one call. The tests check the kernel against frozen copies of the
-loops it replaced and against sympy.
+are each one call. Each routine packs the matrix once (``_packed_rows``)
+and stays packed, memos and Bareiss divisions included, until it returns.
+The tests check the kernels against frozen copies of the loops they
+replaced and against sympy.
 
 Conventions, all pinned by tests:
   * triangle(m, kind) lists the positions that determine a matrix: i < j
@@ -27,7 +29,7 @@ from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ, require_field
-from .rings import Polynomial, Ring, exact_div, json_list, ring, sum_of_products
+from .rings import Polynomial, Ring, _exact_div_terms, _packing_for, json_list, ring, sum_of_products
 
 
 class GenericMatrix:
@@ -179,20 +181,34 @@ def submatrix(M: GenericMatrix, rows: Iterable[int], cols: Iterable[int]) -> Gen
     return GenericMatrix(M.ring, [[M.rows[i][j] for j in cols] for i in rows], kind)
 
 
+def _packed_rows(M: GenericMatrix):
+    """M's grevlex packing and its rows of entries packed by it. Its fields
+    hold degree 2*n*d, d the largest entry degree: that bounds every minor,
+    pfaffian and Bareiss numerator of M, so no routine overflows."""
+    d = max((e.total_degree() for row in M.rows for e in row), default=0)
+    pk = _packing_for(("grevlex", M.ring.nvars), 2 * M.size * d)
+    return pk, [[pk.pack_terms(e.terms) for e in row] for row in M.rows]
+
+
 class MinorCache:
     """Shared cofactor expansion over one matrix.
 
     minor(I, J) is the determinant of the submatrix on strictly increasing
     index tuples I, J. All minors of all sizes share sub-results, so bulk
     extraction (minors_ideal, cofactor determinants) costs one pass over
-    the subset lattice instead of one expansion per minor.
+    the subset lattice instead of one expansion per minor. The shared
+    sub-results stay packed; minor() unpacks only the one it returns.
     """
 
     def __init__(self, M: GenericMatrix):
         self.M = M
-        self._cache = {((), ()): M.ring.one()}
+        self._pk, self._rows = _packed_rows(M)
+        self._cache = {((), ()): {self._pk.C: M.ring.field.one}}
 
     def minor(self, I: tuple, J: tuple) -> Polynomial:
+        return Polynomial(self.M.ring, self._pk.unpack_terms(self._minor(I, J)))
+
+    def _minor(self, I: tuple, J: tuple) -> dict:
         key = (I, J)
         got = self._cache.get(key)
         if got is not None:
@@ -201,9 +217,9 @@ class MinorCache:
         # the 1-based position (k, t + 1), and a 1x1 minor is its entry
         I_rest = I[:-1]
         k = len(I)
-        row = self.M.rows[I[-1]]
-        got = row[J[0]] if k == 1 else sum_of_products(self.M.ring, [
-            (-1 if (k + t) % 2 == 0 else 1, e, self.minor(I_rest, J[:t] + J[t + 1:]))
+        row = self._rows[I[-1]]
+        got = row[J[0]] if k == 1 else sum_of_products(self._pk, self.M.ring.field, [
+            (-1 if (k + t) % 2 == 0 else 1, e, self._minor(I_rest, J[:t] + J[t + 1:]))
             for t, j in enumerate(J) if (e := row[j])
         ])
         self._cache[key] = got
@@ -228,18 +244,19 @@ def determinant(M: GenericMatrix, method: str = "cofactor") -> Polynomial:
 
 
 def _det_bareiss(M: GenericMatrix) -> Polynomial:
-    """Fraction-free Bareiss elimination with exact polynomial division."""
+    """Fraction-free Bareiss elimination with exact polynomial division,
+    on packed entries."""
     n = M.size
     R = M.ring
     if n == 0:
         return R.one()
-    rows = [list(row) for row in M.rows]
+    pk, rows = _packed_rows(M)
+    field = R.field
     sign = 1
-    prev = R.one()
     for k in range(n - 1):
-        if rows[k][k].is_zero():
+        if not rows[k][k]:
             for i in range(k + 1, n):
-                if not rows[i][k].is_zero():
+                if rows[i][k]:
                     rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
@@ -249,11 +266,11 @@ def _det_bareiss(M: GenericMatrix) -> Polynomial:
         for i in range(k + 1, n):
             r_ik = rows[i][k]
             for j in range(k + 1, n):
-                num = sum_of_products(R, ((1, rows[i][j], piv), (-1, r_ik, rows[k][j])))
-                rows[i][j] = exact_div(num, prev) if not num.is_zero() else R.zero()
-            rows[i][k] = R.zero()
+                num = sum_of_products(pk, field, ((1, rows[i][j], piv), (-1, r_ik, rows[k][j])))
+                # the first step divides by 1
+                rows[i][j] = _exact_div_terms(pk, field, num, prev) if k and num else num
         prev = piv
-    det = rows[n - 1][n - 1]
+    det = Polynomial(R, pk.unpack_terms(rows[n - 1][n - 1]))
     return -det if sign < 0 else det
 
 
@@ -267,23 +284,24 @@ def pfaffian(M: GenericMatrix) -> Polynomial:
     _require_mirror(M.rows, "skew")
     if M.size % 2:
         raise OddSize("the pfaffian needs an even-sized matrix")
-    R = M.ring
-    memo: dict = {(): R.one()}
+    pk, rows = _packed_rows(M)
+    field = M.ring.field
+    memo: dict = {(): {pk.C: field.one}}
 
-    def pf(idx: tuple) -> Polynomial:
+    def pf(idx: tuple) -> dict:
         got = memo.get(idx)
         if got is not None:
             return got
-        row = M.rows[idx[0]]
+        row = rows[idx[0]]
         rest = idx[1:]
-        got = sum_of_products(R, [
+        got = sum_of_products(pk, field, [
             (-1 if t % 2 else 1, e, pf(rest[:t] + rest[t + 1:]))
             for t, j in enumerate(rest) if (e := row[j])
         ])
         memo[idx] = got
         return got
 
-    return pf(tuple(range(M.size)))
+    return Polynomial(M.ring, pk.unpack_terms(pf(tuple(range(M.size)))))
 
 
 def _index_sets(M: GenericMatrix, r: int) -> list:

@@ -8,15 +8,20 @@ keeps monomial arithmetic at tuple speed for the ring sizes that occur here
 Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
-``sum_of_products`` forms a whole sum of products c*f*g that way, for the
-determinant routes in ``matrices``. Inside it, each monomial is packed
-one byte per variable into an int, so a monomial product is one int
-addition; packing is exact while no exponent sum passes 255, and a sum it
-cannot prove within that bound is taken with Polynomial arithmetic. The
-Groebner kernel packs monomials too, in its own order-preserving layout
-(see ``groebner``), and does all its monomial work on them: products,
-divisibility, lcms and support masks. Packed ints never leave either, and
-every other routine works on exponent tuples.
+
+The kernels pack monomials in one layout, ``_Packing`` (Bachmann &
+Schoenemann, ISSAC '98): one int of W-bit fields whose int order is the
+monomial order, built from an order spec such as ("grevlex", n), so that a
+monomial product is one int addition and divisibility one guard-bit test.
+The Groebner kernel (see ``groebner``) runs on it, and so do
+``sum_of_products``, the sum of products c*f*g behind the determinant
+routes, and ``_exact_div_terms``, the exact division behind Bareiss and
+``exact_div``. ``matrices`` packs each matrix once, at a width its degree
+bound fits, and unpacks only what it returns. Packed ints never leave
+these kernels and the matrix routes; every other routine,
+``Polynomial.__mul__`` and ``Substitution`` included, works on exponent
+tuples.
+
 A substitution expands each term factor by factor, which is cheap for the
 chart tree's images: monomials, or polynomials met at power 1 or 2.
 
@@ -40,9 +45,10 @@ from __future__ import annotations
 
 import heapq
 import re
-from functools import reduce
-from itertools import compress, repeat
-from operator import add, le, neg, or_, sub
+import struct
+from functools import lru_cache
+from itertools import compress
+from operator import add, itemgetter, mul, neg
 from typing import Iterable
 
 from .errors import (
@@ -62,25 +68,9 @@ def m_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def m_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b entrywise."""
-    return all(map(le, a, b))
-
-
-def m_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
 def grevlex_key(a: Monomial):
     """Sort key realizing graded reverse lex: higher key = larger monomial."""
     return (sum(a),) + tuple(map(neg, reversed(a)))
-
-
-def grevlex_heap_key(a: Monomial):
-    """The negation of grevlex_key, for min-heaps that pop the largest
-    monomial first."""
-    return (-sum(a),) + a[::-1]
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -130,7 +120,8 @@ class Ring:
         return Polynomial(self, {self._zero_mono: c})
 
     def var(self, name: str) -> "Polynomial":
-        i = self.index.get(name)
+        # a name that is not a string, unhashable or not, is no variable
+        i = self.index.get(name) if isinstance(name, str) else None
         if i is None:
             raise UnknownVariable(f"{name!r} is not a variable of {self!r}")
         z = self._zero_mono
@@ -264,7 +255,7 @@ class Polynomial:
         return k, Polynomial(self.ring, terms)
 
     def _var_index(self, name: str) -> int:
-        i = self.ring.index.get(name)
+        i = self.ring.index.get(name) if isinstance(name, str) else None
         if i is None:
             raise UnknownVariable(f"{name!r} is not a variable of {self.ring!r}")
         return i
@@ -529,96 +520,245 @@ def embed(f: Polynomial, target: Ring) -> Polynomial:
     return Polynomial(target, terms)
 
 
-def sum_of_products(ring_: Ring, triples) -> Polynomial:
-    """The sum of c*f*g over (c, f, g) triples, c an int, f and g in ring_.
+# -- packed monomials ---------------------------------------------------------
 
-    Raw products of coefficients meet in one dict and each coefficient is
-    reduced once. Monomials are packed one byte per variable, first
-    variable most significant, and no byte may carry. The bytes of the OR
-    of the larger factor's packed monomials bound its exponents; a monomial
-    of the smaller factor passes at once when neither has a byte of 128 or
-    more, else when its exponents plus those bounds stay at most 255. A
-    failed check, or an exponent above 255, sends the whole sum to
-    Polynomial arithmetic. Packed ints never leave this function.
+_WIDTH = 16  # bits per packed field at the first try of _widening
+
+
+class _Overflow(Exception):
+    """A packed field would pass its largest value M."""
+
+
+class _Packing:
+    """The packed monomials of one order spec at field width W.
+
+    The spec is ("grevlex", n), ("lex", n) or ("elim", n, front indices),
+    as ``groebner.MonomialOrder.spec`` gives it. The fields, most
+    significant first, with M = 2^(W-1) - 1 the largest field value, are
+    [deg, M - x_n, ..., M - x_1] for grevlex, the same per block for an
+    elimination order (front block first, an empty block left out), and
+    [x_1, ..., x_n] for lex, so the int order is the monomial order.
+
+    Each field holds +1 or -1 times the exponent sum of some variables, plus
+    M when negated: pack(a) = C + sum(a_i * weights[i]), so pack(a*b) =
+    pack(a) + pack(b) - C. Packed a divides packed b exactly when
+    (a - b + K) & GV == GC: K lifts each field of a - b into [0, 2^W), and
+    a field's guard (top) bit is then set exactly when a's field is at
+    least b's, if negated, or greater, if not. deg(p) adds up the fields
+    that are not negated.
+
+    p ^ C turns every M - x field into x, so each exponent field of p ^ C
+    holds its exponent; unpack(p) reads them. On them, lcm(a, b) takes the
+    fieldwise max by guard-bit subtraction and then sums each block's
+    exponent fields into its degree field with one multiplication by a
+    ones vector; no sum carries, as a block degree of an lcm is at most
+    2M < 2^W, and one above M raises _Overflow. mask(p) sets the guard bit
+    of each exponent field whose variable occurs in p: disjoint masks mean
+    coprime, and a | b implies not (mask(a) & ~mask(b)).
     """
-    triples = list(triples)
-    n = ring_.nvars
-    high = int.from_bytes(b"\x80" * n, "big")
+
+    __slots__ = ("spec", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg", "lcm", "mask",
+                 "unpack")
+
+    def __init__(self, spec: tuple, width: int):
+        kind, n = spec[:2]
+        M = self.M = (1 << width - 1) - 1
+        fm = (1 << width) - 1
+        self.spec, self.width = spec, width
+        # (sign, variables, degree field?), most significant first
+        if kind == "lex":
+            fields = [(1, (i,), False) for i in range(n)]
+        else:
+            front = spec[2] if kind == "elim" else ()
+            blocks = [b for b in (front, tuple(i for i in range(n) if i not in front)) if b]
+            fields = [f for b in blocks for f in [(1, b, True)] + [(-1, (i,), False) for i in b[::-1]]]
+        # slots: the shift of each variable's exponent field
+        self.weights, self.slots, shifts = [0] * n, [None] * n, []
+        # E holds M in every exponent field, and none in the degree fields
+        C = K = GV = GC = E = 0
+        # per block: (its exponent fields' mask, ones vector, degree field)
+        sums = []
+        for j, (sign, block, degree) in enumerate(reversed(fields)):
+            s, guard = j * width, 1 << (j + 1) * width - 1
+            for i in block:
+                self.weights[i] += sign << s
+            if degree:
+                # the block's exponent fields are the len(block) just below
+                low = s - len(block) * width
+                sums.append((E >> low << low, sum(1 << k * width for k in range(1, len(block) + 1)), fm << s))
+            else:
+                self.slots[block[0]] = s
+                E += M << s
+            K += M + (sign < 0) << s
+            GV += guard
+            if sign < 0:
+                C += M << s
+                GC += guard
+            else:
+                shifts.append(s)
+        self.C, self.K, self.GV, self.GC = C, K, GV, GC
+        top, W1 = (len(fields) - 1) * width, width - 1
+        # for grevlex the degree is the top field
+        self.deg = (lambda p: p >> top) if shifts == [top] else (lambda p: sum([p >> s & fm for s in shifts]))
+
+        def lcm(a: int, b: int) -> int:
+            a ^= C
+            b ^= C
+            # t has a field's guard bit where a's field is at least b's;
+            # (t << 1) - (t >> W1) fills those fields with ones
+            t = ((a | GV) - b) & GV
+            v = (b ^ (a ^ b) & ((t << 1) - (t >> W1))) & E
+            for exps, ones, field in sums:
+                v |= (v & exps) * ones & field
+            if v & GV:
+                raise _Overflow
+            return v ^ C
+
+        self.lcm = lcm
+        self.mask = lambda p: ((p ^ C) & E) + E & GV
+
+        # whole-byte fields of two or more variables are read by one struct
+        # call, least significant field first
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
+        slots = self.slots
+        if code and n > 1:
+            nbytes = len(fields) * width // 8
+            read = struct.Struct(f"<{len(fields)}{code}").unpack
+            pick = itemgetter(*[s // width for s in slots])
+            self.unpack = lambda p: pick(read((p ^ C).to_bytes(nbytes, "little")))
+        else:
+            self.unpack = lambda p: tuple([(p ^ C) >> s & fm for s in slots])
+
+    def pack(self, a) -> int:
+        return sum(map(mul, a, self.weights), self.C)
+
+    def pack_terms(self, terms: dict) -> dict:
+        """Packed copy of a term dict; _Overflow when a degree passes M."""
+        if max(map(sum, terms), default=0) > self.M:
+            raise _Overflow
+        return dict(zip(map(self.pack, terms), terms.values()))
+
+    def unpack_terms(self, terms: dict) -> dict:
+        """The term dict of a packed one."""
+        return dict(zip(map(self.unpack, terms), terms.values()))
+
+
+# one packing per (spec, width): building one costs tens of microseconds, and
+# the matrix routes ask for one per call; specs are few, and the bound only
+# keeps a long-lived caller from growing the cache
+_packing = lru_cache(maxsize=256)(_Packing)
+
+
+def _widening(spec: tuple, run, pk: _Packing = None):
+    """run(pk), by default at the first width, and while it overflows,
+    again at twice the width."""
+    pk = pk or _packing(spec, _WIDTH)
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            pk = _packing(spec, 2 * pk.width)
+
+
+def _packing_for(spec: tuple, degree: int) -> _Packing:
+    """The narrowest packing of spec, from 8 bits up by doubling, whose
+    fields hold every monomial of total degree at most degree. A caller
+    that knows its degree bound takes the narrowest ints; the Groebner
+    kernel starts at _WIDTH instead, as each redo costs it a whole call."""
+
+    def fits(pk):
+        if degree > pk.M:
+            raise _Overflow
+        return pk
+
+    return _widening(spec, fits, _packing(spec, 8))
+
+
+def sum_of_products(pk: _Packing, field, triples) -> dict:
+    """The sum of c*f*g over (c, f, g) triples: c an int, f and g term
+    dicts packed by pk, over the given field, whose products pk holds.
+
+    A monomial product is p1 + p2 - C. Raw products of coefficients meet
+    in one dict and each coefficient is reduced once; the result is a
+    packed term dict.
+    """
+    C = pk.C
     acc: dict = {}
     get = acc.get
-    try:
-        for c, f, g in triples:
-            if type(c) is not int:
-                raise TypeError(f"not an int coefficient: {c!r}")
-            if f.ring is not ring_ and f.ring != ring_ or g.ring is not ring_ and g.ring != ring_:
-                raise RingMismatch("factor not in the given ring")
-            small, large = (f.terms, g.terms) if len(f.terms) <= len(g.terms) else (g.terms, f.terms)
-            if not (c and small):
-                continue
-            packed = list(map(int.from_bytes, map(bytes, large), repeat("big")))
-            top = reduce(or_, packed)
-            large_items = list(zip(packed, large.values()))
-            for m1, c1 in small.items():
-                b1 = bytes(m1)
-                p1 = int.from_bytes(b1, "big")
-                if (p1 | top) & high and max(map(add, b1, top.to_bytes(n, "big"))) > 255:
-                    raise ValueError("an exponent sum passes 255")
-                c1 *= c
-                for p2, c2 in large_items:
-                    p = p1 + p2
-                    acc[p] = get(p, 0) + c1 * c2
-    except ValueError:
-        return sum((f * g * c for c, f, g in triples), ring_.zero())
-    reduce_ = ring_.field.reduce
-    return Polynomial(ring_, {tuple(p.to_bytes(n, "big")): r for p, c in acc.items() if (r := reduce_(c))})
+    for c, f, g in triples:
+        small, large = (f, g) if len(f) <= len(g) else (g, f)
+        if not (c and small):
+            continue
+        large_items = list(large.items())
+        for m1, c1 in small.items():
+            m1 -= C
+            c1 *= c
+            for m2, c2 in large_items:
+                p = m1 + m2
+                acc[p] = get(p, 0) + c1 * c2
+    reduce = field.reduce
+    return {p: r for p, c in acc.items() if (r := reduce(c))}
 
 
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; ValueError otherwise.
+def _exact_div_terms(pk: _Packing, field, f: dict, g: dict) -> dict:
+    """Quotient f/g of term dicts packed by a grevlex pk, g nonzero, when g
+    divides f exactly; ValueError otherwise.
 
     Single-divisor reduction decides divisibility: if f = q*g then the
-    leading term of g divides the leading term of f under any monomial
-    order, and peeling it preserves divisibility. The remainder's terms sit
-    in a lazy max-heap, as in the Groebner normal form: every monomial a
-    peeling step introduces is smaller than the one it cancels, so each is
-    settled once. The leading term of g cancels exactly and is skipped.
+    leading term of g divides the leading term of f, and peeling it
+    preserves divisibility. The remainder's terms sit in a lazy max-heap of
+    negated ints, as in the Groebner reducer: every monomial a peeling step
+    introduces is smaller than the one it cancels, so each is settled
+    once, and none has a degree above deg(f), so pk holds them all when it
+    holds f and g. The leading term of g cancels exactly and is skipped.
     """
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    f._check_ring(g)
-    ring_ = f.ring
-    field = ring_.field
     reduce, div = field.reduce, field.div
-    glm, glc = g.leading()
-    g_tail = [(gm, gc) for gm, gc in g.terms.items() if gm != glm]
+    glm = max(g)
+    glc = g[glm]
+    # glm divides m exactly when (lifted - m) & GV == GC
+    lifted, GV, GC = glm + pk.K, pk.GV, pk.GC
+    # the quotient monomial of m is m - glm + C, a tail term's product m + shift
+    qshift = pk.C - glm
+    tail = [(gm - glm, gc) for gm, gc in g.items() if gm != glm]
     quotient: dict = {}
-    rest = dict(f.terms)
-    heap = [(grevlex_heap_key(m), m) for m in rest]
+    rest = dict(f)
+    heap = [-m for m in rest]
     heapq.heapify(heap)
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = -heapq.heappop(heap)
         c = rest.pop(m, None)
         if c is None:
             continue
-        if not m_divides(glm, m):
+        if (lifted - m) & GV != GC:
             raise ValueError("not an exact multiple")
-        qm = m_div(m, glm)
         qc = div(c, glc)
-        quotient[qm] = qc
-        for gm, gc in g_tail:
-            tm = m_mul(gm, qm)
+        quotient[m + qshift] = qc
+        for shift, gc in tail:
+            tm = m + shift
             cur = rest.get(tm)
             if cur is None:
                 # a product of nonzero field elements is nonzero
                 rest[tm] = reduce(-gc * qc)
-                heapq.heappush(heap, (grevlex_heap_key(tm), tm))
+                heapq.heappush(heap, -tm)
             else:
                 s = reduce(cur - gc * qc)
                 if s:
                     rest[tm] = s
                 else:
                     del rest[tm]
-    return Polynomial(ring_, quotient)
+    return quotient
+
+
+def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Quotient f/g when g divides f exactly; ValueError otherwise. The
+    division runs on f and g packed in grevlex (see _exact_div_terms)."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    f._check_ring(g)
+    ring_ = f.ring
+    pk = _packing_for(("grevlex", ring_.nvars), max(f.total_degree(), g.total_degree()))
+    quotient = _exact_div_terms(pk, ring_.field, pk.pack_terms(f.terms), pk.pack_terms(g.terms))
+    return Polynomial(ring_, pk.unpack_terms(quotient))
 
 
 # -- parsing ------------------------------------------------------------------

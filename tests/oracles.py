@@ -23,8 +23,9 @@ and the differential tests hold the int-when-integral ``QQ`` to it. A
 fourth is the determinant loops as they stood before the packed product
 kernel (see "Frozen determinant loops" below): the Bareiss numerator, the
 cofactor expansion and the pfaffian expansion, each on Polynomial ``*``,
-``+`` and ``-``; the differential tests hold ``rings.sum_of_products`` and
-its callers in ``matrices`` to them.
+``+`` and ``-``, Bareiss dividing by the frozen exact division; the
+differential tests hold ``rings.sum_of_products``, ``rings.exact_div`` and
+their callers in ``matrices`` to them.
 """
 
 import heapq
@@ -34,7 +35,7 @@ from itertools import combinations_with_replacement, count
 import sympy
 
 from detsing.errors import ResourceLimit
-from detsing.rings import Polynomial, exact_div
+from detsing.rings import Polynomial
 
 
 def to_sympy(f, syms=None):
@@ -471,11 +472,14 @@ class FractionQQ:
 # The Bareiss elimination, the shared cofactor expansion and the pfaffian
 # recursion as they stood before rings.sum_of_products: each sum is built
 # from one product and one copy of the running sum per term. Exact division
-# is the package's. Change nothing here except to fix the copy itself.
+# is the frozen rescanning one above (oracle_exact_div), so that no frozen
+# loop runs the package's kernels. Change nothing here except to fix the
+# copy itself.
 
 
 def frozen_bareiss(M):
-    """det(M) by fraction-free elimination, numerators on * and -."""
+    """det(M) by fraction-free elimination, numerators on * and -, divided
+    by the frozen exact division."""
     n = M.size
     R = M.ring
     if n == 0:
@@ -497,7 +501,7 @@ def frozen_bareiss(M):
             r_ik = rows[i][k]
             for j in range(k + 1, n):
                 num = rows[i][j] * piv - r_ik * rows[k][j]
-                rows[i][j] = exact_div(num, prev) if not num.is_zero() else R.zero()
+                rows[i][j] = oracle_exact_div(num, prev) if not num.is_zero() else R.zero()
             rows[i][k] = R.zero()
         prev = piv
     det = rows[n - 1][n - 1]

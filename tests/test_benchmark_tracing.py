@@ -62,10 +62,19 @@ def test_tracer_rebinds_every_target():
         names = {span[0] for span in tracer.spans[start:]}
         assert {"groebner", "verify.groebner_of", "verify.saturate"} <= names
 
-        # the Bareiss determinant divides through rings.exact_div
+        # F1 runs both determinant routes, whose Bareiss divides inside
+        # matrices on packed ints
         start = len(tracer.spans)
         tracer.request = 2
         detsing.check_fact("F1", 5)
+        tracer.request = None
+        assert "matrices.determinant.bareiss" in {span[0] for span in tracer.spans[start:]}
+
+        # the public exact division keeps its span
+        start = len(tracer.spans)
+        tracer.request = 3
+        x, y = detsing.ring("x y").vars()
+        assert detsing.exact_div(x * x - y * y, x + y) == x - y
         tracer.request = None
         assert "rings.exact_div" in {span[0] for span in tracer.spans[start:]}
     finally:

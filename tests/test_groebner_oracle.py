@@ -24,11 +24,20 @@ from detsing import verify
 from detsing.fields import QQ, PrimeField
 from detsing.groebner import elimination_order, grevlex_order, groebner, lex_order
 from detsing.matrices import Ideal, generic_skew, generic_sym, minors_ideal
-from detsing.rings import Polynomial, Ring, embed, exact_div, m_divides, ring
+from detsing.rings import Polynomial, Ring, embed, exact_div, ring
 
-from .oracles import _coprime, _m_lcm, gm_oracle_groebner, oracle_exact_div, oracle_groebner, oracle_normal_form
+from .oracles import (
+    _coprime,
+    _m_divides,
+    _m_lcm,
+    gm_oracle_groebner,
+    oracle_exact_div,
+    oracle_groebner,
+    oracle_normal_form,
+)
 
 engine = importlib.import_module("detsing.groebner")
+rings = importlib.import_module("detsing.rings")
 
 FIELDS = (QQ, PrimeField(7), PrimeField(101))
 FIELD_IDS = ("QQ", "F7", "F101")
@@ -171,6 +180,25 @@ def test_exact_division_matches_frozen_division(field):
     assert checked_raise >= 10
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_exact_division_past_sixteen_bit_fields(field):
+    # degrees past 32767, the largest field value at 16 bits, are divided
+    # at 32 bits; a non-multiple still raises
+    x, y, z = ring("x y z", field).vars()
+    g = x ** 20000 - 3 * y ** 5 * z + 1
+    for q in (x ** 15000 * y - z ** 2, y ** 30000 + x * z, x ** 20000 + 2):
+        f = q * g
+        assert f.total_degree() > 32767
+        assert exact_div(f, g) == oracle_exact_div(f, g) == q
+        for bad in (f + x ** 20000 * y, f - z, f * x + y ** 40000):
+            with pytest.raises(ValueError):
+                oracle_exact_div(bad, g)
+            with pytest.raises(ValueError):
+                exact_div(bad, g)
+    with pytest.raises(ValueError):
+        exact_div(x ** 30000, x ** 40000)
+
+
 def _ring_of(n):
     return ring(" ".join(f"v{i}" for i in range(n)))
 
@@ -178,7 +206,7 @@ def _ring_of(n):
 def _exponent_mask(pk, a):
     """The support mask of exponent tuple a, on the packed layout of pk: the
     guard bit of the field that holds variable i, for each i that occurs."""
-    return sum(1 << pk.slots[i][0] + pk.width - 1 for i, e in enumerate(a) if e)
+    return sum(1 << pk.slots[i] + pk.width - 1 for i, e in enumerate(a) if e)
 
 
 def _blocks(order):
@@ -218,7 +246,7 @@ def test_packed_lcm_and_mask_match_the_tuple_ones(kind, width, n):
     # that lcms with a block degree past M, which must raise _Overflow,
     # and lcms that pack both occur.
     order = _PACKED_ORDERS[kind](_ring_of(n))
-    pk = engine._Packing(order, width)
+    pk = rings._Packing(order.spec, width)
     rng = random.Random(f"{kind}/{width}/{n}")
     blocks = _blocks(order)
     seen = {"packed": 0, "overflow": 0, "coprime": 0, "divides": 0}
@@ -233,7 +261,7 @@ def test_packed_lcm_and_mask_match_the_tuple_ones(kind, width, n):
             seen["packed"] += 1
         else:
             for x, y in ((pa, pb), (pb, pa)):
-                with pytest.raises(engine._Overflow):
+                with pytest.raises(rings._Overflow):
                     pk.lcm(x, y)
             seen["overflow"] += 1
         assert pk.lcm(pa, pa) == pa
@@ -246,7 +274,7 @@ def test_packed_lcm_and_mask_match_the_tuple_ones(kind, width, n):
         for lo, hi in ((a, b), (b, a), (a, lcm), (b, lcm)):
             if all(sum(hi[i] for i in block) <= pk.M for block in blocks):
                 divides = (pk.pack(lo) - pk.pack(hi) + pk.K) & pk.GV == pk.GC
-                assert divides == m_divides(lo, hi)
+                assert divides == _m_divides(lo, hi)
                 if divides:
                     assert not (pk.mask(pk.pack(lo)) & ~pk.mask(pk.pack(hi)))
                     seen["divides"] += lo != hi
@@ -262,14 +290,14 @@ def test_lcm_past_the_largest_field_value_overflows():
     R = ring("x y z w")
     x4, y4, z4 = (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0)
     for order in (grevlex_order(R), elimination_order(R, ["x", "y"]), elimination_order(R, ["z", "w"])):
-        pk = engine._Packing(order, 4)
-        with pytest.raises(engine._Overflow):
+        pk = rings._Packing(order.spec, 4)
+        with pytest.raises(rings._Overflow):
             pk.lcm(pk.pack(x4), pk.pack(y4))
     # a block order bounds each block alone: x^4 * z^4 packs
-    pk = engine._Packing(elimination_order(R, ["x", "y"]), 4)
+    pk = rings._Packing(elimination_order(R, ["x", "y"]).spec, 4)
     assert pk.unpack(pk.lcm(pk.pack(x4), pk.pack(z4))) == (4, 0, 4, 0)
     # lex bounds each exponent alone: no lcm of packed monomials passes M
-    pk = engine._Packing(lex_order(R), 4)
+    pk = rings._Packing(lex_order(R).spec, 4)
     assert pk.unpack(pk.lcm(pk.pack((7, 7, 7, 7)), pk.pack((1, 2, 3, 4)))) == (7, 7, 7, 7)
 
 
@@ -285,18 +313,18 @@ def _monomial_pairs():
 def test_mask_never_rejects_a_divisor(pair):
     a, d = pair
     b = tuple(x + y for x, y in zip(a, d))
-    pk = engine._Packing(grevlex_order(_ring_of(len(a))), engine._WIDTH)
+    pk = rings._Packing(grevlex_order(_ring_of(len(a))).spec, rings._WIDTH)
     mask = {m: pk.mask(pk.pack(m)) for m in (a, b, d)}
     for lo, hi in ((a, b), (a, d), (d, a)):
-        if m_divides(lo, hi):
+        if _m_divides(lo, hi):
             assert not (mask[lo] & ~mask[hi])
 
 
 def test_mask_sets_one_bit_per_variable():
-    pk = engine._Packing(grevlex_order(ring("x y z w")), 16)
+    pk = rings._Packing(grevlex_order(ring("x y z w")).spec, 16)
     # the fields, most significant first: deg, M - w, M - z, M - y, M - x
     assert pk.mask(pk.pack((0, 2, 0, 1))) == 1 << 4 * 16 - 1 | 1 << 2 * 16 - 1
-    pk = engine._Packing(grevlex_order(_ring_of(70)), 16)
+    pk = rings._Packing(grevlex_order(_ring_of(70)).spec, 16)
     assert pk.mask(pk.pack((0,) * 70)) == 0
     everything = pk.mask(pk.pack((1,) * 70))
     assert bin(everything).count("1") == 70
@@ -310,7 +338,7 @@ def test_masks_decide_coprimality_at_every_width(width):
     rng = random.Random(width)
     R = _ring_of(width)
     for order in (grevlex_order(R), elimination_order(R, [R.names[-1]])):
-        pk = engine._Packing(order, engine._WIDTH)
+        pk = rings._Packing(order.spec, rings._WIDTH)
         for _ in range(150):
             a, b = (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width)) for _ in range(2))
             if rng.random() < 0.3:
@@ -322,7 +350,7 @@ def test_masks_decide_coprimality_at_every_width(width):
             assert ma == _exponent_mask(pk, a)
             ab = tuple(x + y for x, y in zip(a, b))
             for lo, hi in ((a, ab), (b, ab), (a, b)):
-                if m_divides(lo, hi):
+                if _m_divides(lo, hi):
                     assert not (pk.mask(pk.pack(lo)) & ~pk.mask(pk.pack(hi)))
 
 
@@ -337,7 +365,7 @@ class _PopRecorder:
     heapify = staticmethod(heapq.heapify)
 
     def __init__(self, order):
-        self.unpack = engine._Packing(order, engine._WIDTH).unpack
+        self.unpack = rings._Packing(order.spec, rings._WIDTH).unpack
         self.popped = []
         self.dead = 0
 
@@ -469,15 +497,15 @@ def test_packed_kernel_does_the_frozen_work(field, monkeypatch):
 
 
 def _widths(monkeypatch):
-    """The list of widths of the packings the engine makes from now on."""
+    """The list of widths of the packings the engine asks for from now on."""
     widths = []
-    packing = engine._Packing
+    packing = rings._packing
 
-    def recorded(order, width):
+    def recorded(spec, width):
         widths.append(width)
-        return packing(order, width)
+        return packing(spec, width)
 
-    monkeypatch.setattr(engine, "_Packing", recorded)
+    monkeypatch.setattr(rings, "_packing", recorded)
     return widths
 
 
@@ -486,7 +514,7 @@ def test_fields_too_narrow_are_redone_at_twice_the_width(field, monkeypatch):
     # At 4 bits a field holds at most 7, so the S-polynomials of these
     # ideals overflow and their calls are redone at 8 bits; the bases and
     # normal forms must not notice.
-    monkeypatch.setattr(engine, "_WIDTH", 4)
+    monkeypatch.setattr(rings, "_WIDTH", 4)
     widths = _widths(monkeypatch)
     rng = random.Random(4)
     # binomials whose traversals pass 7 where one check alone sees it: in
@@ -521,7 +549,7 @@ def test_degrees_past_the_default_width(monkeypatch):
     basis = groebner([x - y])
     assert basis.reduce(x ** 40000 * z) == y ** 40000 * z
     assert basis.reduce(x * z) == y * z
-    assert set(widths) == {engine._WIDTH, 2 * engine._WIDTH}
+    assert set(widths) == {rings._WIDTH, 2 * rings._WIDTH}
 
 
 # inhomogeneous polynomials in x, y, z: up to three terms of degree <= 3
@@ -560,7 +588,7 @@ def test_pair_sharing_a_variable_past_the_mask_is_not_coprime():
     v0, v1, v65 = R.var("v0"), R.var("v1"), R.var("v65")
     gens = [v0 * v65 - 1, v1 * v65 - 1]
     lms = [g.leading(grevlex_order(R).key)[0] for g in gens]
-    pk = engine._Packing(grevlex_order(R), engine._WIDTH)
+    pk = rings._Packing(grevlex_order(R).spec, rings._WIDTH)
     assert pk.mask(pk.pack(lms[0])) & pk.mask(pk.pack(lms[1]))
     recorder = _assert_same_traversal(gens, grevlex_order(R))
     # seeds: v1*v65 - 1 is age 0, v0*v65 - 1 age 1

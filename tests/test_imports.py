@@ -6,6 +6,9 @@ A deletion or a merge can leave an import, a private helper such as a
 behind that nothing reads any more; these tests parse each module with
 ``ast`` and name them. ``__init__.py`` is skipped by the import check: its
 imports are the package's public names.
+
+Monomial packing is decided in ``rings`` alone: no other module defines a
+packing class or its overflow signal, or packs through int bytes.
 """
 
 import ast
@@ -119,3 +122,44 @@ def test_finds_an_unread_public_name():
 def test_public_names_are_exported_or_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_public_names(sources, exported_names(sources["__init__.py"])) == []
+
+
+PACKING_CLASSES = {"_Packing", "_Overflow"}
+
+
+def packing_outside_rings(source):
+    """(line, name) of each definition of _Packing or _Overflow, and of each
+    use of int.from_bytes or .to_bytes, called or passed, in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                found.append((node.lineno, node.attr))
+            continue
+        found += [(node.lineno, name) for name in names if name in PACKING_CLASSES]
+    return sorted(found)
+
+
+def test_finds_packing_outside_rings():
+    source = (
+        "class _Packing:\n    pass\n"
+        "_Overflow = ValueError\n"
+        "def pack(m):\n    return int.from_bytes(bytes(m), 'big')\n"
+        "def unpack(p, n):\n    return list(map(int.to_bytes, [p], [n], ['big']))\n"
+        "def _Overflowing():\n    return (3).bit_length()\n"
+    )
+    assert packing_outside_rings(source) == [
+        (1, "_Packing"), (3, "_Overflow"), (5, "from_bytes"), (7, "to_bytes"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "rings.py"), ids=lambda p: p.name
+)
+def test_only_rings_packs_monomials(path):
+    assert packing_outside_rings(path.read_text()) == []

@@ -111,6 +111,17 @@ def test_parse_errors(R3):
         Ring(["x"], PrimeField(7)).parse("1/14*x")
 
 
+@pytest.mark.parametrize("name", [["x"], {"x": 1}, {"x"}, ("x",), 1, None])
+def test_names_that_are_not_strings_are_unknown_variables(name):
+    # an unhashable name must not escape as a bare TypeError
+    R = ring("x y")
+    f = R.parse("x*y + x")
+    calls = (R.var, f.degree_in, f.factor_out, lambda n: f.order_at([n]), lambda n: f.is_homogeneous([n]))
+    for call in calls:
+        with pytest.raises(UnknownVariable):
+            call(name)
+
+
 @pytest.mark.parametrize("text", [
     "x*2", "2^3*x", "2*3*x", "x*1/2", "2^0", "(x)", "x y", "x^", "1/0",
     "", "-", "x +", "* x", "x + - y", "1 2", "x^-1", "x**2", "2/x", "x & 2", 5, None,

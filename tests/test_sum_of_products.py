@@ -4,21 +4,21 @@ cofactor expansion and pfaffian expansion on Polynomial ``*``, ``+``, ``-``).
 
 A sum of products is a unique polynomial, so every route must return the
 same term map as its frozen loop, over Q and over prime fields. The edge
-cases pin the packing bound: exponent sums up to 255 are packed, larger
-ones are summed with Polynomial arithmetic.
+cases pin the packing widths: a matrix is packed at the narrowest of 8,
+16, 32, ... bits whose largest field value holds its degree bound 2*n*d,
+and a ring without variables packs every monomial to the same int.
 """
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detsing.errors import RingMismatch
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
     GenericMatrix,
+    _packed_rows,
     determinant,
     generic_skew,
     generic_sym,
@@ -27,7 +27,7 @@ from detsing.matrices import (
     pfaffian,
     triangle,
 )
-from detsing.rings import Polynomial, ring, sum_of_products
+from detsing.rings import Polynomial, _packing_for, ring, sum_of_products
 
 from .oracles import FrozenMinorCache, frozen_bareiss, frozen_cofactor, frozen_pfaffian
 
@@ -104,6 +104,28 @@ def test_small_matrices_match_frozen_loops(M):
     assert_routes_match_frozen(M, every_minor=True)
 
 
+def wide_matrix(kind, m, d, field):
+    """The m x m matrix of the kind with t^d * x_i_j + 1 at each triangle
+    position (i, j), whose Bareiss numerators hold high powers of t."""
+    positions = triangle(m, kind)
+    R = ring(["t"] + [f"x_{i + 1}_{j + 1}" for i, j in positions], field)
+    t = R.var("t")
+    entries = {(i, j): t ** d * R.var(f"x_{i + 1}_{j + 1}") + 1 for i, j in positions}
+    return GenericMatrix.from_triangle(R, m, entries, kind)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(101)), ids=("QQ", "F101"))
+@pytest.mark.parametrize("kind, m, d", [("general", 3, 10000), ("sym", 3, 10000), ("skew", 4, 6000)])
+def test_routes_past_sixteen_bit_fields_match_frozen_loops(kind, m, d, field):
+    # 2*m*(d+1) passes 32767, the largest field value at 16 bits, so the
+    # matrix is packed at 32; m*(d+1) does not, and at 16 bits a Bareiss
+    # numerator's t exponent would pass it
+    M = wide_matrix(kind, m, d, field)
+    assert 2 * m * (d + 1) > 32767 >= m * (d + 1)
+    assert _packed_rows(M)[0].width == 32
+    assert_routes_match_frozen(M)
+
+
 # --------------------------------------------------------------------------
 # the kernel itself
 
@@ -112,13 +134,23 @@ def naive_sum(R, triples):
     return sum((f * g * c for c, f, g in triples), R.zero())
 
 
+def packed_sum(R, triples):
+    """sum_of_products of the triples' factors, packed at the narrowest
+    width that holds every product, unpacked."""
+    degree = max((f.total_degree() + g.total_degree() for _, f, g in triples), default=0)
+    pk = _packing_for(("grevlex", R.nvars), degree)
+    packed = [(c, pk.pack_terms(f.terms), pk.pack_terms(g.terms)) for c, f, g in triples]
+    return Polynomial(R, pk.unpack_terms(sum_of_products(pk, R.field, packed)))
+
+
 @st.composite
 def triples(draw):
-    """Triples with exponents up to 200, so that some sums pass 255."""
+    """Triples with exponents up to 20000, so that some products need
+    32-bit fields."""
     field = draw(st.sampled_from(FIELDS))
     R = ring("x y", field)
     poly = st.lists(
-        st.tuples(st.tuples(st.integers(0, 200), st.integers(0, 200)), st.integers(-4, 4)),
+        st.tuples(st.tuples(st.integers(0, 20000), st.integers(0, 20000)), st.integers(-4, 4)),
         max_size=3,
     ).map(lambda items: sum((R.const(c) * Polynomial(R, {m: 1}) for m, c in items), R.zero()))
     return R, draw(st.lists(st.tuples(st.integers(-3, 3), poly, poly), max_size=4))
@@ -128,72 +160,37 @@ def triples(draw):
 @given(triples())
 def test_sum_of_products_matches_polynomial_arithmetic(case):
     R, ts = case
-    assert sum_of_products(R, ts).terms == naive_sum(R, ts).terms
+    assert packed_sum(R, ts).terms == naive_sum(R, ts).terms
 
 
-@pytest.fixture
-def no_polynomial_products(monkeypatch):
-    """Fail any Polynomial multiplication: the kernel packed the whole sum."""
-
-    def refuse(self, other):
-        raise AssertionError("the sum fell back to Polynomial arithmetic")
-
-    monkeypatch.setattr(Polynomial, "__mul__", refuse)
-    monkeypatch.setattr(Polynomial, "__rmul__", refuse)
-
-
-def test_exponent_sum_255_is_packed(no_polynomial_products):
-    R = ring("x y")
-    x128 = R.parse("x^128")
-    big = R.parse("x^127*y^3 + 2*x*y")
-    expected = R.parse("x^255*y^3 + 2*x^129*y")
-    assert sum_of_products(R, [(1, x128, big)]) == expected
-    assert sum_of_products(R, [(1, big, x128)]) == expected
-
-
-def test_exponent_sum_256_falls_back():
+def test_products_past_sixteen_bit_fields():
     R = ring("x y")
     for name in ("x", "y"):
-        v128 = R.parse(f"{name}^128")
-        assert sum_of_products(R, [(1, v128, v128)]) == R.parse(f"{name}^256")
-        assert sum_of_products(R, [(-2, v128, R.parse(f"{name}^128 + x"))]) == R.parse(
-            f"-2*{name}^256 - 2*x*{name}^128"
+        half = R.parse(f"{name}^20000")
+        assert packed_sum(R, [(1, half, half)]) == R.parse(f"{name}^40000")
+        assert packed_sum(R, [(-2, half, R.parse(f"{name}^20000 + x"))]) == R.parse(
+            f"-2*{name}^40000 - 2*x*{name}^20000"
         )
-    over = R.parse("x^300 + y")
-    assert sum_of_products(R, [(1, over, R.parse("y"))]) == R.parse("x^300*y + y^2")
+    # the narrowest width whose largest field value 2^(W-1) - 1 holds the degree
+    widths = {d: _packing_for(("grevlex", 2), d).width for d in (0, 127, 128, 32767, 40000)}
+    assert widths == {0: 8, 127: 8, 128: 16, 32767: 16, 40000: 32}
 
 
-def test_zero_factors_are_skipped(no_polynomial_products):
+def test_zero_factors_are_skipped():
     R = ring("x y")
     x200 = R.parse("x^200")
-    assert sum_of_products(R, [(1, R.zero(), R.zero())]) == R.zero()
-    assert sum_of_products(R, [(0, x200, x200), (1, R.zero(), x200)]) == R.zero()
-    assert sum_of_products(R, []) == R.zero()
+    assert packed_sum(R, [(1, R.zero(), R.zero())]) == R.zero()
+    assert packed_sum(R, [(0, x200, x200), (1, R.zero(), x200)]) == R.zero()
+    assert packed_sum(R, []) == R.zero()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_ring_without_variables(field):
     R = ring([], field)
     two, five = R.const(2), R.const(5)
-    assert sum_of_products(R, [(3, two, five), (-1, R.one(), R.const(30))]) == R.zero()
-    assert sum_of_products(R, [(1, two, five), (1, R.one(), R.one())]) == R.const(11)
-
-
-def test_sum_of_products_orders_variables_first_most_significant():
-    R = ring("a b c")
-    f = R.parse("a^2*b + 3*c")
-    g = R.parse("b*c^4 - a")
-    ts = [(1, f, g), (-5, g, R.parse("a*c"))]
-    assert sum_of_products(R, ts).terms == naive_sum(R, ts).terms
-
-
-def test_sum_of_products_refuses_bad_factors():
-    R = ring("x y")
-    x, y = R.parse("x"), R.parse("y")
-    for c in (True, Fraction(1, 2), 1.0):
-        with pytest.raises(TypeError):
-            sum_of_products(R, [(c, x, y)])
-    with pytest.raises(RingMismatch):
-        sum_of_products(R, [(1, x, ring("x y z").parse("y"))])
-    with pytest.raises(RingMismatch):
-        sum_of_products(ring("x y", PrimeField(7)), [(1, x, y)])
+    assert packed_sum(R, [(3, two, five), (-1, R.one(), R.const(30))]) == R.zero()
+    assert packed_sum(R, [(1, two, five), (1, R.one(), R.one())]) == R.const(11)
+    # every routine on a matrix of constants: all monomials pack to one int
+    for kind, m in (("general", 3), ("sym", 3), ("skew", 4)):
+        entries = {p: R.const(3 * i - 5) for i, p in enumerate(triangle(m, kind))}
+        assert_routes_match_frozen(GenericMatrix.from_triangle(R, m, entries, kind), every_minor=True)
