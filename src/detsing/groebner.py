@@ -22,7 +22,7 @@ candidates by them, and decides coprimality by packed support masks:
 disjoint masks mean coprime. The seeds, each reduction step, each
 candidate lcm and each new pair check that no field passes its largest
 value; a failed check redoes the call at twice the width
-(``rings._widening``), so no result depends on the width. groebner()
+(``_widening``), so no result depends on the width. groebner()
 packs its seeds and unpacks its basis once; a GroebnerBasis packs its
 elements at its first reduce().
 """
@@ -36,11 +36,12 @@ from operator import attrgetter, itemgetter, neg
 from typing import Iterable
 
 from .errors import BadParameters, DuplicateVariable, ResourceLimit, RingMismatch, UnknownVariable
-from .rings import Polynomial, Ring, _Overflow, _Packing, _widening, grevlex_key
+from .rings import Polynomial, Ring, _Overflow, _Packing, _packing, grevlex_key
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_TERMS = 200_000
 _MAX_TERMS_ENV = os.environ.get("DETSING_MAX_TERMS")
+_WIDTH = 16  # bits per packed field at the first try
 
 
 def _positive(name: str, value) -> int:
@@ -135,6 +136,17 @@ def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
         return (sum(f), *map(neg, f), sum(b), *map(neg, b))
 
     return MonomialOrder(("elim", ring_.nvars, front), key)
+
+
+def _widening(spec: tuple, run, pk: _Packing = None):
+    """run(pk), by default at the first width, and while it overflows,
+    again at twice the width."""
+    pk = pk or _packing(spec, _WIDTH)
+    while True:
+        try:
+            return run(pk)
+        except _Overflow:
+            pk = _packing(spec, 2 * pk.width)
 
 
 class _Gen:

@@ -9,18 +9,12 @@ Coefficients follow ``fields``: raw + - *, then ``field.reduce``. Sums of
 products (multiplication, substitution, parsing) accumulate raw values in
 one dict and reduce each coefficient once, in ``Polynomial._reduced``.
 
-The kernels pack monomials in one layout, ``_Packing`` (Bachmann &
-Schoenemann, ISSAC '98): one int of W-bit fields whose int order is the
-monomial order, built from an order spec such as ("grevlex", n), so that a
-monomial product is one int addition and divisibility one guard-bit test.
-The Groebner kernel (see ``groebner``) runs on it, and so do
-``sum_of_products``, the sum of products c*f*g behind the determinant
-routes, and ``_exact_div_terms``, the exact division behind Bareiss and
-``exact_div``. ``matrices`` packs each matrix once, at a width its degree
-bound fits, and unpacks only what it returns. Packed ints never leave
-these kernels and the matrix routes; every other routine,
-``Polynomial.__mul__`` and ``Substitution`` included, works on exponent
-tuples.
+The Groebner kernel, ``sum_of_products`` (the sum of products c*f*g
+behind the determinant routes) and ``_exact_div_terms`` (the division
+behind Bareiss and ``exact_div``) work on one packed-int monomial layout,
+``_Packing`` (Bachmann & Schoenemann, ISSAC '98). Packed ints never leave
+them and the matrix routes; every other routine, ``Polynomial.__mul__``
+and ``Substitution`` included, works on exponent tuples.
 
 A substitution expands each term factor by factor, which is cheap for the
 chart tree's images: monomials, or polynomials met at power 1 or 2.
@@ -45,10 +39,9 @@ from __future__ import annotations
 
 import heapq
 import re
-import struct
 from functools import lru_cache
 from itertools import compress
-from operator import add, itemgetter, mul, neg
+from operator import add, mul, neg
 from typing import Iterable
 
 from .errors import (
@@ -120,8 +113,11 @@ class Ring:
         return Polynomial(self, {self._zero_mono: c})
 
     def var(self, name: str) -> "Polynomial":
-        # a name that is not a string, unhashable or not, is no variable
-        i = self.index.get(name) if isinstance(name, str) else None
+        try:
+            i = self.index.get(name)
+        except TypeError:
+            # an unhashable name is no variable
+            i = None
         if i is None:
             raise UnknownVariable(f"{name!r} is not a variable of {self!r}")
         z = self._zero_mono
@@ -255,7 +251,10 @@ class Polynomial:
         return k, Polynomial(self.ring, terms)
 
     def _var_index(self, name: str) -> int:
-        i = self.ring.index.get(name) if isinstance(name, str) else None
+        try:
+            i = self.ring.index.get(name)
+        except TypeError:
+            i = None
         if i is None:
             raise UnknownVariable(f"{name!r} is not a variable of {self.ring!r}")
         return i
@@ -522,8 +521,6 @@ def embed(f: Polynomial, target: Ring) -> Polynomial:
 
 # -- packed monomials ---------------------------------------------------------
 
-_WIDTH = 16  # bits per packed field at the first try of _widening
-
 
 class _Overflow(Exception):
     """A packed field would pass its largest value M."""
@@ -616,18 +613,8 @@ class _Packing:
 
         self.lcm = lcm
         self.mask = lambda p: ((p ^ C) & E) + E & GV
-
-        # whole-byte fields of two or more variables are read by one struct
-        # call, least significant field first
-        code = {8: "B", 16: "H", 32: "I", 64: "Q"}.get(width)
         slots = self.slots
-        if code and n > 1:
-            nbytes = len(fields) * width // 8
-            read = struct.Struct(f"<{len(fields)}{code}").unpack
-            pick = itemgetter(*[s // width for s in slots])
-            self.unpack = lambda p: pick(read((p ^ C).to_bytes(nbytes, "little")))
-        else:
-            self.unpack = lambda p: tuple([(p ^ C) >> s & fm for s in slots])
+        self.unpack = lambda p: tuple([(p ^ C) >> s & fm for s in slots])
 
     def pack(self, a) -> int:
         return sum(map(mul, a, self.weights), self.C)
@@ -649,29 +636,16 @@ class _Packing:
 _packing = lru_cache(maxsize=256)(_Packing)
 
 
-def _widening(spec: tuple, run, pk: _Packing = None):
-    """run(pk), by default at the first width, and while it overflows,
-    again at twice the width."""
-    pk = pk or _packing(spec, _WIDTH)
-    while True:
-        try:
-            return run(pk)
-        except _Overflow:
-            pk = _packing(spec, 2 * pk.width)
-
-
 def _packing_for(spec: tuple, degree: int) -> _Packing:
     """The narrowest packing of spec, from 8 bits up by doubling, whose
     fields hold every monomial of total degree at most degree. A caller
     that knows its degree bound takes the narrowest ints; the Groebner
-    kernel starts at _WIDTH instead, as each redo costs it a whole call."""
-
-    def fits(pk):
-        if degree > pk.M:
-            raise _Overflow
-        return pk
-
-    return _widening(spec, fits, _packing(spec, 8))
+    kernel starts at ``groebner._WIDTH`` instead, as each redo costs it a
+    whole call."""
+    width = 8
+    while (1 << width - 1) - 1 < degree:
+        width *= 2
+    return _packing(spec, width)
 
 
 def sum_of_products(pk: _Packing, field, triples) -> dict:
@@ -686,6 +660,8 @@ def sum_of_products(pk: _Packing, field, triples) -> dict:
     acc: dict = {}
     get = acc.get
     for c, f, g in triples:
+        if type(c) is not int:
+            raise TypeError(f"not an int coefficient: {c!r}")
         small, large = (f, g) if len(f) <= len(g) else (g, f)
         if not (c and small):
             continue

@@ -313,7 +313,7 @@ def _monomial_pairs():
 def test_mask_never_rejects_a_divisor(pair):
     a, d = pair
     b = tuple(x + y for x, y in zip(a, d))
-    pk = rings._Packing(grevlex_order(_ring_of(len(a))).spec, rings._WIDTH)
+    pk = rings._Packing(grevlex_order(_ring_of(len(a))).spec, engine._WIDTH)
     mask = {m: pk.mask(pk.pack(m)) for m in (a, b, d)}
     for lo, hi in ((a, b), (a, d), (d, a)):
         if _m_divides(lo, hi):
@@ -338,7 +338,7 @@ def test_masks_decide_coprimality_at_every_width(width):
     rng = random.Random(width)
     R = _ring_of(width)
     for order in (grevlex_order(R), elimination_order(R, [R.names[-1]])):
-        pk = rings._Packing(order.spec, rings._WIDTH)
+        pk = rings._Packing(order.spec, engine._WIDTH)
         for _ in range(150):
             a, b = (tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(width)) for _ in range(2))
             if rng.random() < 0.3:
@@ -365,7 +365,7 @@ class _PopRecorder:
     heapify = staticmethod(heapq.heapify)
 
     def __init__(self, order):
-        self.unpack = rings._Packing(order.spec, rings._WIDTH).unpack
+        self.unpack = rings._Packing(order.spec, engine._WIDTH).unpack
         self.popped = []
         self.dead = 0
 
@@ -499,13 +499,13 @@ def test_packed_kernel_does_the_frozen_work(field, monkeypatch):
 def _widths(monkeypatch):
     """The list of widths of the packings the engine asks for from now on."""
     widths = []
-    packing = rings._packing
+    packing = engine._packing
 
     def recorded(spec, width):
         widths.append(width)
         return packing(spec, width)
 
-    monkeypatch.setattr(rings, "_packing", recorded)
+    monkeypatch.setattr(engine, "_packing", recorded)
     return widths
 
 
@@ -514,7 +514,7 @@ def test_fields_too_narrow_are_redone_at_twice_the_width(field, monkeypatch):
     # At 4 bits a field holds at most 7, so the S-polynomials of these
     # ideals overflow and their calls are redone at 8 bits; the bases and
     # normal forms must not notice.
-    monkeypatch.setattr(rings, "_WIDTH", 4)
+    monkeypatch.setattr(engine, "_WIDTH", 4)
     widths = _widths(monkeypatch)
     rng = random.Random(4)
     # binomials whose traversals pass 7 where one check alone sees it: in
@@ -549,7 +549,7 @@ def test_degrees_past_the_default_width(monkeypatch):
     basis = groebner([x - y])
     assert basis.reduce(x ** 40000 * z) == y ** 40000 * z
     assert basis.reduce(x * z) == y * z
-    assert set(widths) == {rings._WIDTH, 2 * rings._WIDTH}
+    assert set(widths) == {engine._WIDTH, 2 * engine._WIDTH}
 
 
 # inhomogeneous polynomials in x, y, z: up to three terms of degree <= 3
@@ -588,7 +588,7 @@ def test_pair_sharing_a_variable_past_the_mask_is_not_coprime():
     v0, v1, v65 = R.var("v0"), R.var("v1"), R.var("v65")
     gens = [v0 * v65 - 1, v1 * v65 - 1]
     lms = [g.leading(grevlex_order(R).key)[0] for g in gens]
-    pk = rings._Packing(grevlex_order(R).spec, rings._WIDTH)
+    pk = rings._Packing(grevlex_order(R).spec, engine._WIDTH)
     assert pk.mask(pk.pack(lms[0])) & pk.mask(pk.pack(lms[1]))
     recorder = _assert_same_traversal(gens, grevlex_order(R))
     # seeds: v1*v65 - 1 is age 0, v0*v65 - 1 age 1

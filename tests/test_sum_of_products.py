@@ -9,6 +9,7 @@ cases pin the packing widths: a matrix is packed at the narrowest of 8,
 and a ring without variables packs every monomial to the same int.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -182,6 +183,13 @@ def test_zero_factors_are_skipped():
     assert packed_sum(R, [(1, R.zero(), R.zero())]) == R.zero()
     assert packed_sum(R, [(0, x200, x200), (1, R.zero(), x200)]) == R.zero()
     assert packed_sum(R, []) == R.zero()
+
+
+@pytest.mark.parametrize("c", [True, Fraction(1, 2), 1.0])
+def test_sum_of_products_refuses_non_int_coefficients(c):
+    R = ring("x y")
+    with pytest.raises(TypeError):
+        packed_sum(R, [(c, R.parse("x"), R.parse("y"))])
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
