@@ -372,6 +372,33 @@ def groebner(
     """
     max_basis = DEFAULT_MAX_BASIS if max_basis is None else _positive("max_basis", max_basis)
     max_terms = term_cap(max_terms)
+    ring_, order, seeds = _seeds(gens, order)
+    if not seeds:
+        # the zero ideal: empty basis, reduce() is the identity
+        return GroebnerBasis(ring_, order, ())
+    return _widening(order.spec, lambda pk: _buchberger(ring_, order, seeds, pk, max_basis, max_terms))
+
+
+def seed_leading_monomials(gens) -> list:
+    """Grevlex leading monomials of groebner()'s seed loop alone: the
+    generators in its seed order, each reduced against the earlier nonzero
+    remainders, with no S-pairs. Each remainder lies in the ideal of gens."""
+    max_terms = term_cap()
+    ring_, order, seeds = _seeds(gens, None)
+
+    def run(pk):
+        G: list = []
+        for g in seeds:
+            reduced = _reduce_terms(pk.pack_terms(g.terms), G, pk, ring_.field, max_terms)
+            if reduced:
+                G.append(_Gen(pk, reduced, 0, 0))  # sugar and age steer only pairs
+        return [pk.unpack(g.plm) for g in G]
+
+    return _widening(order.spec, run) if seeds else []
+
+
+def _seeds(gens, order):
+    """groebner()'s checks; then its ring, order and sorted nonzero seeds."""
     gen_list = list(gens.gens) if hasattr(gens, "gens") else list(gens)
     if not gen_list:
         raise ValueError("need at least one generator (possibly zero)")
@@ -392,14 +419,11 @@ def groebner(
         (((order.key(g.leading(order.key)[0]), g.num_terms()), g) for g in gen_list if g.terms),
         key=itemgetter(0),
     )
-    if not keyed:
-        # the zero ideal: empty basis, reduce() is the identity
-        return GroebnerBasis(ring_, order, ())
-    nonzero: list = []
+    seeds: list = []
     for _, run in itertools.groupby(keyed, key=itemgetter(0)):
         run = [g for _, g in run]
-        nonzero += sorted(run, key=Polynomial.format) if len(run) > 1 else run
-    return _widening(order.spec, lambda pk: _buchberger(ring_, order, nonzero, pk, max_basis, max_terms))
+        seeds += sorted(run, key=Polynomial.format) if len(run) > 1 else run
+    return ring_, order, seeds
 
 
 def _buchberger(ring_: Ring, order: MonomialOrder, seeds: list, pk: _Packing, max_basis: int,

@@ -322,18 +322,26 @@ def minors(M: GenericMatrix, r: int) -> list:
     return [(I, J, cache.minor(I, J)) for I, J in product(sets, repeat=2)]
 
 
+def require_polynomials(ring_: Ring, polys: Iterable) -> tuple:
+    """polys as a tuple when each is a Polynomial of ring_; anything else
+    raises BadParameters, and a polynomial of another ring RingMismatch."""
+    polys = tuple(polys)
+    for f in polys:
+        if not isinstance(f, Polynomial):
+            raise BadParameters(f"expected a Polynomial, got {type(f).__name__}")
+        if f.ring != ring_:
+            raise RingMismatch("polynomial not in the ideal's ring")
+    return polys
+
+
 class Ideal:
     """A finitely generated ideal: a ring plus an ordered generator tuple."""
 
     __slots__ = ("ring", "gens")
 
     def __init__(self, ring_: Ring, gens: Iterable[Polynomial]):
-        gens = tuple(gens)
-        for g in gens:
-            if g.ring != ring_:
-                raise RingMismatch("generator not in the ideal's ring")
         self.ring = ring_
-        self.gens = gens
+        self.gens = require_polynomials(ring_, gens)
 
     def contains_unit_generator(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.gens)

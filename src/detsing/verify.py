@@ -7,6 +7,12 @@ matrices, and the per-leaf embedded-resolution verdicts.  Radical membership
 and saturation share one Rabinowitsch extension I + ⟨1 − t·f⟩, with t a
 fresh variable after those of the ring; saturation eliminates t from it.
 Results can be wrapped as JSON verdict objects.
+
+Two certificates answer True from one cached basis; when they fail, the
+full route decides. ``equal_by_cover(J, I)`` proves J = I from I's
+reduced basis (its fallback: both reduced bases, ``ideal_equal``), and
+``radical_member`` tries f² ∈ I before the Rabinowitsch basis. An argument
+that is not an Ideal or a Polynomial raises BadParameters.
 """
 
 from collections import OrderedDict
@@ -19,8 +25,9 @@ from .groebner import (
     elimination_order,
     grevlex_order,
     groebner,
+    seed_leading_monomials,
 )
-from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian
+from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian, require_polynomials
 from .rings import Polynomial, Ring, embed
 
 # Basis cache per (ideal, order spec), grevlex entries keyed None: least
@@ -57,30 +64,64 @@ def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
     return out
 
 
+def _require(I, *polys) -> None:
+    """BadParameters unless I is an Ideal; then Ideal's check on polys."""
+    if not isinstance(I, Ideal):
+        raise BadParameters(f"expected an Ideal, got {type(I).__name__}")
+    require_polynomials(I.ring, polys)
+
+
 def ideal_contains(I: Ideal, f: Polynomial) -> bool:
-    if f.ring != I.ring:
-        raise RingMismatch("polynomial and ideal live in different rings")
+    _require(I, f)
     return groebner_of(I).contains(f)
 
 
 def containment_witness(I: Ideal, f: Polynomial):
     """None when f ∈ I, otherwise the nonzero normal form as a certificate."""
+    _require(I, f)
     nf = groebner_of(I).reduce(f)
     return None if nf.is_zero() else nf
 
 
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Equality via identical reduced grevlex bases."""
+def _require_pair(I, J) -> None:
+    """_require on both, and RingMismatch unless they share a ring."""
+    _require(I)
+    _require(J)
     if I.ring != J.ring:
         raise RingMismatch("ideals live in different rings")
+
+
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    """Equality via identical reduced grevlex bases."""
+    _require_pair(I, J)
     return groebner_of(I).polys == groebner_of(J).polys
+
+
+def equal_by_cover(J: Ideal, I: Ideal) -> bool:
+    """True when I's reduced basis G alone proves J = I; False proves nothing.
+
+    Every generator of J reduces to zero by G (J ⊆ I), and every leading
+    monomial of G is one of the seed loop's remainders of J's generators,
+    which lie in J; so lm(I) ⊆ lm(J), and J = I (Cox, Little & O'Shea,
+    ch. 2). Given J ⊆ I, that equality is the divisibility cover, as G is
+    reduced. On success J is cached with G; a J cached already is decided
+    by the two cached bases.
+    """
+    _require_pair(J, I)
+    G = groebner_of(I)
+    if (J, None) in _GB_CACHE:
+        return groebner_of(J).polys == G.polys
+    if not all(map(G.contains, J.gens)):
+        return False
+    if not set(G.leading_monomials()) <= set(seed_leading_monomials(J.gens or [J.ring.zero()])):
+        return False
+    _remember((J, None), G)
+    return True
 
 
 def _rabinowitsch(I: Ideal, f: Polynomial):
     """The generators of I + ⟨1 − t·f⟩ in R[t], and the name of t: a fresh
     variable, placed after the variables of R."""
-    if f.ring != I.ring:
-        raise RingMismatch("polynomial and ideal live in different rings")
     R = I.ring
     t = "t"
     while t in R.index:
@@ -92,7 +133,11 @@ def _rabinowitsch(I: Ideal, f: Polynomial):
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
-    """f ∈ √I iff 1 ∈ I + ⟨1 − t·f⟩ with t a fresh variable."""
+    """f ∈ √I: at once when f² reduces to zero by I's cached basis, else
+    iff 1 ∈ I + ⟨1 − t·f⟩ with t a fresh variable."""
+    _require(I, f)
+    if groebner_of(I).contains(f * f):
+        return True
     gens, _ = _rabinowitsch(I, f)
     return groebner(gens).is_unit_ideal()
 
@@ -103,9 +148,10 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     The generators of the result are its reduced grevlex basis, which is
     also entered in the basis cache.
     """
-    gens, t = _rabinowitsch(I, u)
+    _require(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
+    gens, t = _rabinowitsch(I, u)
     R = I.ring
     gb = groebner(gens, elimination_order(gens[-1].ring, [t]))
     # The t-free part of a reduced basis for the block order is the reduced

@@ -25,7 +25,12 @@ kernel (see "Frozen determinant loops" below): the Bareiss numerator, the
 cofactor expansion and the pfaffian expansion, each on Polynomial ``*``,
 ``+`` and ``-``, Bareiss dividing by the frozen exact division; the
 differential tests hold ``rings.sum_of_products``, ``rings.exact_div`` and
-their callers in ``matrices`` to them.
+their callers in ``matrices`` to them. A fifth is two decisions as they
+stood before the one-basis certificates of ``verify`` (see "Frozen
+decision routes" below): the center identity by comparing both sides'
+reduced bases, and radical membership by the Rabinowitsch basis alone.
+They run the package's Gröbner kernel, so they hold the certificates, not
+the kernel, to account.
 """
 
 import heapq
@@ -34,8 +39,12 @@ from itertools import combinations_with_replacement, count
 
 import sympy
 
+from detsing.blowup import strict_transform_ideal
 from detsing.errors import ResourceLimit
-from detsing.rings import Polynomial
+from detsing.groebner import groebner
+from detsing.matrices import Ideal, minors_ideal
+from detsing.rings import Polynomial, Ring, embed
+from detsing.verify import saturate, verdict
 
 
 def to_sympy(f, syms=None):
@@ -565,3 +574,63 @@ def frozen_pfaffian(M):
         return acc
 
     return pf(tuple(range(M.size)))
+
+
+# -- Frozen decision routes ----------------------------------------------------
+# The center identity and radical membership as decided before the one-basis
+# certificates. Every basis is computed afresh with groebner(), never read
+# from the package's basis cache, which the certificates write to. Change
+# nothing here except to fix the copy itself.
+
+
+def _fresh_basis(ideal):
+    return groebner(ideal.gens or [ideal.ring.zero()]).polys
+
+
+def _fresh_basis_witness(ideal, include_bases):
+    polys = _fresh_basis(ideal)
+    wit = {"basis_size": len(polys)}
+    if include_bases:
+        wit["basis"] = [p.format() for p in polys]
+    return wit
+
+
+def oracle_center_identity_verdict(red, j, roles, include_bases):
+    """resolution._center_identity_verdict by both reduced bases: both sides
+    saturated by eps in off-diagonal charts, then compared."""
+    jr = j - (red.parent_matrix.size - len(red.remaining))
+    lhs = strict_transform_ideal(minors_ideal(red.parent_matrix, j), red.chart)
+    T = red.ring
+    if jr <= 0:
+        rhs = Ideal(T, [T.one()])
+    elif red.formula_matrix is None or jr > red.formula_matrix.size:
+        rhs = Ideal(T, [])
+    else:
+        rhs = minors_ideal(red.formula_matrix, jr)
+    inputs = {
+        "chart": f"X_{red.position[0]}_{red.position[1]}",
+        "j": j,
+        "roles": list(roles),
+        "lhs": f"strict transform of the {j}-minors",
+        "rhs": f"{jr}-minors of the reduced matrix",
+    }
+    if red.eps is not None:
+        inputs["saturated_by"] = red.eps.format()
+        lhs = saturate(lhs, red.eps)
+        rhs = saturate(rhs, red.eps)
+    passed = _fresh_basis(lhs) == _fresh_basis(rhs)
+    witness = {"lhs": _fresh_basis_witness(lhs, include_bases)}
+    if not passed:
+        witness["rhs"] = _fresh_basis_witness(rhs, include_bases)
+    return verdict("center_identity", inputs, passed, witness)
+
+
+def oracle_radical_member(f, I):
+    """f ∈ √I iff 1 ∈ I + ⟨1 − t·f⟩, with t a fresh last variable."""
+    R = I.ring
+    t = "t"
+    while t in R.index:
+        t += "_"
+    ext = Ring(list(R.names) + [t], R.field)
+    gens = [embed(g, ext) for g in I.gens] + [ext.one() - ext.var(t) * embed(f, ext)]
+    return groebner(gens).is_unit_ideal()

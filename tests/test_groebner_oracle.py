@@ -496,6 +496,18 @@ def test_packed_kernel_does_the_frozen_work(field, monkeypatch):
             assert calls == gm_oracle_groebner(gens, order)[3]
 
 
+@pytest.mark.parametrize("field", FIELDS[:2], ids=FIELD_IDS[:2])
+def test_rabinowitsch_extensions_do_the_frozen_work(field, monkeypatch):
+    # check_fact("F2", 4, l=2) now settles every 3-minor by its square, so
+    # the extensions I + <1 - t*f> it used to build are run here directly.
+    A = generic_skew(4, field)
+    even, odd = minors_ideal(A, 4), minors_ideal(A, 3)
+    for f in odd.gens:
+        gens, _ = verify._rabinowitsch(even, f)
+        _, calls = _reduce_calls(monkeypatch, lambda: groebner(gens))
+        assert calls and calls == gm_oracle_groebner(gens, grevlex_order(gens[0].ring))[3]
+
+
 def _widths(monkeypatch):
     """The list of widths of the packings the engine asks for from now on."""
     widths = []

@@ -171,6 +171,62 @@ def test_basis_cache_is_a_bounded_lru(R, monkeypatch):
     assert groebner_of(S).polys == (y,)
 
 
+# Every public entry point refuses what is not an Ideal or a Polynomial with
+# BadParameters, through one shared check, rather than failing on a missing
+# attribute.
+
+
+def test_radical_member_refuses_a_non_polynomial_or_non_ideal(R):
+    x = R.var("x")
+    with pytest.raises(BadParameters):
+        radical_member(5, Ideal(R, [x]))
+    with pytest.raises(BadParameters):
+        radical_member(x, [x])
+    with pytest.raises(RingMismatch):
+        radical_member(ring("q").var("q"), Ideal(R, [x]))
+
+
+def test_ideal_contains_refuses_a_non_polynomial(R):
+    with pytest.raises(BadParameters):
+        ideal_contains(Ideal(R, [R.var("x")]), 3)
+
+
+def test_containment_witness_refuses_a_non_polynomial(R):
+    with pytest.raises(BadParameters):
+        containment_witness(Ideal(R, [R.var("x")]), "x")
+
+
+def test_ideal_equal_refuses_a_non_ideal(R):
+    x = R.var("x")
+    with pytest.raises(BadParameters):
+        ideal_equal(Ideal(R, [x]), [x])
+    with pytest.raises(BadParameters):
+        ideal_equal(None, Ideal(R, [x]))
+
+
+def test_saturate_refuses_a_non_polynomial(R):
+    with pytest.raises(BadParameters):
+        saturate(Ideal(R, [R.var("x")]), 2)
+
+
+def test_ideal_refuses_non_polynomial_generators(R):
+    x = R.var("x")
+    with pytest.raises(BadParameters):
+        Ideal(R, [3])
+    with pytest.raises(BadParameters):
+        Ideal(R, [x, "y"])
+    with pytest.raises(RingMismatch):
+        Ideal(R, [x, ring("q").var("q")])
+
+
+def test_equal_by_cover_refuses_a_non_ideal_or_another_ring(R):
+    x = R.var("x")
+    with pytest.raises(BadParameters):
+        verify.equal_by_cover([x], Ideal(R, [x]))
+    with pytest.raises(RingMismatch):
+        verify.equal_by_cover(Ideal(ring("q"), []), Ideal(R, []))
+
+
 def test_coordinate_subspace(R):
     x, y, _ = R.vars()
     assert coordinate_subspace(Ideal(R, [y ** 2 - y ** 2, x])) == {"x"}
