@@ -13,8 +13,8 @@ from .errors import (
     NotInCenter,
     ZeroPolynomial,
 )
-from .matrices import Ideal
-from .rings import Polynomial, Ring, Substitution
+from .matrices import Ideal, require_ideal
+from .rings import Polynomial, Ring, Substitution, as_tuple, require_polynomials, require_ring
 
 
 class Center:
@@ -23,7 +23,8 @@ class Center:
     __slots__ = ("ring", "names")
 
     def __init__(self, ring_: Ring, names):
-        ordered = list(dict.fromkeys(names))
+        require_ring(ring_)
+        ordered = list(dict.fromkeys(as_tuple(names, "the center's names")))
         if not ordered:
             raise BadParameters("a blow-up center needs at least one variable")
         for n in ordered:
@@ -128,6 +129,7 @@ def strict_transform_poly(f: Polynomial, c: ChartMap):
 
     For f homogeneous of degree d in the center variables, k = d.
     """
+    require_polynomials(c.source, [f])
     if f.is_zero():
         raise ZeroPolynomial("the strict transform of 0 is undefined")
     return total_transform(f, c).factor_out(c.exceptional_var)
@@ -141,6 +143,7 @@ def strict_transform_ideal(I: Ideal, c: ChartMap) -> Ideal:
     makes the generator-wise construction wrong (see the strict-transform
     membership tests for an explicit two-generator failure).
     """
+    require_ideal(I)
     gens = [g for g in I.gens if not g.is_zero()]
     for g in gens:
         if not g.is_homogeneous(in_vars=c.center.names):

@@ -60,8 +60,13 @@ IDENTITIES = {
 
 
 def _emit(text: str, output):
+    """Print text, or write it to the file output; a file that cannot be
+    written is a bad parameter."""
     if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise BadParameters(f"cannot write --output {output}: {exc.strerror or exc}") from None
     else:
         print(text)
 
@@ -351,9 +356,7 @@ def cmd_examples(args) -> int:
     if args.output:
         payload = {item["name"]: {"verdict": item["verdict"], "display": item["display"]}
                    for item in computed}
-        Path(args.output).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        _emit(json.dumps(payload, indent=2), args.output)
     for item in computed:
         status = "ok" if item["verdict"] else "FAIL"
         print(f"{status:4s} {item['name']}")

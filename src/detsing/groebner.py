@@ -23,8 +23,8 @@ disjoint masks mean coprime. The seeds, each reduction step, each
 candidate lcm and each new pair check that no field passes its largest
 value; a failed check redoes the call at twice the width
 (``_widening``), so no result depends on the width. groebner()
-packs its seeds and unpacks its basis once; a GroebnerBasis packs its
-elements at its first reduce().
+packs and sorts its seeds and unpacks its basis once; a GroebnerBasis
+packs its elements at its first reduce().
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from operator import attrgetter, itemgetter, neg
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .errors import BadParameters, DuplicateVariable, ResourceLimit, RingMismatch, UnknownVariable
-from .rings import Polynomial, Ring, _Overflow, _Packing, _packing, grevlex_key
+from .rings import Polynomial, Ring, _Overflow, _Packing, _packing, as_tuple, require_polynomials, require_ring
 
 DEFAULT_MAX_BASIS = 2000
 DEFAULT_MAX_TERMS = 200_000
@@ -76,18 +76,15 @@ def term_cap(max_terms: int = None) -> int:
 
 
 class MonomialOrder:
-    """A total order on exponent tuples given by a flat integer sort key.
+    """A monomial order, named by its spec: ("grevlex", n), ("lex", n) or
+    ("elim", n, front indices), for a ring of n variables. The spec is the
+    whole order: ``rings._Packing`` builds from it the packed ints that
+    compare in the order, and the kernel compares only those."""
 
-    key(m) ascends with the order. spec names the order and the number of
-    variables of its ring; ``rings._Packing`` builds the kernel's packing
-    from it.
-    """
+    __slots__ = ("spec",)
 
-    __slots__ = ("spec", "key")
-
-    def __init__(self, spec: tuple, key):
+    def __init__(self, spec: tuple):
         self.spec = spec
-        self.key = key
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.spec == other.spec
@@ -100,42 +97,27 @@ class MonomialOrder:
 
 
 def grevlex_order(ring_: Ring) -> MonomialOrder:
-    return MonomialOrder(("grevlex", ring_.nvars), grevlex_key)
+    return MonomialOrder(("grevlex", require_ring(ring_).nvars))
 
 
 def lex_order(ring_: Ring) -> MonomialOrder:
-    return MonomialOrder(("lex", ring_.nvars), tuple)
+    return MonomialOrder(("lex", require_ring(ring_).nvars))
 
 
 def elimination_order(ring_: Ring, front_names: Iterable[str]) -> MonomialOrder:
     """Block order eliminating front_names: grevlex on the front block,
     ties broken by grevlex on the rest. Any basis element free of the front
     block then generates the elimination ideal. A name outside the ring
-    raises UnknownVariable, a repeated one DuplicateVariable, and a string
-    in place of a collection of names BadParameters."""
-    if isinstance(front_names, str):
-        raise BadParameters(f"front_names must be a collection of names, not the string {front_names!r}")
-    names = tuple(front_names)
+    raises UnknownVariable, a repeated one DuplicateVariable, and anything
+    but a collection of names (a string included) BadParameters."""
+    require_ring(ring_)
+    names = as_tuple(front_names, "front_names")
     for n in names:
         if not isinstance(n, str) or n not in ring_.index:
             raise UnknownVariable(f"{n!r} is not a variable of {ring_!r}")
     if len(set(names)) < len(names):
         raise DuplicateVariable(f"front_names names a variable twice: {names!r}")
-    front = tuple(ring_.index[n] for n in names)
-    front_set = set(front)
-    back = tuple(i for i in range(ring_.nvars) if i not in front_set)
-    # each block reversed, as grevlex compares it; itemgetter of a single
-    # index returns the item, and then the permutation is the identity
-    perm = front[::-1] + back[::-1]
-    permute = itemgetter(*perm) if len(perm) > 1 else tuple
-    k = len(front)
-
-    def key(m):
-        v = permute(m)
-        f, b = v[:k], v[k:]
-        return (sum(f), *map(neg, f), sum(b), *map(neg, b))
-
-    return MonomialOrder(("elim", ring_.nvars, front), key)
+    return MonomialOrder(("elim", ring_.nvars, tuple(ring_.index[n] for n in names)))
 
 
 def _widening(spec: tuple, run, pk: _Packing = None):
@@ -311,19 +293,18 @@ class GroebnerBasis:
 
     __slots__ = ("ring", "order", "polys", "_lms", "_packed")
 
-    def __init__(self, ring_: Ring, order: MonomialOrder, polys: tuple, lms=None):
-        """lms: the leading monomials of polys, when they are already known."""
+    def __init__(self, ring_: Ring, order: MonomialOrder, polys: tuple, lms: list):
+        """lms: the leading monomials of polys, from the kernel or saturate()."""
         self.ring = ring_
         self.order = order
         self.polys = polys
-        self._lms = [max(p.terms, key=order.key) for p in polys] if lms is None else lms
+        self._lms = lms
         # (packing, packed elements), made by the first reduce()
         self._packed = (None, None)
 
     def reduce(self, f: Polynomial, max_terms: int = None) -> Polynomial:
         """Full normal form of f against the basis."""
-        if f.ring != self.ring:
-            raise RingMismatch("polynomial is not in the basis ring")
+        require_polynomials(self.ring, [f])
         cap = term_cap(max_terms)
 
         def run(pk):
@@ -375,7 +356,7 @@ def groebner(
     ring_, order, seeds = _seeds(gens, order)
     if not seeds:
         # the zero ideal: empty basis, reduce() is the identity
-        return GroebnerBasis(ring_, order, ())
+        return GroebnerBasis(ring_, order, (), [])
     return _widening(order.spec, lambda pk: _buchberger(ring_, order, seeds, pk, max_basis, max_terms))
 
 
@@ -388,8 +369,8 @@ def seed_leading_monomials(gens) -> list:
 
     def run(pk):
         G: list = []
-        for g in seeds:
-            reduced = _reduce_terms(pk.pack_terms(g.terms), G, pk, ring_.field, max_terms)
+        for terms in _packed_seeds(seeds, pk):
+            reduced = _reduce_terms(terms, G, pk, ring_.field, max_terms)
             if reduced:
                 G.append(_Gen(pk, reduced, 0, 0))  # sugar and age steer only pairs
         return [pk.unpack(g.plm) for g in G]
@@ -398,10 +379,10 @@ def seed_leading_monomials(gens) -> list:
 
 
 def _seeds(gens, order):
-    """groebner()'s checks; then its ring, order and sorted nonzero seeds."""
-    gen_list = list(gens.gens) if hasattr(gens, "gens") else list(gens)
+    """groebner()'s checks; then its ring, order and nonzero generators."""
+    gen_list = gens.gens if hasattr(gens, "gens") else as_tuple(gens, "the generators")
     if not gen_list:
-        raise ValueError("need at least one generator (possibly zero)")
+        raise BadParameters("need at least one generator (possibly zero)")
     ring_ = gen_list[0].ring if isinstance(gen_list[0], Polynomial) else None
     for g in gen_list:
         if not isinstance(g, Polynomial) or g.ring != ring_:
@@ -412,29 +393,33 @@ def _seeds(gens, order):
         raise BadParameters(f"order must be a grevlex, elimination or lex MonomialOrder, got {order!r}")
     elif order.spec[1] != ring_.nvars:
         raise RingMismatch(f"{order!r} is an order of {order.spec[1]} variables, not {ring_.nvars}")
+    return ring_, order, [g for g in gen_list if g.terms]
 
-    # deterministic seed order: by leading monomial, then term count, then
-    # text; the text is printed only for runs that tie on the first two
-    keyed = sorted(
-        (((order.key(g.leading(order.key)[0]), g.num_terms()), g) for g in gen_list if g.terms),
-        key=itemgetter(0),
-    )
-    seeds: list = []
+
+def _packed_seeds(seeds: list, pk: _Packing) -> list:
+    """The packed term dicts of the nonzero seeds in the deterministic seed
+    order: by packed leading monomial, then term count, then text; the text
+    is printed only for runs that tie on the first two."""
+    packed = [pk.pack_terms(g.terms) for g in seeds]
+    keyed = sorted(zip([(max(t), len(t)) for t in packed], packed, seeds), key=itemgetter(0))
+    out: list = []
     for _, run in itertools.groupby(keyed, key=itemgetter(0)):
-        run = [g for _, g in run]
-        seeds += sorted(run, key=Polynomial.format) if len(run) > 1 else run
-    return ring_, order, seeds
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda entry: entry[2].format())
+        out += [terms for _, terms, _ in run]
+    return out
 
 
 def _buchberger(ring_: Ring, order: MonomialOrder, seeds: list, pk: _Packing, max_basis: int,
                 max_terms: int) -> GroebnerBasis:
-    """The reduced basis of the sorted nonzero seeds, on packed monomials."""
+    """The reduced basis of the nonzero seeds, on packed monomials."""
     field = ring_.field
     G: list = []
     pairs: list = []
     ages = itertools.count()
-    for g in seeds:
-        reduced = _reduce_terms(pk.pack_terms(g.terms), G, pk, field, max_terms)
+    for terms in _packed_seeds(seeds, pk):
+        reduced = _reduce_terms(terms, G, pk, field, max_terms)
         if reduced:
             _update(G, pairs, _Gen(pk, reduced, max(map(pk.deg, reduced)), next(ages)), pk)
 
@@ -461,4 +446,6 @@ def _buchberger(ring_: Ring, order: MonomialOrder, seeds: list, pk: _Packing, ma
 
 
 def normal_form(f: Polynomial, basis: GroebnerBasis, max_terms: int = None) -> Polynomial:
+    if not isinstance(basis, GroebnerBasis):
+        raise BadParameters(f"expected a GroebnerBasis, got {type(basis).__name__}")
     return basis.reduce(f, max_terms=max_terms)

@@ -29,7 +29,8 @@ from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ, require_field
-from .rings import Polynomial, Ring, _exact_div_terms, _packing_for, json_list, ring, sum_of_products
+from .rings import (Polynomial, Ring, _exact_div_terms, _packing_for, json_list, require_polynomials, require_ring,
+                    ring, sum_of_products)
 
 
 class GenericMatrix:
@@ -322,25 +323,13 @@ def minors(M: GenericMatrix, r: int) -> list:
     return [(I, J, cache.minor(I, J)) for I, J in product(sets, repeat=2)]
 
 
-def require_polynomials(ring_: Ring, polys: Iterable) -> tuple:
-    """polys as a tuple when each is a Polynomial of ring_; anything else
-    raises BadParameters, and a polynomial of another ring RingMismatch."""
-    polys = tuple(polys)
-    for f in polys:
-        if not isinstance(f, Polynomial):
-            raise BadParameters(f"expected a Polynomial, got {type(f).__name__}")
-        if f.ring != ring_:
-            raise RingMismatch("polynomial not in the ideal's ring")
-    return polys
-
-
 class Ideal:
     """A finitely generated ideal: a ring plus an ordered generator tuple."""
 
     __slots__ = ("ring", "gens")
 
     def __init__(self, ring_: Ring, gens: Iterable[Polynomial]):
-        self.ring = ring_
+        self.ring = require_ring(ring_)
         self.gens = require_polynomials(ring_, gens)
 
     def contains_unit_generator(self) -> bool:
@@ -375,6 +364,13 @@ class Ideal:
         shown = ", ".join(g.format() for g in self.gens[:3])
         more = ", ..." if len(self.gens) > 3 else ""
         return f"<ideal ({shown}{more})>"
+
+
+def require_ideal(I, *polys) -> None:
+    """BadParameters unless I is an Ideal; then Ideal's check on polys."""
+    if not isinstance(I, Ideal):
+        raise BadParameters(f"expected an Ideal, got {type(I).__name__}")
+    require_polynomials(I.ring, polys)
 
 
 def _dedup_generators(gens: Iterable[Polynomial]) -> list:

@@ -62,7 +62,8 @@ def m_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def grevlex_key(a: Monomial):
-    """Sort key realizing graded reverse lex: higher key = larger monomial."""
+    """Sort key of the print order, graded reverse lex: higher key = larger
+    monomial. Every order of the Groebner kernel is a _Packing instead."""
     return (sum(a),) + tuple(map(neg, reversed(a)))
 
 
@@ -156,6 +157,42 @@ def json_list(data, key: str) -> list:
     if not isinstance(value, list):
         raise BadParameters(f"expected a JSON object whose {key!r} is a list")
     return value
+
+
+def as_tuple(value, what: str) -> tuple:
+    """value as a tuple when it is an iterable other than a string; anything
+    else raises BadParameters naming what it should be."""
+    if not isinstance(value, str):
+        try:
+            items = iter(value)
+        except TypeError:
+            pass
+        else:
+            # a TypeError raised while iterating is the caller's own
+            return tuple(items)
+    raise BadParameters(f"{what} must be a collection, not {value!r}")
+
+
+def require_ring(value) -> Ring:
+    """value when it is a Ring, else BadParameters."""
+    if not isinstance(value, Ring):
+        raise BadParameters(f"expected a Ring, got {type(value).__name__}")
+    return value
+
+
+def require_polynomials(ring_, polys) -> tuple:
+    """polys as a tuple when each is a Polynomial of ring_, or of the first
+    one's ring when ring_ is None; anything else raises BadParameters, and a
+    polynomial of another ring RingMismatch."""
+    polys = as_tuple(polys, "polynomials")
+    for f in polys:
+        if not isinstance(f, Polynomial):
+            raise BadParameters(f"expected a Polynomial, got {type(f).__name__}")
+        if ring_ is None:
+            ring_ = f.ring
+        elif f.ring is not ring_ and f.ring != ring_:
+            raise RingMismatch(f"a polynomial of {f.ring!r}, not of {ring_!r}")
+    return polys
 
 
 def ring(names: Iterable[str], field=QQ) -> Ring:
@@ -341,15 +378,15 @@ class Polynomial:
 
     # -- ordering-aware views -------------------------------------------------
 
-    def sorted_terms(self, key=grevlex_key) -> list:
-        """Terms as (monomial, coeff), descending under the given order key."""
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        """Terms as (monomial, coeff), descending in grevlex, the print order."""
+        return sorted(self.terms.items(), key=lambda item: grevlex_key(item[0]), reverse=True)
 
-    def leading(self, key=grevlex_key):
-        """(monomial, coeff) of the leading term under the given order key."""
+    def leading(self):
+        """(monomial, coeff) of the grevlex leading term."""
         if not self.terms:
             raise ZeroPolynomial("the zero polynomial has no leading term")
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
     # -- text -----------------------------------------------------------------
@@ -432,7 +469,7 @@ class Substitution:
     __slots__ = ("source", "target", "images", "_image_list")
 
     def __init__(self, source: Ring, target: Ring, images: dict):
-        if source.field != target.field:
+        if require_ring(source).field != require_ring(target).field:
             raise RingMismatch("source and target rings have different fields")
         self.source = source
         self.target = target
@@ -440,11 +477,8 @@ class Substitution:
         for name, img in images.items():
             if name not in source.index:
                 raise UnknownVariable(f"{name!r} is not a variable of the source ring")
-            if isinstance(img, str):
-                img = target.parse(img)
-            if img.ring != target:
-                raise RingMismatch(f"image of {name!r} lives in the wrong ring")
-            resolved[name] = img
+            resolved[name] = target.parse(img) if isinstance(img, str) else img
+        require_polynomials(target, resolved.values())
         for name in source.names:
             if name not in resolved:
                 if name not in target.index:
@@ -490,7 +524,8 @@ class Substitution:
 def embed(f: Polynomial, target: Ring) -> Polynomial:
     """Reinterpret f in a ring over its field containing all its variables
     (by name)."""
-    if f.ring.field != target.field:
+    require_polynomials(None, [f])
+    if f.ring.field != require_ring(target).field:
         raise RingMismatch("embedding rings have different fields")
     if f.ring == target:
         return f
@@ -728,9 +763,9 @@ def _exact_div_terms(pk: _Packing, field, f: dict, g: dict) -> dict:
 def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g when g divides f exactly; ValueError otherwise. The
     division runs on f and g packed in grevlex (see _exact_div_terms)."""
+    require_polynomials(None, [f, g])
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    f._check_ring(g)
     ring_ = f.ring
     pk = _packing_for(("grevlex", ring_.nvars), max(f.total_degree(), g.total_degree()))
     quotient = _exact_div_terms(pk, ring_.field, pk.pack_terms(f.terms), pk.pack_terms(g.terms))

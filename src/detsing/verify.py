@@ -27,33 +27,33 @@ from .groebner import (
     groebner,
     seed_leading_monomials,
 )
-from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian, require_polynomials
+from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian, require_ideal
 from .rings import Polynomial, Ring, embed
 
-# Basis cache per (ideal, order spec), grevlex entries keyed None: least
-# recently used first, at most _GB_CACHE_SIZE entries. A hit refreshes its
-# entry, and saturations hand over their bases through the same insert.
+# Reduced grevlex basis per Ideal, least recently used first, at most
+# _GB_CACHE_SIZE entries. A hit refreshes its entry; saturations and
+# equal_by_cover hand over their bases through the same insert.
 _GB_CACHE_SIZE = 256
 _GB_CACHE: OrderedDict = OrderedDict()
 
 
-def _remember(key, basis: GroebnerBasis) -> GroebnerBasis:
-    """Insert or refresh an entry, evicting the least recently used."""
-    _GB_CACHE[key] = basis
-    _GB_CACHE.move_to_end(key)
+def _remember(I: Ideal, basis: GroebnerBasis) -> GroebnerBasis:
+    """Insert or refresh I's entry, evicting the least recently used."""
+    _GB_CACHE[I] = basis
+    _GB_CACHE.move_to_end(I)
     if len(_GB_CACHE) > _GB_CACHE_SIZE:
         _GB_CACHE.popitem(last=False)
     return basis
 
 
-def groebner_of(I: Ideal, order=None) -> GroebnerBasis:
-    """Reduced basis of I, cached so repeated checks share one computation."""
-    key = (I, None if order is None else order.spec)
-    basis = _GB_CACHE.get(key)
+def groebner_of(I: Ideal) -> GroebnerBasis:
+    """The reduced grevlex basis of I, cached so that repeated checks share
+    one computation; every check here reads grevlex bases."""
+    basis = _GB_CACHE.get(I)
     if basis is None:
         # the zero ideal has no generators; groebner() gives it the empty basis
-        basis = groebner(I.gens or [I.ring.zero()], order)
-    return _remember(key, basis)
+        basis = groebner(I.gens or [I.ring.zero()])
+    return _remember(I, basis)
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
@@ -64,29 +64,22 @@ def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
     return out
 
 
-def _require(I, *polys) -> None:
-    """BadParameters unless I is an Ideal; then Ideal's check on polys."""
-    if not isinstance(I, Ideal):
-        raise BadParameters(f"expected an Ideal, got {type(I).__name__}")
-    require_polynomials(I.ring, polys)
-
-
 def ideal_contains(I: Ideal, f: Polynomial) -> bool:
-    _require(I, f)
+    require_ideal(I, f)
     return groebner_of(I).contains(f)
 
 
 def containment_witness(I: Ideal, f: Polynomial):
     """None when f ∈ I, otherwise the nonzero normal form as a certificate."""
-    _require(I, f)
+    require_ideal(I, f)
     nf = groebner_of(I).reduce(f)
     return None if nf.is_zero() else nf
 
 
 def _require_pair(I, J) -> None:
-    """_require on both, and RingMismatch unless they share a ring."""
-    _require(I)
-    _require(J)
+    """require_ideal on both, and RingMismatch unless they share a ring."""
+    require_ideal(I)
+    require_ideal(J)
     if I.ring != J.ring:
         raise RingMismatch("ideals live in different rings")
 
@@ -109,13 +102,13 @@ def equal_by_cover(J: Ideal, I: Ideal) -> bool:
     """
     _require_pair(J, I)
     G = groebner_of(I)
-    if (J, None) in _GB_CACHE:
+    if J in _GB_CACHE:
         return groebner_of(J).polys == G.polys
     if not all(map(G.contains, J.gens)):
         return False
     if not set(G.leading_monomials()) <= set(seed_leading_monomials(J.gens or [J.ring.zero()])):
         return False
-    _remember((J, None), G)
+    _remember(J, G)
     return True
 
 
@@ -135,7 +128,7 @@ def _rabinowitsch(I: Ideal, f: Polynomial):
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """f ∈ √I: at once when f² reduces to zero by I's cached basis, else
     iff 1 ∈ I + ⟨1 − t·f⟩ with t a fresh variable."""
-    _require(I, f)
+    require_ideal(I, f)
     if groebner_of(I).contains(f * f):
         return True
     gens, _ = _rabinowitsch(I, f)
@@ -148,7 +141,7 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     The generators of the result are its reduced grevlex basis, which is
     also entered in the basis cache.
     """
-    _require(I, u)
+    require_ideal(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
     gens, t = _rabinowitsch(I, u)
@@ -163,12 +156,13 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[-1]]
     kept = tuple(embed(p, R) for p, _ in free)
     out = Ideal(R, kept)
-    _remember((out, None), GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free]))
+    _remember(out, GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free]))
     return out
 
 
 def coordinate_subspace(I: Ideal):
     """The variable set V when I's reduced basis is exactly V; else None."""
+    require_ideal(I)
     names = set()
     for p in groebner_of(I).polys:
         if len(p.terms) != 1:

@@ -160,7 +160,8 @@ def _grevlex_key(a):
 
 
 def _frozen_key(spec):
-    """The order key of a MonomialOrder, rebuilt from its spec."""
+    """The sort key of the order a MonomialOrder spec names: the one
+    definition of each order here that does not go through the packing."""
     if spec[0] == "grevlex":
         return _grevlex_key
     if spec[0] == "lex":
@@ -292,7 +293,7 @@ def oracle_groebner(gens, order):
     nonzero = [g for g in gen_list if not g.is_zero()]
     if not nonzero:
         return ()
-    nonzero.sort(key=lambda g: (key(g.leading(key)[0]), g.num_terms(), g.format()))
+    nonzero.sort(key=lambda g: (key(max(g.terms, key=key)), g.num_terms(), g.format()))
     G = []
     pairs = []
     ages = count()
@@ -409,7 +410,7 @@ def gm_oracle_groebner(gens, order):
     nonzero = [g for g in gen_list if not g.is_zero()]
     if not nonzero:
         return (), [], [], calls
-    nonzero.sort(key=lambda g: (key(g.leading(key)[0]), g.num_terms(), g.format()))
+    nonzero.sort(key=lambda g: (key(max(g.terms, key=key)), g.num_terms(), g.format()))
     G = []
     pairs = []
     popped = []

@@ -190,3 +190,28 @@ def test_mixed_center_keeps_outside_variables():
     assert str(total_transform(R.parse("z*y + x"), ch)) == "xp*yp*zp + xp"
     k, f = strict_transform_poly(R.parse("z*y + x"), ch)
     assert (k, str(f)) == (1, "yp*zp + 1")
+
+
+# Each entry point refuses an argument of the wrong type with BadParameters,
+# never with a bare AttributeError.
+
+
+def test_strict_transform_poly_refuses_a_non_polynomial(origin3):
+    with pytest.raises(BadParameters):
+        strict_transform_poly(3, make_chart(origin3, "x"))
+
+
+def test_strict_transform_ideal_refuses_a_non_ideal(origin3):
+    with pytest.raises(BadParameters):
+        strict_transform_ideal([origin3.ring.var("x")], make_chart(origin3, "x"))
+
+
+def test_center_refuses_a_non_ring():
+    with pytest.raises(BadParameters):
+        Center("R", ["x"])
+
+
+def test_center_refuses_a_string_of_names():
+    # a string would be read as names of one letter: the center of x and y
+    with pytest.raises(BadParameters):
+        Center(ring("xy x y"), "xy")

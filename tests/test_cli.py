@@ -243,6 +243,21 @@ def test_examples_output_file(tmp_path, capsys):
     assert payload == golden
 
 
+# An --output path that cannot be written is a bad parameter: exit 2 with one
+# error line, not exit 1 (a failed verification) with a traceback.
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--kind", "sym", "--m", "2", "--r", "2", "--verify", "none"],
+    ["verify", "--fact", "F1", "--m", "3"],
+    ["examples"],
+], ids=["resolve", "verify", "examples"])
+def test_unwritable_output_is_a_bad_parameter(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--output", str(target)]) == EXIT_BAD_PARAMETERS
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(target) in err[0]
+    assert not target.exists()
+
+
 def test_examples_golden_mismatch_exits_nonzero(tmp_path, capsys, monkeypatch):
     import detsing.cli as cli
 

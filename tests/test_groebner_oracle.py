@@ -28,6 +28,7 @@ from detsing.rings import Polynomial, Ring, embed, exact_div, ring
 
 from .oracles import (
     _coprime,
+    _frozen_key,
     _m_divides,
     _m_lcm,
     gm_oracle_groebner,
@@ -148,11 +149,12 @@ def test_remainder_starts_with_its_leading_monomial():
     M = generic_sym(4)
     for order in _orders(M.ring).values():
         basis = groebner(minors_ideal(M, 3).gens, order)
-        assert basis.leading_monomials() == [max(p.terms, key=order.key) for p in basis.polys]
+        key = _frozen_key(order.spec)
+        assert basis.leading_monomials() == [max(p.terms, key=key) for p in basis.polys]
         for _ in range(20):
             f = _random_poly(rng, M.ring, max_terms=8)
             rem = list(basis.reduce(f).terms)
-            assert rem == sorted(rem, key=order.key, reverse=True)
+            assert rem == sorted(rem, key=key, reverse=True)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -299,6 +301,38 @@ def test_lcm_past_the_largest_field_value_overflows():
     # lex bounds each exponent alone: no lcm of packed monomials passes M
     pk = rings._Packing(lex_order(R).spec, 4)
     assert pk.unpack(pk.lcm(pk.pack((7, 7, 7, 7)), pk.pack((1, 2, 3, 4)))) == (7, 7, 7, 7)
+
+
+@st.composite
+def _orders_and_monomial_pairs(draw):
+    """An order of a ring of 1 to 6 variables (grevlex, lex, or an
+    elimination order of a random front block, the empty one included), a
+    packing width, and two monomials that fit it: total degree at most M."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    R = _ring_of(n)
+    kind = draw(st.sampled_from(["grevlex", "lex", "elim"]))
+    if kind == "elim":
+        front = draw(st.permutations(R.names))[:draw(st.integers(min_value=0, max_value=n))]
+        order = elimination_order(R, front)
+    else:
+        order = grevlex_order(R) if kind == "grevlex" else lex_order(R)
+    width = draw(st.sampled_from([8, 16]))
+    # small exponents make ties in degree and in single fields common
+    top = draw(st.sampled_from([2, ((1 << width - 1) - 1) // n]))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=top)] * n)
+    return order, width, draw(exps), draw(exps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_orders_and_monomial_pairs())
+def test_packed_order_is_the_reference_order(case):
+    # The packing is the library's only definition of each order; the
+    # frozen sort key is the independent one it must agree with.
+    order, width, a, b = case
+    pk = rings._Packing(order.spec, width)
+    key = _frozen_key(order.spec)
+    assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b))
+    assert (pk.pack(a) == pk.pack(b)) == (a == b)
 
 
 def _monomial_pairs():
@@ -599,7 +633,7 @@ def test_pair_sharing_a_variable_past_the_mask_is_not_coprime():
     R = ring(" ".join(f"v{i}" for i in range(70)))
     v0, v1, v65 = R.var("v0"), R.var("v1"), R.var("v65")
     gens = [v0 * v65 - 1, v1 * v65 - 1]
-    lms = [g.leading(grevlex_order(R).key)[0] for g in gens]
+    lms = [g.leading()[0] for g in gens]
     pk = rings._Packing(grevlex_order(R).spec, engine._WIDTH)
     assert pk.mask(pk.pack(lms[0])) & pk.mask(pk.pack(lms[1]))
     recorder = _assert_same_traversal(gens, grevlex_order(R))

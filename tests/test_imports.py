@@ -8,7 +8,9 @@ behind that nothing reads any more; these tests parse each module with
 imports are the package's public names.
 
 Monomial packing is decided in ``rings`` alone: no other module defines a
-packing class or its overflow signal, or packs through int bytes.
+packing class or its overflow signal, or packs through int bytes. The
+packing is also the only definition of each monomial order, so no other
+module defines a sort key: a function named ``key`` or ``*_key``.
 """
 
 import ast
@@ -163,3 +165,36 @@ def test_finds_packing_outside_rings():
 )
 def test_only_rings_packs_monomials(path):
     assert packing_outside_rings(path.read_text()) == []
+
+
+def order_keys(source):
+    """(line, name) of each function named key or *_key, at any depth, and of
+    each lambda bound to such a name, in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name == "key" or name.endswith("_key")]
+    return sorted(found)
+
+
+def test_finds_an_order_key():
+    source = (
+        "def grevlex_key(m):\n    return m\n"
+        "def order(spec):\n    def key(m):\n        return m\n    return key\n"
+        "lex_key = lambda m: m\n"
+        "def monkey(xs):\n    return sorted(xs, key=lambda m: m)\n"
+        "sort_key = None\n"
+    )
+    assert order_keys(source) == [(1, "grevlex_key"), (4, "key"), (7, "lex_key")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "rings.py"), ids=lambda p: p.name
+)
+def test_only_rings_defines_an_order_key(path):
+    assert order_keys(path.read_text()) == []

@@ -19,7 +19,7 @@ from detsing.errors import (
     ZeroPolynomial,
 )
 from detsing.fields import QQ, PrimeField, field_from_name
-from detsing.rings import Polynomial, Ring, Substitution, embed, grevlex_key, ring
+from detsing.rings import Polynomial, Ring, Substitution, embed, exact_div, grevlex_key, ring
 
 
 @pytest.fixture
@@ -377,3 +377,36 @@ def test_variables_and_degree_views(R3):
     assert f.degree_in("x_1_2") == 0
     assert R3.zero().total_degree() == -1
     assert f.constant_coefficient() == Fraction(1)
+
+
+# Each entry point refuses an argument of the wrong type with BadParameters,
+# or a polynomial of another ring with RingMismatch, never with a bare
+# AttributeError.
+
+
+def test_exact_div_refuses_a_non_polynomial():
+    x = ring("x").var("x")
+    with pytest.raises(BadParameters):
+        exact_div(x, 3)
+    with pytest.raises(BadParameters):
+        exact_div(3, x)
+    with pytest.raises(RingMismatch):
+        exact_div(x, ring("y").var("y"))
+
+
+def test_embed_refuses_a_non_polynomial_or_a_non_ring():
+    R = ring("x y")
+    with pytest.raises(BadParameters):
+        embed(3, R)
+    with pytest.raises(BadParameters):
+        embed(R.var("x"), "R")
+
+
+def test_substitution_refuses_a_non_polynomial_image_or_a_non_ring():
+    R, S = ring("x y"), ring("x y z")
+    with pytest.raises(BadParameters):
+        Substitution(R, S, {"x": 3})
+    with pytest.raises(BadParameters):
+        Substitution(R, "S", {})
+    with pytest.raises(RingMismatch):
+        Substitution(R, S, {"x": R.var("x")})

@@ -163,11 +163,11 @@ def test_basis_cache_is_a_bounded_lru(R, monkeypatch):
         groebner_of(I)
     first = groebner_of(ideals[0])  # a hit refreshes its entry
     groebner_of(ideals[3])  # evicts ideals[1], the least recently used
-    assert list(cache) == [(ideals[2], None), (ideals[0], None), (ideals[3], None)]
+    assert list(cache) == [ideals[2], ideals[0], ideals[3]]
     assert groebner_of(ideals[0]) is first
     # a saturation's hand-over is an insert like any other
     S = saturate(Ideal(R, [x * y]), x)
-    assert list(cache) == [(ideals[3], None), (ideals[0], None), (S, None)]
+    assert list(cache) == [ideals[3], ideals[0], S]
     assert groebner_of(S).polys == (y,)
 
 
@@ -225,6 +225,16 @@ def test_equal_by_cover_refuses_a_non_ideal_or_another_ring(R):
         verify.equal_by_cover([x], Ideal(R, [x]))
     with pytest.raises(RingMismatch):
         verify.equal_by_cover(Ideal(ring("q"), []), Ideal(R, []))
+
+
+def test_coordinate_subspace_refuses_a_non_ideal():
+    with pytest.raises(BadParameters):
+        coordinate_subspace(3)
+
+
+def test_ideal_refuses_a_non_collection_of_generators(R):
+    with pytest.raises(BadParameters):
+        Ideal(R, 3)
 
 
 def test_coordinate_subspace(R):
