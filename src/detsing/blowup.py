@@ -96,9 +96,15 @@ def primed(name: str) -> str:
     return name + "p"
 
 
+def _require_center(value) -> Center:
+    if not isinstance(value, Center):
+        raise BadParameters(f"expected a Center, got {type(value).__name__}")
+    return value
+
+
 def make_chart(center: Center, chart_var: str) -> ChartMap:
     """Chart of the blow-up of ``center`` where ``chart_var`` is the unit."""
-    if chart_var not in center:
+    if chart_var not in _require_center(center):
         raise NotInCenter(f"{chart_var} is not a center variable")
     src = center.ring
     target = Ring([primed(n) for n in src.names], src.field)
@@ -117,10 +123,11 @@ def make_chart(center: Center, chart_var: str) -> ChartMap:
 
 def charts(center: Center):
     """All charts of the blow-up, in center-variable order."""
-    return [make_chart(center, n) for n in center.names]
+    return [make_chart(center, n) for n in _require_center(center).names]
 
 
 def total_transform(f: Polynomial, c: ChartMap) -> Polynomial:
+    require_polynomials(c.source, [f])
     return c.substitution(f)
 
 
@@ -129,10 +136,11 @@ def strict_transform_poly(f: Polynomial, c: ChartMap):
 
     For f homogeneous of degree d in the center variables, k = d.
     """
-    require_polynomials(c.source, [f])
-    if f.is_zero():
+    total = total_transform(f, c)
+    # a chart map is injective, so only f = 0 has the total transform 0
+    if total.is_zero():
         raise ZeroPolynomial("the strict transform of 0 is undefined")
-    return total_transform(f, c).factor_out(c.exceptional_var)
+    return total.factor_out(c.exceptional_var)
 
 
 def strict_transform_ideal(I: Ideal, c: ChartMap) -> Ideal:

@@ -347,9 +347,10 @@ def groebner(
     """Reduced Groebner basis of the given generators (list or Ideal).
 
     Raises ResourceLimit when the basis or any working polynomial outgrows
-    its cap. The result is independent of generator order (tested). An
-    order that is not one of the three kinds above raises BadParameters, and
-    one of a ring of another size RingMismatch.
+    its cap. The result is independent of generator order (tested). A
+    generator that is not a polynomial, or an order that is not one of the
+    three kinds above, raises BadParameters; generators of two rings, or an
+    order of a ring of another size, RingMismatch.
     """
     max_basis = DEFAULT_MAX_BASIS if max_basis is None else _positive("max_basis", max_basis)
     max_terms = term_cap(max_terms)
@@ -380,13 +381,10 @@ def seed_leading_monomials(gens) -> list:
 
 def _seeds(gens, order):
     """groebner()'s checks; then its ring, order and nonzero generators."""
-    gen_list = gens.gens if hasattr(gens, "gens") else as_tuple(gens, "the generators")
+    gen_list = require_polynomials(None, gens.gens if hasattr(gens, "gens") else gens)
     if not gen_list:
         raise BadParameters("need at least one generator (possibly zero)")
-    ring_ = gen_list[0].ring if isinstance(gen_list[0], Polynomial) else None
-    for g in gen_list:
-        if not isinstance(g, Polynomial) or g.ring != ring_:
-            raise RingMismatch("generators must be polynomials of one ring")
+    ring_ = gen_list[0].ring
     if order is None:
         order = grevlex_order(ring_)
     elif not isinstance(order, MonomialOrder) or order.spec[0] not in ("grevlex", "elim", "lex"):

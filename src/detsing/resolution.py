@@ -18,9 +18,11 @@ coordinates x', the fresh entries are
 The size drops by 2 (skew, off-diagonal) or 1 (diagonal), and the minor
 ideals contract along: the strict transform of the j-minors of the old
 matrix equals the (j-drop)-minors of the reduced matrix (after saturating
-by eps in off-diagonal charts).  Those identities, the determinant
-identities, and the rewrites to fresh generic coordinates are all checked
-through the verify module and recorded as verdicts on each node.
+by eps in off-diagonal charts).  A resolve first builds the whole tree,
+computing no Groebner basis; then, unless the check level is "none", one
+pass checks those identities, the determinant identities, the rewrites to
+fresh generic coordinates and (check "full") the embedded resolution at
+each leaf through the verify module, and records them as node verdicts.
 """
 
 import time
@@ -73,12 +75,10 @@ class ChartReduction:
         "row_factors",
         "eps",
         "remaining",
-        "parent_matrix",
-        "parent_residual",
     )
 
     def __init__(self, chart, chart_type, position, ring_, matrix, formula_matrix,
-                 corrections, row_factors, eps, remaining, parent_matrix, parent_residual):
+                 corrections, row_factors, eps, remaining):
         self.chart = chart
         self.chart_type = chart_type
         self.position = position
@@ -89,8 +89,6 @@ class ChartReduction:
         self.row_factors = row_factors
         self.eps = eps
         self.remaining = remaining
-        self.parent_matrix = parent_matrix
-        self.parent_residual = parent_residual
 
 
 class ChartNode:
@@ -293,8 +291,6 @@ def _chart_reduction(node, chart_type, k, l):
         row_factors=A,
         eps=eps,
         remaining=remaining,
-        parent_matrix=M,
-        parent_residual=node.residual,
     )
 
 
@@ -421,6 +417,8 @@ def _chart_step(node, chart_type, position):
     chart step: a pair of ints (k, l) with 1 <= k < l <= size, or k == l in
     a diagonal chart."""
     kind, smallest = _CHARTS[chart_type]
+    if not isinstance(node, ChartNode):
+        raise BadParameters(f"a chart reduction needs a ChartNode, got {type(node).__name__}")
     if node.matrix is None or node.size < smallest:
         raise SizeTooSmall(
             f"chart reduction needs a {kind} matrix of size >= {smallest}, "
@@ -470,12 +468,12 @@ def _basis_witness(ideal, include_bases):
     return wit
 
 
-def _center_identity_verdict(red, j, roles, include_bases):
+def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     """The contraction identity at minor level j: the strict transform of
-    the j-minors of the parent equals the (j - drop)-minors of the reduced
-    matrix (both saturated by eps in off-diagonal charts)."""
-    jr = j - (red.parent_matrix.size - len(red.remaining))
-    lhs = strict_transform_ideal(minors_ideal(red.parent_matrix, j), red.chart)
+    the j-minors of the parent matrix equals the (j - drop)-minors of the
+    reduced matrix (both saturated by eps in off-diagonal charts)."""
+    jr = j - (parent_matrix.size - len(red.remaining))
+    lhs = strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
     T = red.ring
     if jr <= 0:
         rhs = Ideal(T, [T.one()])
@@ -509,12 +507,12 @@ def _center_identity_verdict(red, j, roles, include_bases):
     return verdict("center_identity", inputs, passed, witness)
 
 
-def _det_identity_verdict(red):
+def _det_identity_verdict(parent_matrix, red):
     """Exact polynomial identity tying the primed determinant to the reduced
     one: det' = det(reduced) for skew and diagonal charts, and
     eps^(m-3) * det' = -det(reduced) for off-diagonal charts (m >= 3; the
     2x2 case degenerates to det' = -eps)."""
-    m = red.parent_matrix.size
+    m = parent_matrix.size
     det_primed = determinant(red.matrix)
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
     if red.eps is not None:
@@ -530,7 +528,7 @@ def _det_identity_verdict(red):
         passed = det_primed == determinant(red.formula_matrix)
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
-    det_parent = determinant(red.parent_matrix)
+    det_parent = determinant(parent_matrix)
     if not det_parent.is_zero():
         power, strict = strict_transform_poly(det_parent, red.chart)
         passed = passed and power == m and strict == det_primed
@@ -606,7 +604,7 @@ def _child_verdicts(node, child, include_bases):
     red = child.reduction
     out = [
         _center_strict_unit_verdict(node, red),
-        _det_identity_verdict(red),
+        _det_identity_verdict(node.matrix, red),
     ]
     if child.rewrite is not None:
         out.append(_rewrite_consistency_verdict(child))
@@ -617,7 +615,7 @@ def _child_verdicts(node, child, include_bases):
         drop = node.size - child.size
         levels.setdefault(drop + (2 if child.kind == "skew" else 1), []).append("next_center")
     for j in sorted(levels):
-        out.append(_center_identity_verdict(red, j, levels[j], include_bases))
+        out.append(_center_identity_verdict(node.matrix, red, j, levels[j], include_bases))
     if child.kind == "skew" and child.matrix is not None:
         out.append(_radical_identification_verdict(child.matrix, include_bases))
     return out
@@ -653,7 +651,7 @@ _REDUCERS = {
 }
 
 
-def _finalize_leaf(node):
+def _finalize_leaf(node, parent):
     """Pin the leaf's strict transform: the variable ideal for regular
     leaves (exact for symmetric targets, the certified radical for skew),
     the honestly transported minor transform for empty leaves."""
@@ -661,9 +659,8 @@ def _finalize_leaf(node):
         gens = [node.ring.var(nm) for nm in node.matrix_variable_names()]
         node.strict_ideal = Ideal(node.ring, gens)
         return
-    red = node.reduction
     st = strict_transform_ideal(
-        minors_ideal(red.parent_matrix, red.parent_residual), red.chart
+        minors_ideal(parent.matrix, parent.residual), node.reduction.chart
     )
     gens = [node.rewrite(g) for g in st.gens] if node.rewrite is not None else list(st.gens)
     node.strict_ideal = Ideal(node.ring, gens)
@@ -684,45 +681,46 @@ def _root(M, target):
     )
 
 
+def _certify(report, include_bases):
+    """Append every verdict of a built tree, walking its nodes in tree
+    order: each child's chart verdicts, the radical of the 2-minors at a
+    skew root that is a leaf, and with ``include_bases`` (check "full") the
+    embedded-resolution verdict of each leaf."""
+    for node in report.nodes:
+        for child_id in node.children:
+            child = report.node(child_id)
+            child.verdicts.extend(_child_verdicts(node, child, include_bases))
+        if node.reduction is None and node.kind == "skew" and node.is_leaf():
+            node.verdicts.append(_radical_identification_verdict(node.matrix, include_bases))
+    if include_bases:
+        report.embedded = check_embedded_resolution(report)
+        for leaf_verdict in report.embedded["leaves"]:
+            report.node(leaf_verdict["inputs"]["node"]).verdicts.append(leaf_verdict)
+
+
 def _resolve(kind, m, target, field, all_charts, check, input_desc):
     if check not in ("none", "identities", "full"):
         raise BadParameters(f"unknown check level {check!r}")
     t0 = time.monotonic()
-    verify_seconds = 0.0
-    include_bases = check == "full"
     maker = generic_skew if kind == "skew" else generic_sym
     nodes = []
-    queue = [_root(maker(m, field), target)]
+    queue = [(None, _root(maker(m, field), target))]
     input_desc["field"] = field_name(field)
     while queue:
-        node = queue.pop(0)
+        parent, node = queue.pop(0)
         nodes.append(node)
-        reason = _terminal_reason(kind, node.residual)
-        if reason is None and node.matrix is None:
+        node.terminal_reason = _terminal_reason(kind, node.residual)
+        if node.terminal_reason is not None:
+            _finalize_leaf(node, parent)
+            continue
+        if node.matrix is None:
             raise BadParameters(
                 "unresolved terminal node: the target exceeds what charts can reduce"
             )
-        if reason is not None:
-            node.terminal_reason = reason
-            tv = time.monotonic()
-            _finalize_leaf(node)
-            if check != "none" and node.reduction is None and kind == "skew":
-                # Root-as-leaf: certify that the variable ideal is the
-                # radical of the 2-minors (the reduced structure).
-                node.verdicts.append(
-                    _radical_identification_verdict(node.matrix, include_bases)
-                )
-            verify_seconds += time.monotonic() - tv
-            continue
-
         for chart_type, position, orbit in _chart_specs(kind, node.size, all_charts):
             child = _REDUCERS[chart_type](node, position, orbit_size=orbit)
-            if check != "none":
-                tv = time.monotonic()
-                child.verdicts.extend(_child_verdicts(node, child, include_bases))
-                verify_seconds += time.monotonic() - tv
             node.children.append(child.node_id)
-            queue.append(child)
+            queue.append((node, child))
 
     max_depth = max(n.depth for n in nodes)
     depth_bound = (target // 2 if kind == "skew" else target) - 1
@@ -741,15 +739,12 @@ def _resolve(kind, m, target, field, all_charts, check, input_desc):
     report = ResolutionReport(
         input_desc, nodes, stats=stats, report_verdicts=report_verdicts
     )
-    if check == "full":
-        tv = time.monotonic()
-        embedded = check_embedded_resolution(report)
-        verify_seconds += time.monotonic() - tv
-        report.embedded = embedded
-        for leaf_verdict in embedded["leaves"]:
-            report.node(leaf_verdict["inputs"]["node"]).verdicts.append(leaf_verdict)
-    stats["seconds_total"] = round(time.monotonic() - t0, 3)
-    stats["seconds_verify"] = round(verify_seconds, 3)
+    tv = time.monotonic()
+    if check != "none":
+        _certify(report, include_bases=check == "full")
+    done = time.monotonic()
+    stats["seconds_total"] = round(done - t0, 3)
+    stats["seconds_verify"] = round(done - tv, 3)
     return report
 
 
@@ -794,8 +789,9 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
     if position is None:
         position = (1, 1) if chart_type == "diag" else (1, 2)
     maker = generic_skew if kind == "skew" else generic_sym
-    red = _chart_step(_root(maker(m, field), r), chart_type, position)
-    result = _center_identity_verdict(red, r, ["standalone"], include_bases)
+    root = _root(maker(m, field), r)
+    red = _chart_step(root, chart_type, position)
+    result = _center_identity_verdict(root.matrix, red, r, ["standalone"], include_bases)
     result["inputs"].update(
         {"kind": kind, "m": m, "r": r, "field": field_name(field)}
     )

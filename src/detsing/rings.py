@@ -84,7 +84,7 @@ class Ring:
 
     def __init__(self, names: Iterable[str], field=QQ):
         require_field(field)
-        names = tuple(names)
+        names = as_tuple(names, "a ring's variable names")
         seen = set()
         for n in names:
             if not isinstance(n, str) or not _NAME_RE.fullmatch(n):
@@ -471,6 +471,8 @@ class Substitution:
     def __init__(self, source: Ring, target: Ring, images: dict):
         if require_ring(source).field != require_ring(target).field:
             raise RingMismatch("source and target rings have different fields")
+        if not isinstance(images, dict):
+            raise BadParameters(f"a substitution's images form a dict, got {type(images).__name__}")
         self.source = source
         self.target = target
         resolved = {}
@@ -490,7 +492,7 @@ class Substitution:
         self._image_list = [resolved[n] for n in source.names]
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        if f.ring != self.source:
+        if f.ring is not self.source and f.ring != self.source:
             raise RingMismatch("polynomial is not in the source ring")
         images = self._image_list
         acc: dict = {}
@@ -509,7 +511,7 @@ class Substitution:
 
     def then(self, later: "Substitution") -> "Substitution":
         """Composition: first self, then later."""
-        if self.target != later.source:
+        if self.target is not later.source and self.target != later.source:
             raise RingMismatch("substitutions do not compose")
         images = {n: later(self.images[n]) for n in self.source.names}
         return Substitution(self.source, later.target, images)

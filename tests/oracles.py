@@ -596,11 +596,11 @@ def _fresh_basis_witness(ideal, include_bases):
     return wit
 
 
-def oracle_center_identity_verdict(red, j, roles, include_bases):
+def oracle_center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     """resolution._center_identity_verdict by both reduced bases: both sides
     saturated by eps in off-diagonal charts, then compared."""
-    jr = j - (red.parent_matrix.size - len(red.remaining))
-    lhs = strict_transform_ideal(minors_ideal(red.parent_matrix, j), red.chart)
+    jr = j - (parent_matrix.size - len(red.remaining))
+    lhs = strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
     T = red.ring
     if jr <= 0:
         rhs = Ideal(T, [T.one()])

@@ -206,6 +206,21 @@ def test_strict_transform_ideal_refuses_a_non_ideal(origin3):
         strict_transform_ideal([origin3.ring.var("x")], make_chart(origin3, "x"))
 
 
+@pytest.mark.parametrize("build", [lambda c: make_chart(c, "x"), charts], ids=["make_chart", "charts"])
+def test_charts_refuse_a_non_center(origin3, build):
+    for center in ("x", ["x"], origin3.ring):
+        with pytest.raises(BadParameters):
+            build(center)
+
+
+def test_total_transform_refuses_a_non_polynomial(origin3):
+    chart = make_chart(origin3, "x")
+    with pytest.raises(BadParameters):
+        total_transform(3, chart)
+    with pytest.raises(RingMismatch):
+        total_transform(ring("a").var("a"), chart)
+
+
 def test_center_refuses_a_non_ring():
     with pytest.raises(BadParameters):
         Center("R", ["x"])

@@ -22,6 +22,7 @@ from detsing.groebner import (
     groebner,
     lex_order,
     normal_form,
+    seed_leading_monomials,
 )
 from detsing.matrices import generic_skew, generic_sym, minors_ideal
 from detsing.rings import _packing, grevlex_key, ring
@@ -137,9 +138,16 @@ def test_ring_mismatch(R):
     gb = groebner([x])
     with pytest.raises(RingMismatch):
         gb.reduce(ring("a").var("a"))
-    for gens in ([x, ring("a").var("a")], [x, 3], [3, x], ["x"]):
-        with pytest.raises(RingMismatch):
-            groebner(gens)
+    with pytest.raises(RingMismatch):
+        groebner([x, ring("a").var("a")])
+
+
+@pytest.mark.parametrize("build", [groebner, seed_leading_monomials])
+def test_generator_that_is_not_a_polynomial_is_refused(R, build):
+    x = R.var("x")
+    for gens in ([x, 3], [3, x], ["x"]):
+        with pytest.raises(BadParameters):
+            build(gens)
 
 
 def test_order_of_another_ring_is_refused(R):

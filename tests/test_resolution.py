@@ -1,6 +1,8 @@
 """Chart-tree drivers: size-reducing chart maps and resolution reports."""
 
+import importlib
 import json
+import sys
 
 import pytest
 
@@ -122,6 +124,18 @@ def test_skew_too_small_and_bad_positions():
             reduce_skew_chart(root, pos)
     with pytest.raises(BadParameters):
         reduce_skew_chart(fresh_root("sym", 4), (1, 2))
+
+
+@pytest.mark.parametrize("reduce, position", [
+    (reduce_skew_chart, (1, 2)),
+    (reduce_sym_diag_chart, (1, 1)),
+    (reduce_sym_offdiag_chart, (1, 2)),
+], ids=["skew", "diag", "offdiag"])
+def test_chart_reduction_refuses_a_non_node(reduce, position):
+    with pytest.raises(BadParameters):
+        reduce(None, position)
+    with pytest.raises(BadParameters):
+        reduce(fresh_root("sym", 4).matrix, position)
 
 
 @pytest.mark.parametrize("position", [(1,), (1, 2, 3), (True, 2), (1, 2.0), "12", 12], ids=repr)
@@ -528,6 +542,38 @@ def test_check_none_skips_verdicts():
     assert rep.embedded is None
     assert "embedded_resolution" not in rep.to_json()
     assert rep.all_passed()  # only the depth bound is recorded
+
+
+def _forbid(monkeypatch, module, name):
+    """Make every binding of module.name inside the package raise."""
+    original = getattr(module, name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{module.__name__}.{name} called")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "detsing" or mod_name.startswith("detsing."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, forbidden)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("resolve, m, size", [(resolve_sym, 4, 3), (resolve_skew, 5, 2)],
+                         ids=["sym4_3", "skew5_2"])
+def test_construction_never_certifies(monkeypatch, resolve, m, size, field):
+    # building a tree with check="none" computes no Groebner basis at all
+    verify = importlib.import_module("detsing.verify")
+    for module, name in ((importlib.import_module("detsing.groebner"), "groebner"),
+                         (verify, "groebner_of"), (verify, "saturate")):
+        _forbid(monkeypatch, module, name)
+    rep = resolve(m, size, field, all_charts=True, check="none")
+    assert len(rep.nodes) > 1 and rep.leaves()
+    assert all(not n.verdicts for n in rep.nodes)
+    assert rep.embedded is None
+    # the same tree with a check reaches the forbidden calls
+    with pytest.raises(AssertionError):
+        resolve(m, size, field, all_charts=True, check="identities")
 
 
 def test_full_check_includes_bases_identities_not():

@@ -402,6 +402,27 @@ def test_embed_refuses_a_non_polynomial_or_a_non_ring():
         embed(R.var("x"), "R")
 
 
+@pytest.mark.parametrize("names", ["xy", None, 3], ids=repr)
+def test_ring_class_refuses_a_string_or_a_non_collection_of_names(names):
+    # a string would be read as names of one letter: the variables x and y
+    with pytest.raises(BadParameters):
+        Ring(names)
+
+
+@pytest.mark.parametrize("names", [None, 3], ids=repr)
+def test_ring_refuses_a_non_collection_of_names(names):
+    with pytest.raises(BadParameters):
+        ring(names)
+    assert ring("x y").names == ring(["x", "y"]).names == ("x", "y")
+
+
+@pytest.mark.parametrize("images", [None, [("x", "y")], "x"], ids=repr)
+def test_substitution_refuses_images_that_are_not_a_dict(images):
+    R = ring("x y")
+    with pytest.raises(BadParameters):
+        Substitution(R, R, images)
+
+
 def test_substitution_refuses_a_non_polynomial_image_or_a_non_ring():
     R, S = ring("x y"), ring("x y z")
     with pytest.raises(BadParameters):

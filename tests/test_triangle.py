@@ -48,6 +48,11 @@ def reductions(report):
     return [node.reduction for node in report.nodes if node.reduction is not None]
 
 
+def parent_matrices_and_reductions(report):
+    return [(report.node(node.parent_id).matrix, node.reduction)
+            for node in report.nodes if node.reduction is not None]
+
+
 # --------------------------------------------------------------------------
 # triangle and the mirror builder
 
@@ -173,17 +178,17 @@ def test_minors_ideal_matches_all_pairs_on_a_general_matrix():
     (resolve_skew, "skew", 5, 2),
 ], ids=["sym4", "skew5"])
 def test_primed_matrix_equals_entrywise_strict_transform(resolve, kind, m, target):
-    reds = reductions(resolve(m, target, all_charts=True, check="none"))
+    pairs = parent_matrices_and_reductions(resolve(m, target, all_charts=True, check="none"))
     # every chart of the root is among them
-    assert {red.position for red in reds if red.parent_matrix.size == m} == {
+    assert {red.position for parent, red in pairs if parent.size == m} == {
         (i + 1, j + 1) for i, j in triangle(m, kind)
     }
-    for red in reds:
+    for parent, red in pairs:
         T = red.ring
         expected = tuple(
             tuple(T.zero() if f.is_zero() else strict_transform_poly(f, red.chart)[1]
                   for f in row)
-            for row in red.parent_matrix.rows
+            for row in parent.rows
         )
         assert red.matrix.rows == expected
 
@@ -193,8 +198,9 @@ def test_primed_matrix_equals_entrywise_strict_transform(resolve, kind, m, targe
 
 
 def test_matrix_variables_match_a_scan_of_every_entry():
-    for red in reductions(resolve_sym(4, 4, all_charts=True, check="none")):
-        for M in (red.parent_matrix, red.matrix, red.formula_matrix):
+    for parent, red in parent_matrices_and_reductions(
+            resolve_sym(4, 4, all_charts=True, check="none")):
+        for M in (parent, red.matrix, red.formula_matrix):
             if M is None:
                 continue
             every = {n for row in M.rows for e in row for n in old_polynomial_variables(e)}
