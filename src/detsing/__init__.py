@@ -33,6 +33,7 @@ from .groebner import (
     groebner,
     lex_order,
     normal_form,
+    seed_leading_monomials,
 )
 from .matrices import (
     GenericMatrix,
@@ -126,6 +127,7 @@ __all__ = [
     "resolve_sym",
     "ring",
     "saturate",
+    "seed_leading_monomials",
     "strict_transform_ideal",
     "strict_transform_poly",
     "submatrix",

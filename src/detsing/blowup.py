@@ -102,6 +102,12 @@ def _require_center(value) -> Center:
     return value
 
 
+def _require_chart(value) -> ChartMap:
+    if not isinstance(value, ChartMap):
+        raise BadParameters(f"expected a ChartMap, got {type(value).__name__}")
+    return value
+
+
 def make_chart(center: Center, chart_var: str) -> ChartMap:
     """Chart of the blow-up of ``center`` where ``chart_var`` is the unit."""
     if chart_var not in _require_center(center):
@@ -127,7 +133,7 @@ def charts(center: Center):
 
 
 def total_transform(f: Polynomial, c: ChartMap) -> Polynomial:
-    require_polynomials(c.source, [f])
+    require_polynomials(_require_chart(c).source, [f])
     return c.substitution(f)
 
 
@@ -152,6 +158,7 @@ def strict_transform_ideal(I: Ideal, c: ChartMap) -> Ideal:
     membership tests for an explicit two-generator failure).
     """
     require_ideal(I)
+    _require_chart(c)
     gens = [g for g in I.gens if not g.is_zero()]
     for g in gens:
         if not g.is_homogeneous(in_vars=c.center.names):

@@ -365,15 +365,27 @@ def seed_leading_monomials(gens) -> list:
     """Grevlex leading monomials of groebner()'s seed loop alone: the
     generators in its seed order, each reduced against the earlier nonzero
     remainders, with no S-pairs. Each remainder lies in the ideal of gens."""
+    return _seed_loop(gens, None)
+
+
+def _seed_loop(gens, wanted):
+    """The seed loop's leading monomials, in order. Given wanted, a
+    collection of monomials, the loop stops once all of them have appeared:
+    the remainders of a prefix of the seeds do not depend on where the loop
+    stops, so set(wanted) <= set(result) decides as the whole loop does."""
     max_terms = term_cap()
     ring_, order, seeds = _seeds(gens, None)
 
     def run(pk):
         G: list = []
+        missing = set(wanted or ())
         for terms in _packed_seeds(seeds, pk):
+            if wanted is not None and not missing:
+                break
             reduced = _reduce_terms(terms, G, pk, ring_.field, max_terms)
             if reduced:
                 G.append(_Gen(pk, reduced, 0, 0))  # sugar and age steer only pairs
+                missing.discard(pk.unpack(G[-1].plm))
         return [pk.unpack(g.plm) for g in G]
 
     return _widening(order.spec, run) if seeds else []

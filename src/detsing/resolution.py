@@ -468,12 +468,23 @@ def _basis_witness(ideal, include_bases):
     return wit
 
 
+def _strict_minors(parent_matrix, red, j):
+    """The strict transform of the j-minors of the parent matrix A. Each
+    entry of A is a center variable, so a j-minor's total transform is e^j
+    times the same minor of the primed matrix A'; when no entry of A'
+    contains the exceptional variable e, those j-minors of A' are the strict
+    transforms, generator for generator. Else the generator-wise route."""
+    if red.chart.exceptional_var not in red.matrix.variables():
+        return minors_ideal(red.matrix, j)
+    return strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
+
+
 def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     """The contraction identity at minor level j: the strict transform of
     the j-minors of the parent matrix equals the (j - drop)-minors of the
     reduced matrix (both saturated by eps in off-diagonal charts)."""
     jr = j - (parent_matrix.size - len(red.remaining))
-    lhs = strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
+    lhs = _strict_minors(parent_matrix, red, j)
     T = red.ring
     if jr <= 0:
         rhs = Ideal(T, [T.one()])
@@ -659,9 +670,7 @@ def _finalize_leaf(node, parent):
         gens = [node.ring.var(nm) for nm in node.matrix_variable_names()]
         node.strict_ideal = Ideal(node.ring, gens)
         return
-    st = strict_transform_ideal(
-        minors_ideal(parent.matrix, parent.residual), node.reduction.chart
-    )
+    st = _strict_minors(parent.matrix, node.reduction, parent.residual)
     gens = [node.rewrite(g) for g in st.gens] if node.rewrite is not None else list(st.gens)
     node.strict_ideal = Ideal(node.ring, gens)
 

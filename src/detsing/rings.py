@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import add, mul, neg
@@ -772,6 +773,71 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     pk = _packing_for(("grevlex", ring_.nvars), max(f.total_degree(), g.total_degree()))
     quotient = _exact_div_terms(pk, ring_.field, pk.pack_terms(f.terms), pk.pack_terms(g.terms))
     return Polynomial(ring_, pk.unpack_terms(quotient))
+
+
+# -- exact byte strings -------------------------------------------------------
+
+
+def ring_bytes(ring_: Ring) -> bytes:
+    """The ring as bytes: field name and variable names, each ended by "|",
+    which no field name or variable name contains."""
+    return f"{field_name(ring_.field)}|{','.join(ring_.names)}|".encode()
+
+
+def encode_terms(polys) -> bytes:
+    """An exact byte string of the polynomials of one ring, each in its
+    stored term order: decode_terms, given the ring, returns them.
+
+    The count and "|", then per polynomial a header "terms,w,c|", its
+    monomials as w bytes per exponent (w = 1 while every exponent is below
+    256) and its coefficients: one byte each while every one is an int
+    below 256 (c is "b"), else as c bytes of text, "," between them ("-3",
+    "5/7"). The header fixes the length of each part, so no two sequences
+    of polynomials share a string.
+    """
+    out = [b"%d|" % len(polys)]
+    for f in polys:
+        terms = f.terms
+        try:
+            monos, w = b"".join(map(bytes, terms)), 1
+        except ValueError:
+            w = (max(map(max, terms)).bit_length() + 7) // 8
+            monos = b"".join([e.to_bytes(w, "little") for m in terms for e in m])
+        try:
+            coeffs, c = bytes(terms.values()), b"b"
+        except (ValueError, TypeError):
+            coeffs = ",".join(map(str, terms.values())).encode()
+            c = b"%d" % len(coeffs)
+        out.append(b"%d,%d,%s|%s%s" % (len(terms), w, c, monos, coeffs))
+    return b"".join(out)
+
+
+def decode_terms(ring_: Ring, data: bytes) -> tuple:
+    """The polynomials of ring_ that encode_terms wrote as data."""
+    n = ring_.nvars
+    head = data.index(b"|")
+    pos = head + 1
+    polys = []
+    for _ in range(int(data[:head])):
+        head = data.index(b"|", pos)
+        count, w, c = data[pos:head].split(b",")
+        count, w = int(count), int(w)
+        pos = head + 1 + count * n * w
+        flat = data[head + 1:pos]
+        if w == 1:
+            flat = tuple(flat)
+        else:
+            flat = tuple([int.from_bytes(flat[i:i + w], "little") for i in range(0, len(flat), w)])
+        monos = [flat[i:i + n] for i in range(0, len(flat), n)] if n else [()] * count
+        if c == b"b":
+            coeffs = data[pos:pos + count]
+            pos += count
+        else:
+            text = data[pos:pos + int(c)].decode()
+            pos += int(c)
+            coeffs = [Fraction(v) if "/" in v else int(v) for v in text.split(",")]
+        polys.append(Polynomial(ring_, dict(zip(monos, coeffs))))
+    return tuple(polys)
 
 
 # -- parsing ------------------------------------------------------------------

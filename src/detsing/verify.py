@@ -13,6 +13,14 @@ full route decides. ``equal_by_cover(J, I)`` proves J = I from I's
 reduced basis (its fallback: both reduced bases, ``ideal_equal``), and
 ``radical_member`` tries f² ∈ I before the Rabinowitsch basis. An argument
 that is not an Ideal or a Polynomial raises BadParameters.
+
+One cache serves a long-lived caller: the reduced grevlex basis of each
+ideal asked about, and the result of each saturation (I : u^∞). Entries are
+exact byte strings (``rings.encode_terms``), not live objects: a key
+encodes the field, the variable names and every term of every generator,
+and of u, so no two unequal ideals share an entry; a hit decodes a fresh
+basis or ideal. Keys and values together hold at most _GB_CACHE_BUDGET
+bytes, and the least recently used entries go first.
 """
 
 from collections import OrderedDict
@@ -20,40 +28,77 @@ from collections import OrderedDict
 from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
 from .fields import QQ, field_name
-from .groebner import (
-    GroebnerBasis,
-    elimination_order,
-    grevlex_order,
-    groebner,
-    seed_leading_monomials,
-)
+from .groebner import GroebnerBasis, _seed_loop, elimination_order, grevlex_order, groebner
 from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian, require_ideal
-from .rings import Polynomial, Ring, embed
+from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, ring_bytes
 
-# Reduced grevlex basis per Ideal, least recently used first, at most
-# _GB_CACHE_SIZE entries. A hit refreshes its entry; saturations and
-# equal_by_cover hand over their bases through the same insert.
-_GB_CACHE_SIZE = 256
+# The cache, least recently used first. A key is b"G" + ring + generators
+# for a basis, b"S" + ring + generators + u for a saturation
+# (rings.ring_bytes, rings.encode_terms); a value is _basis_bytes. The
+# budget, chosen by a sweep on library-mix, holds its whole working set.
+_GB_CACHE_BUDGET = 4 << 20
 _GB_CACHE: OrderedDict = OrderedDict()
+# the cache object counted, and the bytes of its keys and values
+_held = [_GB_CACHE, 0]
 
 
-def _remember(I: Ideal, basis: GroebnerBasis) -> GroebnerBasis:
-    """Insert or refresh I's entry, evicting the least recently used."""
-    _GB_CACHE[I] = basis
-    _GB_CACHE.move_to_end(I)
-    if len(_GB_CACHE) > _GB_CACHE_SIZE:
-        _GB_CACHE.popitem(last=False)
-    return basis
+def _entry(I: Ideal, u: Polynomial = None) -> bytes:
+    """The cache key of I, or with u of the saturation (I : u^∞)."""
+    if u is None:
+        return b"G" + ring_bytes(I.ring) + encode_terms(I.gens)
+    return b"S" + ring_bytes(I.ring) + encode_terms(I.gens + (u,))
+
+
+def _basis_bytes(basis: GroebnerBasis) -> bytes:
+    """The basis as bytes: the place of each element's leading monomial
+    among its terms, then the elements (rings.encode_terms)."""
+    lead = ",".join(str(list(p.terms).index(m)) for p, m in zip(basis.polys, basis.leading_monomials()))
+    return lead.encode() + b"|" + encode_terms(basis.polys)
+
+
+def _basis_from(R: Ring, value: bytes) -> GroebnerBasis:
+    lead, _, body = value.partition(b"|")
+    polys = decode_terms(R, body)
+    lms = [list(p.terms)[int(i)] for p, i in zip(polys, lead.split(b","))]
+    return GroebnerBasis(R, grevlex_order(R), polys, lms)
+
+
+def _recall(key: bytes):
+    """The value cached under key, refreshed, or None."""
+    value = _GB_CACHE.get(key)
+    if value is not None:
+        _GB_CACHE.move_to_end(key)
+    return value
+
+
+def _remember(key: bytes, value: bytes) -> None:
+    """Insert or refresh an entry, then evict the least recently used
+    entries until the cache holds at most _GB_CACHE_BUDGET bytes."""
+    if _held[0] is not _GB_CACHE or not _GB_CACHE:
+        # a cache cleared or replaced from outside is counted afresh
+        _held[:] = [_GB_CACHE, sum(len(k) + len(v) for k, v in _GB_CACHE.items())]
+    old = _GB_CACHE.pop(key, None)
+    if old is not None:
+        _held[1] -= len(key) + len(old)
+    _GB_CACHE[key] = value
+    _held[1] += len(key) + len(value)
+    while _held[1] > _GB_CACHE_BUDGET:
+        k, v = _GB_CACHE.popitem(last=False)
+        _held[1] -= len(k) + len(v)
 
 
 def groebner_of(I: Ideal) -> GroebnerBasis:
     """The reduced grevlex basis of I, cached so that repeated checks share
-    one computation; every check here reads grevlex bases."""
-    basis = _GB_CACHE.get(I)
-    if basis is None:
-        # the zero ideal has no generators; groebner() gives it the empty basis
-        basis = groebner(I.gens or [I.ring.zero()])
-    return _remember(I, basis)
+    one computation; every check here reads grevlex bases. A hit decodes a
+    fresh GroebnerBasis."""
+    key = _entry(I)
+    value = _recall(key)
+    if value is not None:
+        return _basis_from(I.ring, value)
+    # the zero ideal has no generators; groebner() gives it the empty basis
+    basis = groebner(I.gens or [I.ring.zero()])
+    _remember(key, _basis_bytes(basis))
+    return basis
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
@@ -102,13 +147,15 @@ def equal_by_cover(J: Ideal, I: Ideal) -> bool:
     """
     _require_pair(J, I)
     G = groebner_of(I)
-    if J in _GB_CACHE:
+    key = _entry(J)
+    if key in _GB_CACHE:
         return groebner_of(J).polys == G.polys
     if not all(map(G.contains, J.gens)):
         return False
-    if not set(G.leading_monomials()) <= set(seed_leading_monomials(J.gens or [J.ring.zero()])):
+    lms = G.leading_monomials()
+    if not set(lms) <= set(_seed_loop(J.gens or [J.ring.zero()], lms)):
         return False
-    _remember(J, G)
+    _remember(key, _basis_bytes(G))
     return True
 
 
@@ -136,27 +183,35 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
 
 
 def saturate(I: Ideal, u: Polynomial) -> Ideal:
-    """(I : u^∞), computed by eliminating t from I + ⟨1 − t·u⟩.
+    """(I : u^∞), computed by eliminating t from I + ⟨1 − t·u⟩, and cached
+    by (I, u).
 
     The generators of the result are its reduced grevlex basis, which is
-    also entered in the basis cache.
+    also entered in the basis cache, on a hit too.
     """
     require_ideal(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
-    gens, t = _rabinowitsch(I, u)
     R = I.ring
-    gb = groebner(gens, elimination_order(gens[-1].ring, [t]))
-    # The t-free part of a reduced basis for the block order is the reduced
-    # basis of the elimination ideal for the order restricted to R, which is
-    # grevlex; groebner_of(out) would compute the same polynomials again.
-    # Under the block order a polynomial is t-free exactly when its leading
-    # monomial is, and dropping that monomial's last exponent (t's) maps it
-    # into R.
-    free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[-1]]
-    kept = tuple(embed(p, R) for p, _ in free)
+    key = _entry(I, u)
+    value = _recall(key)
+    if value is None:
+        gens, t = _rabinowitsch(I, u)
+        gb = groebner(gens, elimination_order(gens[-1].ring, [t]))
+        # The t-free part of a reduced basis for the block order is the
+        # reduced basis of the elimination ideal for the order restricted to
+        # R, which is grevlex; groebner_of(out) would compute the same
+        # polynomials again. Under the block order a polynomial is t-free
+        # exactly when its leading monomial is, and dropping that monomial's
+        # last exponent (t's) maps it into R.
+        free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[-1]]
+        kept = tuple(embed(p, R) for p, _ in free)
+        value = _basis_bytes(GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free]))
+        _remember(key, value)
+    else:
+        kept = _basis_from(R, value).polys
     out = Ideal(R, kept)
-    _remember(out, GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free]))
+    _remember(_entry(out), value)
     return out
 
 

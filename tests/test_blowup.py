@@ -230,3 +230,32 @@ def test_center_refuses_a_string_of_names():
     # a string would be read as names of one letter: the center of x and y
     with pytest.raises(BadParameters):
         Center(ring("xy x y"), "xy")
+
+
+# Values that are not a ChartMap; each test also passes the center itself.
+NOT_CHARTS = [3, None, "x"]
+
+
+@pytest.mark.parametrize("chart", NOT_CHARTS)
+def test_total_transform_refuses_a_non_chart(origin3, chart):
+    with pytest.raises(BadParameters):
+        total_transform(origin3.ring.var("x"), chart)
+    with pytest.raises(BadParameters):
+        total_transform(origin3.ring.var("x"), origin3)
+
+
+@pytest.mark.parametrize("chart", NOT_CHARTS)
+def test_strict_transform_poly_refuses_a_non_chart(origin3, chart):
+    with pytest.raises(BadParameters):
+        strict_transform_poly(origin3.ring.var("x"), chart)
+    with pytest.raises(BadParameters):
+        strict_transform_poly(origin3.ring.var("x"), origin3)
+
+
+@pytest.mark.parametrize("chart", NOT_CHARTS)
+def test_strict_transform_ideal_refuses_a_non_chart(origin3, chart):
+    I = Ideal(origin3.ring, [origin3.ring.var("x")])
+    with pytest.raises(BadParameters):
+        strict_transform_ideal(I, chart)
+    with pytest.raises(BadParameters):
+        strict_transform_ideal(I, origin3)

@@ -9,6 +9,7 @@ must reach the same verdict on every input.
 
 import importlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,15 @@ from hypothesis import strategies as st
 
 from detsing import verify
 from detsing.fields import QQ, PrimeField
-from detsing.groebner import groebner, seed_leading_monomials
-from detsing.matrices import Ideal
+from detsing.groebner import _seed_loop, groebner, seed_leading_monomials
+from detsing.matrices import Ideal, generic_skew, generic_sym, minors_ideal
 from detsing.resolution import resolve_skew, resolve_sym
 from detsing.rings import Polynomial, ring
 from detsing.verify import check_fact, equal_by_cover, groebner_of, ideal_contains, radical_member
 
 from .oracles import oracle_center_identity_verdict, oracle_radical_member
 
+engine = importlib.import_module("detsing.groebner")
 resolution = importlib.import_module("detsing.resolution")
 
 FIELDS = (QQ, PrimeField(7))
@@ -46,7 +48,8 @@ def test_cover_proves_equal_ideals_and_caches_the_left_side(R):
     x, y, _ = R.vars()
     J, I = Ideal(R, [x + y, y]), Ideal(R, [x, y])
     assert equal_by_cover(J, I)
-    assert verify._GB_CACHE[J] is groebner_of(I)
+    # J's entry holds I's basis
+    assert verify._GB_CACHE[verify._entry(J)] == verify._GB_CACHE[verify._entry(I)]
     # a cached left side is decided by the two cached bases
     assert equal_by_cover(J, I)
     assert equal_by_cover(Ideal(R, []), Ideal(R, [R.zero()]))
@@ -70,6 +73,13 @@ def test_without_the_cover_check_a_smaller_ideal_would_pass(R):
     assert J not in verify._GB_CACHE
 
 
+def test_a_failed_cover_caches_nothing(R):
+    x, y, _ = R.vars()
+    for J, I in ((Ideal(R, [x ** 2]), Ideal(R, [x])), (Ideal(R, [x + y]), Ideal(R, [x]))):
+        assert not equal_by_cover(J, I)
+        assert verify._entry(J) not in verify._GB_CACHE
+
+
 def test_seed_loop_finds_leading_monomials_the_generators_lack(R):
     x, y, _ = R.vars()
     # x² + y and x² lead with x²; the seed loop reduces one by the other,
@@ -77,6 +87,71 @@ def test_seed_loop_finds_leading_monomials_the_generators_lack(R):
     gens = [x ** 2 + y, x ** 2]
     assert set(seed_leading_monomials(gens)) == {(2, 0, 0), (0, 1, 0)}
     assert equal_by_cover(Ideal(R, gens), Ideal(R, [x ** 2, y]))
+
+
+def _decides_as_the_whole_loop(gens, wanted):
+    full = seed_leading_monomials(gens)
+    got = _seed_loop(gens, wanted)
+    # a prefix of the whole loop's monomials, which covers wanted exactly
+    # when the whole loop's do
+    assert got == full[:len(got)]
+    assert (set(wanted) <= set(got)) == (set(wanted) <= set(full))
+
+
+def _wanted_sets(rng, full, nvars):
+    """Monomial sets to test a seed loop against: all, none, a prefix, a
+    shuffled sample, and each of those with a monomial the loop lacks."""
+    sample = rng.sample(full, rng.randint(0, len(full)))
+    sets = [full, [], full[:rng.randint(1, len(full))], sample]
+    stray = tuple(rng.randint(0, 3) for _ in range(nvars))
+    return sets + [s + [stray] for s in sets if stray not in full]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F7"])
+def test_seed_loop_stops_as_the_whole_loop_decides_on_minor_ideals(field):
+    rng = random.Random(21)
+    for maker in (generic_sym, generic_skew):
+        for m in range(1, 6):
+            M = maker(m, field)
+            for j in range(1, m + 1):
+                gens = minors_ideal(M, j).gens
+                if not gens:
+                    continue
+                full = seed_leading_monomials(gens)
+                for wanted in _wanted_sets(rng, full, M.ring.nvars):
+                    _decides_as_the_whole_loop(gens, wanted)
+                if m <= 4:
+                    _decides_as_the_whole_loop(gens, groebner(gens).leading_monomials())
+
+
+def test_seed_loop_stops_as_the_whole_loop_decides_on_random_ideals():
+    rng = random.Random(2021)
+    for field in FIELDS:
+        R = ring("x y z", field)
+        for _ in range(60):
+            gens = [Polynomial._reduced(R, {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-3, 3)
+                                            for _ in range(rng.randint(1, 4))})
+                    for _ in range(rng.randint(1, 4))]
+            if not any(gens):
+                continue
+            for wanted in _wanted_sets(rng, seed_leading_monomials(gens), 3):
+                _decides_as_the_whole_loop(gens, wanted)
+            _decides_as_the_whole_loop(gens, groebner(gens).leading_monomials())
+
+
+def test_seed_loop_stops_once_the_wanted_monomials_appeared(monkeypatch):
+    gens = minors_ideal(generic_skew(5), 2).gens
+    first = seed_leading_monomials(gens)[:1]
+    reduced = []
+    reduce_terms = engine._reduce_terms
+
+    def counting(*args):
+        reduced.append(1)
+        return reduce_terms(*args)
+
+    monkeypatch.setattr(engine, "_reduce_terms", counting)
+    assert _seed_loop(gens, first) == first
+    assert len(reduced) == 1 < len(gens)
 
 
 # inhomogeneous polynomials in x, y, z over 𝔽_7: up to three terms of degree <= 2

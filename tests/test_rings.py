@@ -19,7 +19,18 @@ from detsing.errors import (
     ZeroPolynomial,
 )
 from detsing.fields import QQ, PrimeField, field_from_name
-from detsing.rings import Polynomial, Ring, Substitution, embed, exact_div, grevlex_key, ring
+from detsing.rings import (
+    Polynomial,
+    Ring,
+    Substitution,
+    decode_terms,
+    embed,
+    encode_terms,
+    exact_div,
+    grevlex_key,
+    ring,
+    ring_bytes,
+)
 
 
 @pytest.fixture
@@ -431,3 +442,47 @@ def test_substitution_refuses_a_non_polynomial_image_or_a_non_ring():
         Substitution(R, "S", {})
     with pytest.raises(RingMismatch):
         Substitution(R, S, {"x": R.var("x")})
+
+
+# --- exact byte strings ----------------------------------------------------
+
+_ENCODED_FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
+
+
+@st.composite
+def _polynomial_lists(draw):
+    """A ring of 0-3 variables over one of the fields, and a list of its
+    polynomials: exponents up to past two bytes, coefficients that are
+    large ints and Fractions over Q, any element over F_p."""
+    field = draw(st.sampled_from(_ENCODED_FIELDS))
+    R = ring(["a", "b", "c"][:draw(st.integers(0, 3))], field)
+    exponent = st.one_of(st.integers(0, 3), st.integers(250, 260), st.integers(0, 70000))
+    if field == QQ:
+        coeff = st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions().filter(bool))
+    else:
+        coeff = st.integers(1, field.char - 1)
+    term = st.tuples(st.tuples(*[exponent] * R.nvars), coeff)
+    polys = draw(st.lists(st.lists(term, max_size=4), max_size=4))
+    return R, [Polynomial._reduced(R, dict(terms)) for terms in polys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomial_lists())
+def test_encoded_terms_decode_to_the_same_polynomials(case):
+    R, polys = case
+    back = decode_terms(R, encode_terms(polys))
+    assert back == tuple(polys)
+    # each keeps its stored term order and its coefficients' types
+    assert [list(p.terms.items()) for p in back] == [list(p.terms.items()) for p in polys]
+    assert [list(map(type, p.terms.values())) for p in back] == [list(map(type, p.terms.values())) for p in polys]
+
+
+def test_encoded_terms_differ_where_one_byte_per_exponent_would_not():
+    R = ring("x y")
+    x, y = R.vars()
+    polys = [x ** 256, R.one(), x ** 257, x, x ** 65536, y ** 256, x * y ** 0,
+             R.const(Fraction(1, 2)) * x, R.const(2) * x, R.const(-2) * x]
+    encoded = {encode_terms([f]) for f in polys}
+    assert len(encoded) == len(set(polys)) == len(polys) - 1
+    assert encode_terms([x, y]) != encode_terms([y, x]) != encode_terms([x * y])
+    assert ring_bytes(ring("x y")) != ring_bytes(ring("x y", PrimeField(7))) != ring_bytes(ring("xy"))

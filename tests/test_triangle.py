@@ -6,11 +6,13 @@ deduplicating all (I, J) minors, transforming every entry of the parent
 matrix, and scanning every exponent of every monomial.
 """
 
+import importlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from detsing.blowup import strict_transform_poly
+from detsing.blowup import strict_transform_ideal, strict_transform_poly
 from detsing.errors import BadIndex, NotSkew
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
@@ -24,6 +26,8 @@ from detsing.matrices import (
 )
 from detsing.resolution import resolve_skew, resolve_sym
 from detsing.rings import ring
+
+resolution = importlib.import_module("detsing.resolution")
 
 FIELDS = [QQ, PrimeField(7)]
 FIELD_IDS = ["QQ", "F7"]
@@ -191,6 +195,49 @@ def test_primed_matrix_equals_entrywise_strict_transform(resolve, kind, m, targe
             for row in parent.rows
         )
         assert red.matrix.rows == expected
+
+
+def old_strict_minors(parent, red, j):
+    """The old left side: the generator-wise strict transform of the
+    parent's j-minors."""
+    return strict_transform_ideal(minors_ideal(parent, j), red.chart)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("resolve, m, target", [
+    (resolve_sym, 4, 4),
+    (resolve_sym, 5, 3),
+    (resolve_skew, 5, 2),
+    (resolve_skew, 6, 3),
+], ids=["sym4_4", "sym5_3", "skew5_2", "skew6_3"])
+def test_strict_minors_are_the_primed_minors(resolve, m, target, field):
+    # the center identities and the empty leaves read the j-minors of A';
+    # they are the old construction's generators, in the same order
+    report = resolve(m, target, field, all_charts=True, check="none")
+    for parent, red in parent_matrices_and_reductions(report):
+        for j in range(1, parent.size + 1):
+            assert resolution._strict_minors(parent, red, j).gens == old_strict_minors(parent, red, j).gens
+    # skew trees end in regular leaves only
+    empty = [node for node in report.nodes if node.terminal_reason == "empty"]
+    assert bool(empty) == (resolve is resolve_sym)
+    for node in empty:
+        parent = report.node(node.parent_id)
+        old = old_strict_minors(parent.matrix, node.reduction, parent.residual).gens
+        if node.rewrite is not None:
+            old = tuple(node.rewrite(g) for g in old)
+        assert node.strict_ideal.gens == old
+
+
+def test_strict_minors_fall_back_when_the_primed_matrix_holds_the_exceptional_variable():
+    report = resolve_sym(3, 3, check="none")
+    parent, red = parent_matrices_and_reductions(report)[0]
+    e = red.ring.var(red.chart.exceptional_var)
+    bent = GenericMatrix.from_triangle(
+        red.ring, parent.size, {(i, j): red.matrix.rows[i][j] * e for i, j in triangle(3, "sym")}, "sym")
+    stub = SimpleNamespace(chart=red.chart, matrix=bent)
+    for j in range(1, 4):
+        assert resolution._strict_minors(parent, stub, j).gens == old_strict_minors(parent, red, j).gens
+        assert resolution._strict_minors(parent, stub, j).gens != minors_ideal(bent, j).gens
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Membership, equality, radicals, saturation, subspaces, standing facts."""
 
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from detsing.matrices import (
     pfaffian,
 )
 from detsing import verify
-from detsing.rings import ring
+from detsing.rings import decode_terms, ring, ring_bytes
 from detsing.verify import (
     check_fact,
     containment_witness,
@@ -66,9 +67,20 @@ def test_ideal_equal(R):
     assert ideal_equal(Ideal(R, [R.zero()]), Ideal(R, []))
 
 
-def test_groebner_of_caches(R):
+def _forbid_groebner(monkeypatch):
+    """Make every groebner() call of verify fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("groebner() called on a cache hit")
+    monkeypatch.setattr(verify, "groebner", forbidden)
+
+
+def test_groebner_of_caches(R, monkeypatch):
     I = Ideal(R, [R.var("x")])
-    assert groebner_of(I) is groebner_of(I)
+    first = groebner_of(I)
+    _forbid_groebner(monkeypatch)
+    again = groebner_of(I)
+    assert again.polys == first.polys
+    assert again.leading_monomials() == first.leading_monomials()
 
 
 def test_radical_membership(R):
@@ -156,19 +168,119 @@ def test_saturation_hand_over_unit_and_zero(R):
 def test_basis_cache_is_a_bounded_lru(R, monkeypatch):
     cache = OrderedDict()
     monkeypatch.setattr(verify, "_GB_CACHE", cache)
-    monkeypatch.setattr(verify, "_GB_CACHE_SIZE", 3)
     x, y, _ = R.vars()
     ideals = [Ideal(R, [x ** k - y]) for k in range(1, 5)]
+    keys = [verify._entry(I) for I in ideals]
     for I in ideals[:3]:
         groebner_of(I)
+    # a budget of exactly these three entries; the fourth is as large
+    held = sum(len(k) + len(v) for k, v in cache.items())
+    monkeypatch.setattr(verify, "_GB_CACHE_BUDGET", held)
     first = groebner_of(ideals[0])  # a hit refreshes its entry
     groebner_of(ideals[3])  # evicts ideals[1], the least recently used
-    assert list(cache) == [ideals[2], ideals[0], ideals[3]]
-    assert groebner_of(ideals[0]) is first
-    # a saturation's hand-over is an insert like any other
+    assert list(cache) == [keys[2], keys[0], keys[3]]
+    assert sum(len(k) + len(v) for k, v in cache.items()) == held
+    _forbid_groebner(monkeypatch)
+    assert groebner_of(ideals[0]).polys == first.polys
+    monkeypatch.undo()
+    # a saturation's hand-over is an insert like any other: the saturation
+    # and then its basis, both most recently used
+    monkeypatch.setattr(verify, "_GB_CACHE", cache)
     S = saturate(Ideal(R, [x * y]), x)
-    assert list(cache) == [ideals[3], ideals[0], S]
+    assert list(cache)[-2:] == [verify._entry(Ideal(R, [x * y]), x), verify._entry(S)]
+    _forbid_groebner(monkeypatch)
     assert groebner_of(S).polys == (y,)
+
+
+# --- the cache's exact keys --------------------------------------------------
+
+
+def _key_decodes_to(I):
+    """The generators a basis key of I encodes, read back from the key."""
+    key = verify._entry(I)
+    head = b"G" + ring_bytes(I.ring)
+    assert key.startswith(head)
+    return decode_terms(I.ring, key[len(head):])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(1000003)], ids=["Q", "F7", "F1000003"])
+def test_cache_keys_encode_the_ideal_exactly(field):
+    R = ring("x y z", field)
+    x, y, z = R.vars()
+    half = R.const(Fraction(1, 2)) if field == QQ else R.const(field.char - 1)
+    gens = [x ** 256 * y - z, half * x ** 70000 + y ** 255, R.one()]
+    for I in (Ideal(R, gens), Ideal(R, gens[::-1]), Ideal(R, []), Ideal(R, [R.zero()])):
+        assert _key_decodes_to(I) == I.gens
+    # an equal ring built again gives the same key; generator order is kept
+    again = ring("x y z", field)
+    assert verify._entry(Ideal(again, [again.parse(str(g)) for g in gens])) == verify._entry(Ideal(R, gens))
+    assert verify._entry(Ideal(R, gens)) != verify._entry(Ideal(R, gens[::-1]))
+
+
+def test_cache_keys_tell_apart_what_a_lossy_encoding_would_merge():
+    # fields, exponents past one byte, Fraction coefficients, generator order
+    ideals = []
+    for field in (QQ, PrimeField(5), PrimeField(7)):
+        R = ring("x y", field)
+        x, y = R.vars()
+        ideals += [Ideal(R, [x - y]), Ideal(R, [x ** 256 - y]), Ideal(R, [R.one() - y]),
+                   Ideal(R, [x ** 257 - y]), Ideal(R, [x ** 2 - y]), Ideal(R, [x, y]), Ideal(R, [y, x])]
+    for c in (Fraction(1, 2), Fraction(-1, 2), 2, Fraction(2, 1), Fraction(1, 3), 6):
+        R = ring("x y")
+        ideals.append(Ideal(R, [R.const(c) * R.var("x") - R.var("y")]))
+    distinct = {}
+    for I in ideals:
+        distinct.setdefault(verify._entry(I), I)
+    # equal keys only for equal ideals: Fraction(2, 1) is the int 2
+    assert all(verify._entry(I) in distinct and distinct[verify._entry(I)] == I for I in ideals)
+    assert len(distinct) == len(ideals) - 1
+    # the saturation keys differ from every basis key and from each other
+    R = ring("x y")
+    x, y = R.vars()
+    I = Ideal(R, [x * y])
+    sat_keys = {verify._entry(I, x), verify._entry(I, y), verify._entry(Ideal(R, [x * y, x]), None)}
+    assert len(sat_keys) == 3 and not sat_keys & set(distinct)
+
+
+def test_cached_bases_answer_for_their_own_ideal():
+    # a hit returns the basis of the ideal asked about, never a neighbour's
+    verify._GB_CACHE.clear()
+    R = ring("x y", PrimeField(7))
+    x, y = R.vars()
+    asked = [Ideal(R, [x ** e - y, y ** 2]) for e in (0, 1, 255, 256, 257)]
+    fresh = [groebner(list(I.gens)).polys for I in asked]
+    for _ in range(2):
+        assert [groebner_of(I).polys for I in asked] == fresh
+
+
+def test_saturation_hit_makes_no_groebner_call(R, monkeypatch):
+    x, y, z = R.vars()
+    I = Ideal(R, [x ** 3 * (y - z), x * y ** 2])
+    first = saturate(I, x)
+    # the basis of the result may have been evicted; a hit enters it again
+    del verify._GB_CACHE[verify._entry(first)]
+    _forbid_groebner(monkeypatch)
+    again = saturate(I, x)
+    assert again == first
+    assert list(verify._GB_CACHE)[-2:] == [verify._entry(I, x), verify._entry(first)]
+    assert groebner_of(again).polys == again.gens
+
+
+def test_cache_stays_within_its_byte_budget(R, monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(verify, "_GB_CACHE", cache)
+    monkeypatch.setattr(verify, "_GB_CACHE_BUDGET", 200)
+    x, y, z = R.vars()
+    for k in range(1, 30):
+        I = Ideal(R, [x ** k - y * z, y ** k - z])
+        groebner_of(I)
+        saturate(I, x)
+        held = sum(len(key) + len(value) for key, value in cache.items())
+        assert held <= 200 and verify._held == [cache, held]
+    # an entry larger than the budget is not kept
+    big = Ideal(R, [sum((x ** i * y ** (9 - i) for i in range(10)), R.zero())] * 10)
+    groebner_of(big)
+    assert verify._entry(big) not in cache
 
 
 # Every public entry point refuses what is not an Ideal or a Polynomial with
