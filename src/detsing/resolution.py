@@ -41,12 +41,13 @@ from .matrices import (
 )
 from .rings import Ring, Substitution, embed
 from .verify import (
+    _radical_members,
+    basis_size,
     check_embedded_resolution,
     equal_by_cover,
     groebner_of,
     ideal_contains,
     ideal_equal,
-    radical_member,
     saturate,
     verdict,
 )
@@ -461,11 +462,10 @@ def reduce_sym_offdiag_chart(node, position, orbit_size=1):
 
 
 def _basis_witness(ideal, include_bases):
-    gb = groebner_of(ideal)
-    wit = {"basis_size": len(gb.polys)}
-    if include_bases:
-        wit["basis"] = [p.format() for p in gb.polys]
-    return wit
+    if not include_bases:
+        return {"basis_size": basis_size(ideal)}
+    polys = groebner_of(ideal).polys
+    return {"basis_size": len(polys), "basis": [p.format() for p in polys]}
 
 
 def _strict_minors(parent_matrix, red, j):
@@ -518,11 +518,12 @@ def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     return verdict("center_identity", inputs, passed, witness)
 
 
-def _det_identity_verdict(parent_matrix, red):
+def _det_identity_verdict(parent_matrix, det_parent, red):
     """Exact polynomial identity tying the primed determinant to the reduced
     one: det' = det(reduced) for skew and diagonal charts, and
     eps^(m-3) * det' = -det(reduced) for off-diagonal charts (m >= 3; the
-    2x2 case degenerates to det' = -eps)."""
+    2x2 case degenerates to det' = -eps). det_parent is the determinant of
+    parent_matrix."""
     m = parent_matrix.size
     det_primed = determinant(red.matrix)
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
@@ -539,7 +540,6 @@ def _det_identity_verdict(parent_matrix, red):
         passed = det_primed == determinant(red.formula_matrix)
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
-    det_parent = determinant(parent_matrix)
     if not det_parent.is_zero():
         power, strict = strict_transform_poly(det_parent, red.chart)
         passed = passed and power == m and strict == det_primed
@@ -586,11 +586,9 @@ def _radical_identification_verdict(matrix, include_bases):
     names = matrix.variables()
     I2 = minors_ideal(matrix, 2)
     var_ideal = Ideal(ring_, [ring_.var(nm) for nm in names])
-    square_checks = {}
-    for nm in names:
-        v = ring_.var(nm)
-        square_checks[nm] = radical_member(v, I2)
-    containment = all(ideal_contains(var_ideal, g) for g in I2.gens)
+    # one read of each cached basis serves all its tests
+    square_checks = dict(zip(names, _radical_members(I2, [ring_.var(nm) for nm in names])))
+    containment = all(map(groebner_of(var_ideal).contains, I2.gens))
     passed = all(square_checks.values()) and containment
     witness = {"minors_in_variable_ideal": containment}
     if include_bases or not passed:
@@ -611,11 +609,11 @@ def _terminal_reason(kind, residual):
     return None
 
 
-def _child_verdicts(node, child, include_bases):
+def _child_verdicts(node, det_parent, child, include_bases):
     red = child.reduction
     out = [
         _center_strict_unit_verdict(node, red),
-        _det_identity_verdict(node.matrix, red),
+        _det_identity_verdict(node.matrix, det_parent, red),
     ]
     if child.rewrite is not None:
         out.append(_rewrite_consistency_verdict(child))
@@ -694,11 +692,13 @@ def _certify(report, include_bases):
     """Append every verdict of a built tree, walking its nodes in tree
     order: each child's chart verdicts, the radical of the 2-minors at a
     skew root that is a leaf, and with ``include_bases`` (check "full") the
-    embedded-resolution verdict of each leaf."""
+    embedded-resolution verdict of each leaf. Each node's determinant is
+    computed once for all its children."""
     for node in report.nodes:
+        det_parent = determinant(node.matrix) if node.children else None
         for child_id in node.children:
             child = report.node(child_id)
-            child.verdicts.extend(_child_verdicts(node, child, include_bases))
+            child.verdicts.extend(_child_verdicts(node, det_parent, child, include_bases))
         if node.reduction is None and node.kind == "skew" and node.is_leaf():
             node.verdicts.append(_radical_identification_verdict(node.matrix, include_bases))
     if include_bases:

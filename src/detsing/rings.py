@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -583,17 +584,21 @@ class _Packing:
     that are not negated.
 
     p ^ C turns every M - x field into x, so each exponent field of p ^ C
-    holds its exponent; unpack(p) reads them. On them, lcm(a, b) takes the
-    fieldwise max by guard-bit subtraction and then sums each block's
-    exponent fields into its degree field with one multiplication by a
-    ones vector; no sum carries, as a block degree of an lcm is at most
+    holds its exponent; unpack(p) reads them. In a grevlex packing variable
+    i's field sits at shift i*W, below the degree field, so at W = 8, 16, 32
+    or 64 pack and unpack go through bytes instead (_grevlex_codec) and give
+    the same ints. Lex and elimination packings, other widths and the ring
+    of no variables keep the weights. On the fields of p ^ C, lcm(a, b)
+    takes the fieldwise max by guard-bit subtraction and then sums each
+    block's exponent fields into its degree field with one multiplication
+    by a ones vector; no sum carries, as a block degree of an lcm is at most
     2M < 2^W, and one above M raises _Overflow. mask(p) sets the guard bit
     of each exponent field whose variable occurs in p: disjoint masks mean
     coprime, and a | b implies not (mask(a) & ~mask(b)).
     """
 
     __slots__ = ("spec", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg", "lcm", "mask",
-                 "unpack")
+                 "pack", "unpack")
 
     def __init__(self, spec: tuple, width: int):
         kind, n = spec[:2]
@@ -651,11 +656,12 @@ class _Packing:
 
         self.lcm = lcm
         self.mask = lambda p: ((p ^ C) & E) + E & GV
-        slots = self.slots
-        self.unpack = lambda p: tuple([(p ^ C) >> s & fm for s in slots])
-
-    def pack(self, a) -> int:
-        return sum(map(mul, a, self.weights), self.C)
+        if kind == "grevlex" and n and (width == 8 or width in _ARRAY_CODES):
+            self.pack, self.unpack = _grevlex_codec(n, width, C, top)
+        else:
+            weights, slots = self.weights, self.slots
+            self.pack = lambda a: sum(map(mul, a, weights), C)
+            self.unpack = lambda p: tuple([(p ^ C) >> s & fm for s in slots])
 
     def pack_terms(self, terms: dict) -> dict:
         """Packed copy of a term dict; _Overflow when a degree passes M."""
@@ -666,6 +672,32 @@ class _Packing:
     def unpack_terms(self, terms: dict) -> dict:
         """The term dict of a packed one."""
         return dict(zip(map(self.unpack, terms), terms.values()))
+
+
+# the array type code of each field width above 8 bits, and whether arrays
+# hold their items little-endian
+_ARRAY_CODES = {array(code).itemsize * 8: code for code in "QLIH"}
+_LITTLE = array("H", [1]).tobytes()[0] == 1
+
+
+def _grevlex_codec(n: int, width: int, C: int, top: int):
+    """pack and unpack of the grevlex packing of n >= 1 variables at width
+    8, 16, 32 or 64. The exponent fields, below the degree field at top,
+    read as the little-endian width-bit fields of a: pack(a) = C +
+    (deg(a) << top) minus those fields as an int, and unpack(p) reads the
+    first n fields of p ^ C."""
+    from_bytes, size, low = int.from_bytes, (n + 1) * width // 8, n * width // 8
+    if width == 8:
+        return (lambda a: C + (sum(a) << top) - from_bytes(bytes(a), "little"),
+                lambda p: tuple((p ^ C).to_bytes(size, "little")[:n]))
+    code = _ARRAY_CODES[width]
+    if _LITTLE:
+        return (lambda a: C + (sum(a) << top) - from_bytes(array(code, a), "little"),
+                lambda p: tuple(array(code, (p ^ C).to_bytes(size, "little")[:low])))
+    # big-endian items: the fields from the last variable down are the
+    # big-endian bytes of the same int
+    return (lambda a: C + (sum(a) << top) - from_bytes(array(code, a[::-1]), "big"),
+            lambda p: tuple(reversed(array(code, (p ^ C).to_bytes(size, "big")[-low:]))))
 
 
 # one packing per (spec, width): building one costs tens of microseconds, and

@@ -87,18 +87,32 @@ def _remember(key: bytes, value: bytes) -> None:
         _held[1] -= len(k) + len(v)
 
 
-def groebner_of(I: Ideal) -> GroebnerBasis:
-    """The reduced grevlex basis of I, cached so that repeated checks share
-    one computation; every check here reads grevlex bases. A hit decodes a
-    fresh GroebnerBasis."""
+def _basis_entry(I: Ideal) -> tuple:
+    """The cached value of I's reduced grevlex basis, and the basis itself
+    when this call computed it, else None."""
     key = _entry(I)
     value = _recall(key)
     if value is not None:
-        return _basis_from(I.ring, value)
+        return value, None
     # the zero ideal has no generators; groebner() gives it the empty basis
     basis = groebner(I.gens or [I.ring.zero()])
-    _remember(key, _basis_bytes(basis))
-    return basis
+    value = _basis_bytes(basis)
+    _remember(key, value)
+    return value, basis
+
+
+def groebner_of(I: Ideal) -> GroebnerBasis:
+    """The reduced grevlex basis of I, cached so that repeated checks share
+    one computation; every check here reads grevlex bases. A hit decodes a
+    fresh GroebnerBasis: a check that tests several polynomials against one
+    ideal calls this once and reuses the basis."""
+    value, basis = _basis_entry(I)
+    return _basis_from(I.ring, value) if basis is None else basis
+
+
+def basis_size(I: Ideal) -> int:
+    """len(groebner_of(I)), read from the count in the cached value."""
+    return int(_basis_entry(I)[0].split(b"|", 2)[1])
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
@@ -143,19 +157,24 @@ def equal_by_cover(J: Ideal, I: Ideal) -> bool:
     which lie in J; so lm(I) ⊆ lm(J), and J = I (Cox, Little & O'Shea,
     ch. 2). Given J ⊆ I, that equality is the divisibility cover, as G is
     reduced. On success J is cached with G; a J cached already is decided
-    by the two cached bases.
+    by the two cached bases: equal bytes are equal bases, and only unequal
+    bytes are decoded and compared.
     """
     _require_pair(J, I)
-    G = groebner_of(I)
+    value, G = _basis_entry(I)
     key = _entry(J)
-    if key in _GB_CACHE:
-        return groebner_of(J).polys == G.polys
+    cached = _recall(key)
+    if cached == value:
+        return True
+    G = _basis_from(I.ring, value) if G is None else G
+    if cached is not None:
+        return _basis_from(J.ring, cached).polys == G.polys
     if not all(map(G.contains, J.gens)):
         return False
     lms = G.leading_monomials()
     if not set(lms) <= set(_seed_loop(J.gens or [J.ring.zero()], lms)):
         return False
-    _remember(key, _basis_bytes(G))
+    _remember(key, value)
     return True
 
 
@@ -175,11 +194,16 @@ def _rabinowitsch(I: Ideal, f: Polynomial):
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """f ∈ √I: at once when f² reduces to zero by I's cached basis, else
     iff 1 ∈ I + ⟨1 − t·f⟩ with t a fresh variable."""
-    require_ideal(I, f)
-    if groebner_of(I).contains(f * f):
-        return True
-    gens, _ = _rabinowitsch(I, f)
-    return groebner(gens).is_unit_ideal()
+    return next(_radical_members(I, [f]))
+
+
+def _radical_members(I: Ideal, fs):
+    """radical_member(f, I) for each f of fs, lazily, all from one read of
+    I's cached basis; only an f whose square it does not reduce to zero
+    builds its Rabinowitsch basis."""
+    require_ideal(I, *fs)
+    G = groebner_of(I)
+    return (G.contains(f * f) or groebner(_rabinowitsch(I, f)[0]).is_unit_ideal() for f in fs)
 
 
 def saturate(I: Ideal, u: Polynomial) -> Ideal:
@@ -210,22 +234,26 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
         _remember(key, value)
     else:
         kept = _basis_from(R, value).polys
-    out = Ideal(R, kept)
-    _remember(_entry(out), value)
-    return out
+    # the basis key of the result: its generators encode as the value's body
+    _remember(b"G" + ring_bytes(R) + value.partition(b"|")[2], value)
+    return Ideal(R, kept)
 
 
 def coordinate_subspace(I: Ideal):
     """The variable set V when I's reduced basis is exactly V; else None."""
     require_ideal(I)
+    return _coordinate_subspace(groebner_of(I))
+
+
+def _coordinate_subspace(G: GroebnerBasis):
     names = set()
-    for p in groebner_of(I).polys:
+    for p in G.polys:
         if len(p.terms) != 1:
             return None
         mono, coeff = next(iter(p.terms.items()))
-        if coeff != I.ring.field.one or sum(mono) != 1:
+        if coeff != G.ring.field.one or sum(mono) != 1:
             return None
-        names.add(I.ring.names[mono.index(1)])
+        names.add(G.ring.names[mono.index(1)])
     return names
 
 
@@ -264,9 +292,10 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
         A = generic_skew(m, field)
         even = minors_ideal(A, 2 * l)
         odd = minors_ideal(A, 2 * l - 1)
-        if not all(ideal_contains(odd, g) for g in even.gens):
+        # one read of each cached basis serves all its tests
+        if not all(map(groebner_of(odd).contains, even.gens)):
             return False
-        return all(radical_member(g, even) for g in odd.gens)
+        return all(_radical_members(even, odd.gens))
     raise BadParameters(f"unknown fact {fact!r}")
 
 
@@ -332,11 +361,12 @@ def check_leaf(leaf) -> dict:
     I = _saturate_by_units(leaf.strict_ideal, leaf.units)
     exc = list(leaf.exceptional_names)
     snc = len(exc) == len(set(exc)) and all(n in I.ring.index for n in exc)
-    if groebner_of(I).is_unit_ideal():
+    G = groebner_of(I)
+    if G.is_unit_ideal():
         empty, regular, transversal = True, True, snc
         subspace = None
     else:
-        subspace = coordinate_subspace(I)
+        subspace = _coordinate_subspace(G)
         empty = False
         regular = subspace is not None
         transversal = snc and regular and not (subspace & set(exc))

@@ -8,7 +8,8 @@ behind that nothing reads any more; these tests parse each module with
 imports are the package's public names.
 
 Monomial packing is decided in ``rings`` alone: no other module defines a
-packing class or its overflow signal, or packs through int bytes. The
+packing class or its overflow signal, or packs through int bytes or
+arrays, so the packed layout is known to one module. The
 packing is also the only definition of each monomial order, so no other
 module defines a sort key: a function named ``key`` or ``*_key``.
 """
@@ -127,11 +128,13 @@ def test_public_names_are_exported_or_read():
 
 
 PACKING_CLASSES = {"_Packing", "_Overflow"}
+BYTE_ATTRIBUTES = {"from_bytes", "to_bytes", "tobytes", "frombytes"}
 
 
 def packing_outside_rings(source):
-    """(line, name) of each definition of _Packing or _Overflow, and of each
-    use of int.from_bytes or .to_bytes, called or passed, in source."""
+    """(line, name) of each definition of _Packing or _Overflow, of each use
+    of int.from_bytes, .to_bytes, .tobytes or .frombytes, called or passed,
+    and of each call of array or array.array, in source."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -140,8 +143,11 @@ def packing_outside_rings(source):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
-            if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+            if isinstance(node, ast.Attribute) and node.attr in BYTE_ATTRIBUTES:
                 found.append((node.lineno, node.attr))
+            elif isinstance(node, ast.Call) and "array" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+                found.append((node.lineno, "array"))
             continue
         found += [(node.lineno, name) for name in names if name in PACKING_CLASSES]
     return sorted(found)
@@ -154,9 +160,13 @@ def test_finds_packing_outside_rings():
         "def pack(m):\n    return int.from_bytes(bytes(m), 'big')\n"
         "def unpack(p, n):\n    return list(map(int.to_bytes, [p], [n], ['big']))\n"
         "def _Overflowing():\n    return (3).bit_length()\n"
+        "def fields(m):\n    return array('H', m).tobytes()\n"
+        "def spread(p):\n    a = array.array('Q')\n    a.frombytes(p)\n    return a\n"
+        "def not_packing(xs):\n    return sorted(xs, key=len), xs.array, xs.bytes\n"
     )
     assert packing_outside_rings(source) == [
         (1, "_Packing"), (3, "_Overflow"), (5, "from_bytes"), (7, "to_bytes"),
+        (11, "array"), (11, "tobytes"), (13, "array"), (14, "frombytes"),
     ]
 
 

@@ -5,6 +5,8 @@ Expected values in this file are hand-expanded; they pin conventions
 rest of the engine relies on.
 """
 
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from detsing.rings import (
     Polynomial,
     Ring,
     Substitution,
+    _Overflow,
+    _Packing,
     decode_terms,
     embed,
     encode_terms,
@@ -486,3 +490,71 @@ def test_encoded_terms_differ_where_one_byte_per_exponent_would_not():
     assert len(encoded) == len(set(polys)) == len(polys) - 1
     assert encode_terms([x, y]) != encode_terms([y, x]) != encode_terms([x * y])
     assert ring_bytes(ring("x y")) != ring_bytes(ring("x y", PrimeField(7))) != ring_bytes(ring("xy"))
+
+
+# --- the grevlex byte codec of the packing -----------------------------------
+
+
+def _weights_pack(pk, a):
+    """The packing's defining formula: C + sum(a_i * weights[i])."""
+    return pk.C + sum(e * w for e, w in zip(a, pk.weights))
+
+
+def _weights_unpack(pk, p):
+    return tuple((p ^ pk.C) >> s & (1 << pk.width) - 1 for s in pk.slots)
+
+
+@st.composite
+def _grevlex_packings_and_monomials(draw):
+    """A grevlex packing of 0-40 variables at width 8 to 128, and monomials
+    of degree at most its M: all zero, one exponent at M, degree M spread
+    over the variables, or any degree."""
+    n = draw(st.integers(0, 40))
+    pk = _Packing(("grevlex", n), draw(st.sampled_from([8, 16, 32, 64, 128])))
+    monomials = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.sampled_from([0, pk.M]) | st.integers(0, pk.M)) if n else 0
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=max(n - 1, 0), max_size=max(n - 1, 0))))
+        monomials.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))[:n])
+    return pk, monomials
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grevlex_packings_and_monomials())
+def test_grevlex_codec_gives_the_weights_ints(case):
+    pk, monomials = case
+    for a in monomials:
+        assert sum(a) <= pk.M
+        p = pk.pack(a)
+        assert p == _weights_pack(pk, a)
+        assert pk.unpack(p) == _weights_unpack(pk, p) == a
+    assert pk.pack_terms(dict.fromkeys(monomials, 1)) == {_weights_pack(pk, a): 1 for a in monomials}
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_grevlex_codec_at_the_largest_field_value(width, n):
+    pk = _Packing(("grevlex", n), width)
+    # the byte codec serves the grevlex packings of whole-byte widths
+    assert ("_grevlex_codec" in pk.pack.__qualname__) == (width <= 64)
+    M = pk.M
+    edges = [(0,) * n] + [(0,) * i + (M,) + (0,) * (n - 1 - i) for i in range(n)]
+    edges.append(tuple(M // n + (i < M % n) for i in range(n)))
+    for a in edges:
+        assert pk.pack(a) == _weights_pack(pk, a) and pk.unpack(pk.pack(a)) == a
+    # degree M + 1 does not pack, in one variable or spread over several
+    for a in [(M + 1,) + (0,) * (n - 1), (M,) + (1,) * (n > 1) + (0,) * (n - 2)]:
+        if sum(a) > M:
+            with pytest.raises(_Overflow):
+                pk.pack_terms({a: 1, (0,) * n: 1})
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("spec", [("lex", 5), ("elim", 5, (1, 3)), ("elim", 5, ()), ("grevlex", 0)])
+def test_other_packings_keep_the_weights(spec, width):
+    pk = _Packing(spec, width)
+    assert "_grevlex_codec" not in pk.pack.__qualname__
+    rng = random.Random(f"{spec}/{width}")
+    for _ in range(50):
+        a = tuple(rng.randint(0, 3) for _ in range(spec[1]))
+        assert pk.pack(a) == _weights_pack(pk, a) and pk.unpack(pk.pack(a)) == a

@@ -8,7 +8,7 @@ import pytest
 from detsing.blowup import Center, make_chart, strict_transform_ideal, strict_transform_poly
 from detsing.errors import BadParameters, RingMismatch
 from detsing.fields import QQ, PrimeField
-from detsing.groebner import groebner
+from detsing.groebner import GroebnerBasis, groebner
 from detsing.matrices import (
     Ideal,
     determinant,
@@ -18,11 +18,14 @@ from detsing.matrices import (
     pfaffian,
 )
 from detsing import verify
-from detsing.rings import decode_terms, ring, ring_bytes
+from detsing.resolution import _basis_witness, _radical_identification_verdict, resolve_sym
+from detsing.rings import Polynomial, decode_terms, ring, ring_bytes
 from detsing.verify import (
     check_fact,
+    check_leaf,
     containment_witness,
     coordinate_subspace,
+    equal_by_cover,
     groebner_of,
     ideal_contains,
     ideal_equal,
@@ -458,3 +461,88 @@ def test_check_embedded_resolution_shapes():
     assert agg["pass"] and len(agg["leaves"]) == 2
     bad = check_embedded_resolution(_Report([good, singular]))
     assert not bad["pass"]
+
+
+# --- one read of each cached basis per check ---------------------------------
+
+
+def _count_decodes(monkeypatch):
+    """A list that collects the body of every cached value verify decodes."""
+    bodies = []
+
+    def counted(ring_, data):
+        bodies.append(data)
+        return decode_terms(ring_, data)
+
+    monkeypatch.setattr(verify, "decode_terms", counted)
+    return bodies
+
+
+def test_check_fact_f2_reads_each_cached_basis_once(monkeypatch):
+    assert check_fact("F2", 5, l=2)
+    bodies = _count_decodes(monkeypatch)
+    assert check_fact("F2", 5, l=2)
+    # the 4-minor and the 3-minor ideal: one read each, however many
+    # generators they test
+    assert len(bodies) == len(set(bodies)) <= 2
+
+
+def test_radical_identification_reads_each_cached_basis_once(monkeypatch):
+    A = generic_skew(5)
+    first = _radical_identification_verdict(A, True)
+    bodies = _count_decodes(monkeypatch)
+    assert _radical_identification_verdict(A, True) == first
+    assert first["pass"] and len(bodies) == len(set(bodies)) <= 2
+
+
+def test_check_leaf_reads_its_saturated_basis_once(monkeypatch):
+    report = resolve_sym(3, 3, all_charts=True, check="none")
+    leaves = [check_leaf(leaf) for leaf in report.leaves()]
+    bodies = _count_decodes(monkeypatch)
+    assert [check_leaf(leaf) for leaf in report.leaves()] == leaves
+    # a saturation hit reads its value; the leaf's check reads the basis once
+    saturations = sum(len(leaf.units) for leaf in report.leaves())
+    assert len(bodies) <= saturations + len(leaves)
+
+
+def _stored_reversed(basis):
+    """The cache value of the same basis with each element's terms stored in
+    reverse order."""
+    R = basis.ring
+    polys = tuple(Polynomial(R, dict(reversed(p.terms.items()))) for p in basis.polys)
+    return verify._basis_bytes(GroebnerBasis(R, basis.order, polys, basis.leading_monomials()))
+
+
+def test_cover_compares_cached_bytes_then_decodes(R, monkeypatch):
+    # a cache of its own: J is entered under bases that are not its own
+    monkeypatch.setattr(verify, "_GB_CACHE", OrderedDict())
+    x, y, z = R.vars()
+    I = Ideal(R, [x ** 2 - y * z, x * y - z ** 2, y ** 2 - x * z])
+    J = Ideal(R, [x * y - z ** 2, y ** 2 - x * z, x ** 2 - y * z])
+    other = Ideal(R, [x ** 2 - y * z, x * y - z ** 2])
+    G = groebner_of(I)
+    # equal bytes: True with nothing decoded
+    verify._remember(verify._entry(J), verify._GB_CACHE[verify._entry(I)])
+    bodies = _count_decodes(monkeypatch)
+    assert equal_by_cover(J, I) and bodies == []
+    # the same basis stored in another term order: other bytes, equal bases
+    value = _stored_reversed(G)
+    assert value != verify._GB_CACHE[verify._entry(I)] and any(len(p.terms) > 1 for p in G.polys)
+    verify._remember(verify._entry(J), value)
+    assert equal_by_cover(J, I) and len(bodies) == 2
+    # another ideal's basis cached under J decides False
+    verify._remember(verify._entry(J), verify._basis_bytes(groebner(list(other.gens))))
+    assert not equal_by_cover(J, I)
+
+
+def test_basis_witness_size_is_the_same_on_a_hit_and_a_miss(R):
+    x, y, z = R.vars()
+    cubics = Ideal(R, [x ** a * y ** b * z ** (3 - a - b) for a in range(4) for b in range(4 - a)])
+    for I in (Ideal(R, [x ** 3 - y, x * y - z, y ** 2]), cubics, Ideal(R, []), Ideal(R, [R.one(), x])):
+        size = len(_fresh_basis(I))
+        verify._GB_CACHE.pop(verify._entry(I), None)
+        assert _basis_witness(I, False) == {"basis_size": size}
+        assert verify._entry(I) in verify._GB_CACHE
+        assert _basis_witness(I, False) == {"basis_size": size}
+        full = _basis_witness(I, True)
+        assert full["basis_size"] == size == len(full["basis"])
