@@ -42,7 +42,6 @@ from .matrices import (
 from .rings import Ring, Substitution, embed
 from .verify import (
     _radical_members,
-    basis_size,
     check_embedded_resolution,
     equal_by_cover,
     groebner_of,
@@ -462,10 +461,11 @@ def reduce_sym_offdiag_chart(node, position, orbit_size=1):
 
 
 def _basis_witness(ideal, include_bases):
-    if not include_bases:
-        return {"basis_size": basis_size(ideal)}
-    polys = groebner_of(ideal).polys
-    return {"basis_size": len(polys), "basis": [p.format() for p in polys]}
+    gb = groebner_of(ideal)
+    wit = {"basis_size": len(gb.polys)}
+    if include_bases:
+        wit["basis"] = [p.format() for p in gb.polys]
+    return wit
 
 
 def _strict_minors(parent_matrix, red, j):
@@ -518,12 +518,11 @@ def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     return verdict("center_identity", inputs, passed, witness)
 
 
-def _det_identity_verdict(parent_matrix, det_parent, red):
+def _det_identity_verdict(parent_matrix, red):
     """Exact polynomial identity tying the primed determinant to the reduced
     one: det' = det(reduced) for skew and diagonal charts, and
     eps^(m-3) * det' = -det(reduced) for off-diagonal charts (m >= 3; the
-    2x2 case degenerates to det' = -eps). det_parent is the determinant of
-    parent_matrix."""
+    2x2 case degenerates to det' = -eps)."""
     m = parent_matrix.size
     det_primed = determinant(red.matrix)
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
@@ -540,6 +539,7 @@ def _det_identity_verdict(parent_matrix, det_parent, red):
         passed = det_primed == determinant(red.formula_matrix)
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
+    det_parent = determinant(parent_matrix)
     if not det_parent.is_zero():
         power, strict = strict_transform_poly(det_parent, red.chart)
         passed = passed and power == m and strict == det_primed
@@ -609,11 +609,11 @@ def _terminal_reason(kind, residual):
     return None
 
 
-def _child_verdicts(node, det_parent, child, include_bases):
+def _child_verdicts(node, child, include_bases):
     red = child.reduction
     out = [
         _center_strict_unit_verdict(node, red),
-        _det_identity_verdict(node.matrix, det_parent, red),
+        _det_identity_verdict(node.matrix, red),
     ]
     if child.rewrite is not None:
         out.append(_rewrite_consistency_verdict(child))
@@ -692,13 +692,11 @@ def _certify(report, include_bases):
     """Append every verdict of a built tree, walking its nodes in tree
     order: each child's chart verdicts, the radical of the 2-minors at a
     skew root that is a leaf, and with ``include_bases`` (check "full") the
-    embedded-resolution verdict of each leaf. Each node's determinant is
-    computed once for all its children."""
+    embedded-resolution verdict of each leaf."""
     for node in report.nodes:
-        det_parent = determinant(node.matrix) if node.children else None
         for child_id in node.children:
             child = report.node(child_id)
-            child.verdicts.extend(_child_verdicts(node, det_parent, child, include_bases))
+            child.verdicts.extend(_child_verdicts(node, child, include_bases))
         if node.reduction is None and node.kind == "skew" and node.is_leaf():
             node.verdicts.append(_radical_identification_verdict(node.matrix, include_bases))
     if include_bases:

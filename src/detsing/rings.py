@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
@@ -587,14 +588,15 @@ class _Packing:
     holds its exponent; unpack(p) reads them. In a grevlex packing variable
     i's field sits at shift i*W, below the degree field, so at W = 8, 16, 32
     or 64 pack and unpack go through bytes instead (_grevlex_codec) and give
-    the same ints. Lex and elimination packings, other widths and the ring
-    of no variables keep the weights. On the fields of p ^ C, lcm(a, b)
-    takes the fieldwise max by guard-bit subtraction and then sums each
-    block's exponent fields into its degree field with one multiplication
-    by a ones vector; no sum carries, as a block degree of an lcm is at most
-    2M < 2^W, and one above M raises _Overflow. mask(p) sets the guard bit
-    of each exponent field whose variable occurs in p: disjoint masks mean
-    coprime, and a | b implies not (mask(a) & ~mask(b)).
+    the same ints. Lex and elimination packings, other widths, the ring of
+    no variables and, at 16 to 64 bits, big-endian hosts keep the weights.
+    On the fields of p ^ C, lcm(a, b) takes the fieldwise max by guard-bit
+    subtraction and then sums each block's exponent fields into its degree
+    field with one multiplication by a ones vector; no sum carries, as a
+    block degree of an lcm is at most 2M < 2^W, and one above M raises
+    _Overflow. mask(p) sets the guard bit of each exponent field whose
+    variable occurs in p: disjoint masks mean coprime, and a | b implies
+    not (mask(a) & ~mask(b)).
     """
 
     __slots__ = ("spec", "width", "M", "C", "K", "GV", "GC", "weights", "slots", "deg", "lcm", "mask",
@@ -656,7 +658,8 @@ class _Packing:
 
         self.lcm = lcm
         self.mask = lambda p: ((p ^ C) & E) + E & GV
-        if kind == "grevlex" and n and (width == 8 or width in _ARRAY_CODES):
+        # arrays hold native-order items; other hosts keep the weights
+        if kind == "grevlex" and n and (width == 8 or sys.byteorder == "little" and width in _ARRAY_CODES):
             self.pack, self.unpack = _grevlex_codec(n, width, C, top)
         else:
             weights, slots = self.weights, self.slots
@@ -674,30 +677,23 @@ class _Packing:
         return dict(zip(map(self.unpack, terms), terms.values()))
 
 
-# the array type code of each field width above 8 bits, and whether arrays
-# hold their items little-endian
+# the array type code of each field width above 8 bits
 _ARRAY_CODES = {array(code).itemsize * 8: code for code in "QLIH"}
-_LITTLE = array("H", [1]).tobytes()[0] == 1
 
 
 def _grevlex_codec(n: int, width: int, C: int, top: int):
     """pack and unpack of the grevlex packing of n >= 1 variables at width
-    8, 16, 32 or 64. The exponent fields, below the degree field at top,
-    read as the little-endian width-bit fields of a: pack(a) = C +
-    (deg(a) << top) minus those fields as an int, and unpack(p) reads the
-    first n fields of p ^ C."""
+    8, or at 16, 32 or 64 on a little-endian host. The exponent fields,
+    below the degree field at top, read as the little-endian width-bit
+    fields of a: pack(a) = C + (deg(a) << top) minus those fields as an
+    int, and unpack(p) reads the first n fields of p ^ C."""
     from_bytes, size, low = int.from_bytes, (n + 1) * width // 8, n * width // 8
     if width == 8:
         return (lambda a: C + (sum(a) << top) - from_bytes(bytes(a), "little"),
                 lambda p: tuple((p ^ C).to_bytes(size, "little")[:n]))
     code = _ARRAY_CODES[width]
-    if _LITTLE:
-        return (lambda a: C + (sum(a) << top) - from_bytes(array(code, a), "little"),
-                lambda p: tuple(array(code, (p ^ C).to_bytes(size, "little")[:low])))
-    # big-endian items: the fields from the last variable down are the
-    # big-endian bytes of the same int
-    return (lambda a: C + (sum(a) << top) - from_bytes(array(code, a[::-1]), "big"),
-            lambda p: tuple(reversed(array(code, (p ^ C).to_bytes(size, "big")[-low:]))))
+    return (lambda a: C + (sum(a) << top) - from_bytes(array(code, a), "little"),
+            lambda p: tuple(array(code, (p ^ C).to_bytes(size, "little")[:low])))
 
 
 # one packing per (spec, width): building one costs tens of microseconds, and

@@ -45,8 +45,14 @@ _held = [_GB_CACHE, 0]
 def _entry(I: Ideal, u: Polynomial = None) -> bytes:
     """The cache key of I, or with u of the saturation (I : u^∞)."""
     if u is None:
-        return b"G" + ring_bytes(I.ring) + encode_terms(I.gens)
+        return _entry_of(I.ring, encode_terms(I.gens))
     return b"S" + ring_bytes(I.ring) + encode_terms(I.gens + (u,))
+
+
+def _entry_of(R: Ring, gens: bytes) -> bytes:
+    """The cache key of the basis of the ideal of R whose generators encode
+    as gens."""
+    return b"G" + ring_bytes(R) + gens
 
 
 def _basis_bytes(basis: GroebnerBasis) -> bytes:
@@ -108,11 +114,6 @@ def groebner_of(I: Ideal) -> GroebnerBasis:
     ideal calls this once and reuses the basis."""
     value, basis = _basis_entry(I)
     return _basis_from(I.ring, value) if basis is None else basis
-
-
-def basis_size(I: Ideal) -> int:
-    """len(groebner_of(I)), read from the count in the cached value."""
-    return int(_basis_entry(I)[0].split(b"|", 2)[1])
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
@@ -234,8 +235,8 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
         _remember(key, value)
     else:
         kept = _basis_from(R, value).polys
-    # the basis key of the result: its generators encode as the value's body
-    _remember(b"G" + ring_bytes(R) + value.partition(b"|")[2], value)
+    # the result's generators encode as the value's body
+    _remember(_entry_of(R, value.partition(b"|")[2]), value)
     return Ideal(R, kept)
 
 

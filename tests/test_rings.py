@@ -6,6 +6,7 @@ rest of the engine relies on.
 """
 
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -535,8 +536,10 @@ def test_grevlex_codec_gives_the_weights_ints(case):
 @pytest.mark.parametrize("n", [1, 2, 7, 40])
 def test_grevlex_codec_at_the_largest_field_value(width, n):
     pk = _Packing(("grevlex", n), width)
-    # the byte codec serves the grevlex packings of whole-byte widths
-    assert ("_grevlex_codec" in pk.pack.__qualname__) == (width <= 64)
+    # the byte codec serves the grevlex packings of whole-byte widths, the
+    # array widths on little-endian hosts only
+    assert ("_grevlex_codec" in pk.pack.__qualname__) == (
+        width == 8 or sys.byteorder == "little" and width <= 64)
     M = pk.M
     edges = [(0,) * n] + [(0,) * i + (M,) + (0,) * (n - 1 - i) for i in range(n)]
     edges.append(tuple(M // n + (i < M % n) for i in range(n)))
@@ -547,6 +550,16 @@ def test_grevlex_codec_at_the_largest_field_value(width, n):
         if sum(a) > M:
             with pytest.raises(_Overflow):
                 pk.pack_terms({a: 1, (0,) * n: 1})
+
+
+@pytest.mark.parametrize("width", [16, 32, 64])
+def test_big_endian_hosts_keep_the_weights_at_array_widths(monkeypatch, width):
+    monkeypatch.setattr(sys, "byteorder", "big")
+    pk = _Packing(("grevlex", 5), width)
+    assert "_grevlex_codec" not in pk.pack.__qualname__
+    a = (1, 0, 3, 2, 0)
+    assert pk.pack(a) == _weights_pack(pk, a) and pk.unpack(pk.pack(a)) == a
+    assert "_grevlex_codec" in _Packing(("grevlex", 5), 8).pack.__qualname__
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64])
