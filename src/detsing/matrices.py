@@ -192,22 +192,41 @@ def _packed_rows(M: GenericMatrix):
 
 
 class MinorCache:
-    """Shared cofactor expansion over one matrix.
+    """Shared cofactor expansion over one matrix: its table of minors.
 
     minor(I, J) is the determinant of the submatrix on strictly increasing
     index tuples I, J. All minors of all sizes share sub-results, so bulk
-    extraction (minors_ideal, cofactor determinants) costs one pass over
-    the subset lattice instead of one expansion per minor. The shared
-    sub-results stay packed; minor() unpacks only the one it returns.
+    extraction (ideal(r) for several r, determinant()) costs one pass over
+    the subset lattice instead of one expansion per minor or per request.
+    The shared sub-results stay packed; minor() unpacks only the one it
+    returns. A caller keeps a table while it works on one matrix and then
+    drops it: the table holds every minor it has computed.
     """
 
     def __init__(self, M: GenericMatrix):
+        _require_matrix(M)
         self.M = M
         self._pk, self._rows = _packed_rows(M)
         self._cache = {((), ()): {self._pk.C: M.ring.field.one}}
 
     def minor(self, I: tuple, J: tuple) -> Polynomial:
         return Polynomial(self.M.ring, self._pk.unpack_terms(self._minor(I, J)))
+
+    def determinant(self) -> Polynomial:
+        full = tuple(range(self.M.size))
+        return self.minor(full, full)
+
+    def ideal(self, r: int) -> "Ideal":
+        """The ideal of r-minors, with zero and sign-duplicate minors dropped.
+
+        A sym or skew matrix takes only I <= J: its (J, I)-minor is +-its
+        (I, J)-minor, which comes first in lexicographic (I, J) order, so the
+        generator tuple is the same as over all pairs.
+        """
+        sets = _index_sets(self.M, r)
+        pairs = (product(sets, repeat=2) if self.M.kind == "general"
+                 else combinations_with_replacement(sets, 2))
+        return Ideal(self.M.ring, _dedup_generators(self.minor(I, J) for I, J in pairs))
 
     def _minor(self, I: tuple, J: tuple) -> dict:
         key = (I, J)
@@ -237,8 +256,7 @@ def determinant(M: GenericMatrix, method: str = "cofactor") -> Polynomial:
     independent implementations and agree (enforced by tests)."""
     _require_matrix(M)
     if method == "cofactor":
-        full = tuple(range(M.size))
-        return MinorCache(M).minor(full, full)
+        return MinorCache(M).determinant()
     if method == "bareiss":
         return _det_bareiss(M)
     raise BadIndex(f"unknown determinant method {method!r}")
@@ -390,17 +408,8 @@ def _dedup_generators(gens: Iterable[Polynomial]) -> list:
 
 
 def minors_ideal(M: GenericMatrix, r: int) -> Ideal:
-    """The ideal of r-minors, with zero and sign-duplicate minors dropped.
-
-    A sym or skew matrix takes only I <= J: its (J, I)-minor is +-its
-    (I, J)-minor, which comes first in lexicographic (I, J) order, so the
-    generator tuple is the same as over all pairs.
-    """
-    sets = _index_sets(M, r)
-    pairs = (product(sets, repeat=2) if M.kind == "general"
-             else combinations_with_replacement(sets, 2))
-    cache = MinorCache(M)
-    return Ideal(M.ring, _dedup_generators(cache.minor(I, J) for I, J in pairs))
+    """The ideal of r-minors of M (MinorCache.ideal), from a fresh table."""
+    return MinorCache(M).ideal(r)
 
 
 def principal_minors_ideal(M: GenericMatrix, r: int) -> Ideal:

@@ -33,7 +33,7 @@ from .fields import QQ, field_name
 from .matrices import (
     GenericMatrix,
     Ideal,
-    determinant,
+    MinorCache,
     generic_skew,
     generic_sym,
     minors_ideal,
@@ -43,10 +43,8 @@ from .rings import Ring, Substitution, embed
 from .verify import (
     _radical_members,
     check_embedded_resolution,
-    equal_by_cover,
+    decide_equal,
     groebner_of,
-    ideal_contains,
-    ideal_equal,
     saturate,
     verdict,
 )
@@ -468,30 +466,48 @@ def _basis_witness(ideal, include_bases):
     return wit
 
 
-def _strict_minors(parent_matrix, red, j):
+def _strict_minors(parent_matrix, red, j, primed=None):
     """The strict transform of the j-minors of the parent matrix A. Each
     entry of A is a center variable, so a j-minor's total transform is e^j
     times the same minor of the primed matrix A'; when no entry of A'
     contains the exceptional variable e, those j-minors of A' are the strict
-    transforms, generator for generator. Else the generator-wise route."""
+    transforms, generator for generator, read from ``primed`` (A''s minor
+    table) when given. Else the generator-wise route."""
     if red.chart.exceptional_var not in red.matrix.variables():
-        return minors_ideal(red.matrix, j)
+        return (primed or MinorCache(red.matrix)).ideal(j)
     return strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
+
+
+class _ChartTables:
+    """A chart reduction with one minor table for each of its matrices, the
+    primed A' and the formula matrix B (None when B is); every other
+    attribute is the reduction's, so it stands in for the reduction in the
+    verdicts' arguments. _child_verdicts makes one per child: the tables
+    serve all that child's verdicts and are dropped with them."""
+
+    def __init__(self, red):
+        self.red = red
+        self.primed = MinorCache(red.matrix)
+        self.formula = None if red.formula_matrix is None else MinorCache(red.formula_matrix)
+
+    def __getattr__(self, name):
+        return getattr(self.red, name)
 
 
 def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     """The contraction identity at minor level j: the strict transform of
     the j-minors of the parent matrix equals the (j - drop)-minors of the
-    reduced matrix (both saturated by eps in off-diagonal charts)."""
+    reduced matrix (both saturated by eps in off-diagonal charts). red is a
+    _ChartTables, whose tables give both sides."""
     jr = j - (parent_matrix.size - len(red.remaining))
-    lhs = _strict_minors(parent_matrix, red, j)
+    lhs = _strict_minors(parent_matrix, red, j, red.primed)
     T = red.ring
     if jr <= 0:
         rhs = Ideal(T, [T.one()])
-    elif red.formula_matrix is None or jr > red.formula_matrix.size:
+    elif red.formula is None or jr > red.formula_matrix.size:
         rhs = Ideal(T, [])
     else:
-        rhs = minors_ideal(red.formula_matrix, jr)
+        rhs = red.formula.ideal(jr)
     inputs = {
         "chart": f"X_{red.position[0]}_{red.position[1]}",
         "j": j,
@@ -502,44 +518,39 @@ def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     if red.eps is not None:
         inputs["saturated_by"] = red.eps.format()
         rhs = saturate(rhs, red.eps)
-    # One basis of the right side certifies most identities; else both
-    # reduced bases decide. Off-diagonal charts test the unsaturated lhs:
-    # lhs = sat(rhs) gives sat(lhs) = sat(rhs).
-    passed = equal_by_cover(lhs, rhs)
-    if passed:
-        lhs = rhs
-    else:
-        if red.eps is not None:
-            lhs = saturate(lhs, red.eps)
-        passed = ideal_equal(lhs, rhs)
+    # Off-diagonal charts test the unsaturated lhs: sat(lhs) = rhs is the
+    # claim (see verify.decide_equal). lhs becomes the ideal whose basis
+    # witnesses the verdict.
+    passed, lhs = decide_equal(lhs, rhs, red.eps)
     witness = {"lhs": _basis_witness(lhs, include_bases)}
     if not passed:
         witness["rhs"] = _basis_witness(rhs, include_bases)
     return verdict("center_identity", inputs, passed, witness)
 
 
-def _det_identity_verdict(parent_matrix, red):
+def _det_identity_verdict(parent, red):
     """Exact polynomial identity tying the primed determinant to the reduced
     one: det' = det(reduced) for skew and diagonal charts, and
     eps^(m-3) * det' = -det(reduced) for off-diagonal charts (m >= 3; the
-    2x2 case degenerates to det' = -eps)."""
-    m = parent_matrix.size
-    det_primed = determinant(red.matrix)
+    2x2 case degenerates to det' = -eps). parent is the parent matrix's
+    minor table and red a _ChartTables."""
+    m = parent.M.size
+    det_primed = red.primed.determinant()
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
     if red.eps is not None:
-        if red.formula_matrix is None:
+        if red.formula is None:
             inputs["identity"] = "det' = -eps"
             passed = (det_primed + red.eps).is_zero()
         else:
             inputs["identity"] = f"eps^{m - 3} * det' = -det(reduced)"
             lhs = det_primed * red.eps ** (m - 3)
-            passed = (lhs + determinant(red.formula_matrix)).is_zero()
+            passed = (lhs + red.formula.determinant()).is_zero()
     else:
         inputs["identity"] = "det' = det(reduced)"
-        passed = det_primed == determinant(red.formula_matrix)
+        passed = det_primed == red.formula.determinant()
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
-    det_parent = determinant(parent_matrix)
+    det_parent = parent.determinant()
     if not det_parent.is_zero():
         power, strict = strict_transform_poly(det_parent, red.chart)
         passed = passed and power == m and strict == det_primed
@@ -551,12 +562,16 @@ def _rewrite_consistency_verdict(child):
     """The rewrite sends each y-formula to the matching fresh variable —
     exactly in skew/diagonal charts, modulo s*eps = 1 off-diagonally."""
     red = child.reduction
-    relations = Ideal(child.ring, child.relations) if child.relations else None
+    # the relations' cached basis, read at the first nonzero difference
+    basis = None
     failures = []
     for a, b in red.corrections:
         diff = child.rewrite(red.formula_matrix.entry(a, b)) - child.matrix.entry(a, b)
-        ok = diff.is_zero() or (relations is not None and ideal_contains(relations, diff))
-        if not ok:
+        if not diff:
+            continue
+        if basis is None and child.relations:
+            basis = groebner_of(Ideal(child.ring, child.relations))
+        if basis is None or not basis.contains(diff):
             failures.append(f"({a + 1},{b + 1})")
     n = red.formula_matrix.size
     return verdict(
@@ -609,11 +624,13 @@ def _terminal_reason(kind, residual):
     return None
 
 
-def _child_verdicts(node, child, include_bases):
-    red = child.reduction
+def _child_verdicts(node, parent, child, include_bases):
+    """The chart verdicts of one child of node, whose matrix's minor table
+    is parent."""
+    red = _ChartTables(child.reduction)
     out = [
         _center_strict_unit_verdict(node, red),
-        _det_identity_verdict(node.matrix, red),
+        _det_identity_verdict(parent, red),
     ]
     if child.rewrite is not None:
         out.append(_rewrite_consistency_verdict(child))
@@ -692,11 +709,13 @@ def _certify(report, include_bases):
     """Append every verdict of a built tree, walking its nodes in tree
     order: each child's chart verdicts, the radical of the 2-minors at a
     skew root that is a leaf, and with ``include_bases`` (check "full") the
-    embedded-resolution verdict of each leaf."""
+    embedded-resolution verdict of each leaf. A table of a node's minors
+    lives while its children are certified, and serves all of them."""
     for node in report.nodes:
+        parent = MinorCache(node.matrix) if node.children else None
         for child_id in node.children:
             child = report.node(child_id)
-            child.verdicts.extend(_child_verdicts(node, child, include_bases))
+            child.verdicts.extend(_child_verdicts(node, parent, child, include_bases))
         if node.reduction is None and node.kind == "skew" and node.is_leaf():
             node.verdicts.append(_radical_identification_verdict(node.matrix, include_bases))
     if include_bases:
@@ -797,7 +816,7 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
         position = (1, 1) if chart_type == "diag" else (1, 2)
     maker = generic_skew if kind == "skew" else generic_sym
     root = _root(maker(m, field), r)
-    red = _chart_step(root, chart_type, position)
+    red = _ChartTables(_chart_step(root, chart_type, position))
     result = _center_identity_verdict(root.matrix, red, r, ["standalone"], include_bases)
     result["inputs"].update(
         {"kind": kind, "m": m, "r": r, "field": field_name(field)}

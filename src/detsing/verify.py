@@ -10,7 +10,9 @@ Results can be wrapped as JSON verdict objects.
 
 Two certificates answer True from one cached basis; when they fail, the
 full route decides. ``equal_by_cover(J, I)`` proves J = I from I's
-reduced basis (its fallback: both reduced bases, ``ideal_equal``), and
+reduced basis (its fallback: both reduced bases, ``ideal_equal``;
+``decide_equal`` runs the two in that order, and decides a saturated claim
+whose saturation is cached by that saturation alone), and
 ``radical_member`` tries f² ∈ I before the Rabinowitsch basis. An argument
 that is not an Ideal or a Polynomial raises BadParameters.
 
@@ -29,7 +31,7 @@ from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
 from .fields import QQ, field_name
 from .groebner import GroebnerBasis, _seed_loop, elimination_order, grevlex_order, groebner
-from .matrices import Ideal, determinant, generic_skew, minors_ideal, pfaffian, require_ideal
+from .matrices import Ideal, MinorCache, determinant, generic_skew, pfaffian, require_ideal
 from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, ring_bytes
 
 # The cache, least recently used first. A key is b"G" + ring + generators
@@ -145,9 +147,15 @@ def _require_pair(I, J) -> None:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    """Equality via identical reduced grevlex bases."""
+    """Equality via identical reduced grevlex bases: equal cached bytes are
+    equal bases, and only unequal bytes are decoded and compared."""
     _require_pair(I, J)
-    return groebner_of(I).polys == groebner_of(J).polys
+    (a, A), (b, B) = _basis_entry(I), _basis_entry(J)
+    if a == b:
+        return True
+    A = _basis_from(I.ring, a) if A is None else A
+    B = _basis_from(J.ring, b) if B is None else B
+    return A.polys == B.polys
 
 
 def equal_by_cover(J: Ideal, I: Ideal) -> bool:
@@ -177,6 +185,27 @@ def equal_by_cover(J: Ideal, I: Ideal) -> bool:
         return False
     _remember(key, value)
     return True
+
+
+def decide_equal(J: Ideal, I: Ideal, u: Polynomial = None) -> tuple:
+    """Whether J = I, or with u whether (J : u^∞) = I for an I that u
+    saturates; and the ideal whose reduced basis witnesses the answer.
+
+    I's basis alone decides first (equal_by_cover, on the unsaturated J:
+    J = I gives (J : u^∞) = (I : u^∞) = I), and I is the witness. Else J,
+    saturated by u, is compared with I by both reduced bases and is the
+    witness. A J whose saturation is cached already is decided by it at
+    once, with no cover: a cover that passed would give the same answer and
+    the same witness basis, and one that failed would be run for nothing.
+    """
+    _require_pair(J, I)
+    if u is not None:
+        require_ideal(J, u)
+    if (u is None or _recall(_entry(J, u)) is None) and equal_by_cover(J, I):
+        return True, I
+    if u is not None:
+        J = saturate(J, u)
+    return ideal_equal(J, I), J
 
 
 def _rabinowitsch(I: Ideal, f: Polynomial):
@@ -214,6 +243,11 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     The generators of the result are its reduced grevlex basis, which is
     also entered in the basis cache, on a hit too.
     """
+    return Ideal(I.ring, _saturation_basis(I, u).polys)
+
+
+def _saturation_basis(I: Ideal, u: Polynomial) -> GroebnerBasis:
+    """The reduced grevlex basis of (I : u^∞), as saturate() finds it."""
     require_ideal(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
@@ -231,13 +265,14 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
         # last exponent (t's) maps it into R.
         free = [(p, lm) for p, lm in zip(gb.polys, gb.leading_monomials()) if not lm[-1]]
         kept = tuple(embed(p, R) for p, _ in free)
-        value = _basis_bytes(GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free]))
+        basis = GroebnerBasis(R, grevlex_order(R), kept, [lm[:-1] for _, lm in free])
+        value = _basis_bytes(basis)
         _remember(key, value)
     else:
-        kept = _basis_from(R, value).polys
+        basis = _basis_from(R, value)
     # the result's generators encode as the value's body
     _remember(_entry_of(R, value.partition(b"|")[2]), value)
-    return Ideal(R, kept)
+    return basis
 
 
 def coordinate_subspace(I: Ideal):
@@ -290,9 +325,9 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
             raise BadParameters("F2 needs the minor level l")
         if type(l) is not int or not 1 <= 2 * l <= m:
             raise BadParameters(f"need an integer l with 1 <= 2l <= m, got l={l}, m={m}")
-        A = generic_skew(m, field)
-        even = minors_ideal(A, 2 * l)
-        odd = minors_ideal(A, 2 * l - 1)
+        # one table of A's minors serves both levels
+        minors = MinorCache(generic_skew(m, field))
+        even, odd = minors.ideal(2 * l), minors.ideal(2 * l - 1)
         # one read of each cached basis serves all its tests
         if not all(map(groebner_of(odd).contains, even.gens)):
             return False
@@ -342,10 +377,11 @@ def check_lemma_counterexample(field=QQ) -> dict:
 # --- embedded-resolution verdicts -------------------------------------------
 
 
-def _saturate_by_units(I: Ideal, units) -> Ideal:
-    for u in units:
+def _unit_saturation_basis(I: Ideal, units) -> GroebnerBasis:
+    """The reduced basis of I saturated by each unit in turn, decoded once."""
+    for u in units[:-1]:
         I = saturate(I, u)
-    return I
+    return _saturation_basis(I, units[-1]) if units else groebner_of(I)
 
 
 def check_leaf(leaf) -> dict:
@@ -359,10 +395,9 @@ def check_leaf(leaf) -> dict:
     Condition (b) — isomorphism off the singular locus — holds structurally
     for blow-ups centered inside the singular locus and is recorded as such.
     """
-    I = _saturate_by_units(leaf.strict_ideal, leaf.units)
+    G = _unit_saturation_basis(leaf.strict_ideal, leaf.units)
     exc = list(leaf.exceptional_names)
-    snc = len(exc) == len(set(exc)) and all(n in I.ring.index for n in exc)
-    G = groebner_of(I)
+    snc = len(exc) == len(set(exc)) and all(n in G.ring.index for n in exc)
     if G.is_unit_ideal():
         empty, regular, transversal = True, True, snc
         subspace = None

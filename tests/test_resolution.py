@@ -3,12 +3,16 @@
 import importlib
 import json
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 
+from detsing import matrices, resolution, verify
+
 from detsing.errors import BadParameters, CharTwoForbidden, SizeTooSmall
 from detsing.fields import PrimeField, QQ
-from detsing.matrices import determinant, generic_skew, generic_sym
+from detsing.matrices import MinorCache, determinant, generic_skew, generic_sym
 from detsing.resolution import (
     ChartNode,
     _rewrite_consistency_verdict,
@@ -666,3 +670,79 @@ def test_chart_identity_validation():
 def test_non_field_refused(call, field):
     with pytest.raises(BadParameters):
         call(field)
+
+
+# --------------------------------------------------------------------------
+# the certify pass: node-scoped minor tables, saturations before covers
+
+
+def _digest(report):
+    doc = report.to_json()
+    for key in ("seconds_total", "seconds_verify"):
+        del doc["stats"][key]
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_certify_packs_each_matrix_once(monkeypatch):
+    # one table per node matrix serves all its children, and one per
+    # primed and formula matrix serves all of a child's verdicts
+    report = resolve_sym(4, 3, all_charts=True, check="none")
+    packed = []
+    real = matrices._packed_rows
+
+    def counting(M):
+        packed.append(M)
+        return real(M)
+
+    monkeypatch.setattr(matrices, "_packed_rows", counting)
+    resolution._certify(report, True)
+    counts = Counter(map(id, packed))
+    expected = {id(n.matrix) for n in report.nodes if n.children}
+    for node in report.nodes[1:]:
+        expected |= {id(node.reduction.matrix), id(node.reduction.formula_matrix)} - {id(None)}
+    assert set(counts) == expected and set(counts.values()) == {1}
+    assert _digest(report) == _digest(resolve_sym(4, 3, all_charts=True, check="full"))
+
+
+def test_no_minor_table_outlives_the_certify_pass(monkeypatch):
+    tables = []
+
+    class Recorded(MinorCache):
+        def __init__(self, M):
+            super().__init__(M)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(resolution, "MinorCache", Recorded)
+    monkeypatch.setattr(matrices, "MinorCache", Recorded)
+    report = resolve_sym(4, 3, all_charts=True, check="full")
+    assert report.all_passed() and len(tables) > 50
+    assert [ref for ref in tables if ref() is not None] == []
+
+
+def test_a_warm_repeat_decides_a_cached_saturation_without_a_cover(monkeypatch):
+    verify._GB_CACHE.clear()
+    cold = resolve_sym(4, 3, all_charts=True, check="full")
+    seeds = []
+    real_seed_loop = verify._seed_loop
+
+    def counting(gens, lms):
+        seeds.append(gens)
+        return real_seed_loop(gens, lms)
+
+    live = resolution._center_identity_verdict
+    decided = []
+
+    def watched(parent_matrix, red, j, roles, include_bases):
+        lhs = resolution._strict_minors(parent_matrix, red, j)
+        cached = red.eps is not None and verify._entry(lhs, red.eps) in verify._GB_CACHE
+        before = len(seeds)
+        out = live(parent_matrix, red, j, roles, include_bases)
+        decided.append((cached, len(seeds) - before))
+        return out
+
+    monkeypatch.setattr(verify, "_seed_loop", counting)
+    monkeypatch.setattr(resolution, "_center_identity_verdict", watched)
+    warm = resolve_sym(4, 3, all_charts=True, check="full")
+    assert _digest(warm) == _digest(cold)
+    assert sum(cached for cached, _ in decided) >= 10
+    assert [calls for cached, calls in decided if cached and calls] == []

@@ -9,6 +9,7 @@ cases pin the packing widths: a matrix is packed at the narrowest of 8,
 and a ring without variables packs every monomial to the same int.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
     GenericMatrix,
+    MinorCache,
     _packed_rows,
     determinant,
     generic_skew,
@@ -202,3 +204,33 @@ def test_ring_without_variables(field):
     for kind, m in (("general", 3), ("sym", 3), ("skew", 4)):
         entries = {p: R.const(3 * i - 5) for i, p in enumerate(triangle(m, kind))}
         assert_routes_match_frozen(GenericMatrix.from_triangle(R, m, entries, kind), every_minor=True)
+
+
+# --------------------------------------------------------------------------
+# one table, many requests
+
+
+def generic_general(m, field):
+    """The m x m matrix with its own variable x_i_j at every position."""
+    positions = triangle(m, "general")
+    R = ring([f"x_{i + 1}_{j + 1}" for i, j in positions], field)
+    return GenericMatrix.from_triangle(R, m, {(i, j): R.var(f"x_{i + 1}_{j + 1}") for i, j in positions}, "general")
+
+
+MAKERS = {"sym": generic_sym, "skew": generic_skew, "general": generic_general}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=("QQ", "F7"))
+@pytest.mark.parametrize("kind, m", [(kind, m) for kind in MAKERS for m in range(1, 6)])
+def test_one_table_answers_every_level_then_the_determinant(kind, m, field):
+    # a table asked for the levels in any order, each twice, and then for
+    # the determinant gives what a fresh table gives each request, in the
+    # same generator order, and what the frozen expansion gives
+    M = MAKERS[kind](m, field)
+    levels = list(range(m + 1)) * 2
+    random.Random(f"{kind}/{m}/{field.char}").shuffle(levels)
+    table, frozen = MinorCache(M), FrozenMinorCache(M)
+    for r in levels:
+        assert table.ideal(r).gens == minors_ideal(M, r).gens == frozen_minor_gens(frozen, r)
+    det = table.determinant()
+    assert det.terms == determinant(M).terms == frozen_cofactor(M).terms

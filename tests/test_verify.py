@@ -17,14 +17,20 @@ from detsing.matrices import (
     minors_ideal,
     pfaffian,
 )
-from detsing import verify
-from detsing.resolution import _basis_witness, _radical_identification_verdict, resolve_sym
+from detsing import matrices, verify
+from detsing.resolution import (
+    _basis_witness,
+    _radical_identification_verdict,
+    _rewrite_consistency_verdict,
+    resolve_sym,
+)
 from detsing.rings import Polynomial, decode_terms, ring, ring_bytes
 from detsing.verify import (
     check_fact,
     check_leaf,
     containment_witness,
     coordinate_subspace,
+    decide_equal,
     equal_by_cover,
     groebner_of,
     ideal_contains,
@@ -500,9 +506,10 @@ def test_check_leaf_reads_its_saturated_basis_once(monkeypatch):
     leaves = [check_leaf(leaf) for leaf in report.leaves()]
     bodies = _count_decodes(monkeypatch)
     assert [check_leaf(leaf) for leaf in report.leaves()] == leaves
-    # a saturation hit reads its value; the leaf's check reads the basis once
+    # a saturation hit reads its value, and the last one is the leaf's
+    # basis; a leaf without units reads its basis once
     saturations = sum(len(leaf.units) for leaf in report.leaves())
-    assert len(bodies) <= saturations + len(leaves)
+    assert len(bodies) <= saturations + sum(not leaf.units for leaf in report.leaves())
 
 
 def _stored_reversed(basis):
@@ -546,3 +553,52 @@ def test_basis_witness_size_is_the_same_on_a_hit_and_a_miss(R):
         assert _basis_witness(I, False) == {"basis_size": size}
         full = _basis_witness(I, True)
         assert full["basis_size"] == size == len(full["basis"])
+
+
+def test_ideal_equal_compares_cached_bytes_then_decodes(R, monkeypatch):
+    monkeypatch.setattr(verify, "_GB_CACHE", OrderedDict())
+    x, y, z = R.vars()
+    I = Ideal(R, [x ** 2 - y * z, x * y - z ** 2, y ** 2 - x * z])
+    J = Ideal(R, [x * y - z ** 2, y ** 2 - x * z, x ** 2 - y * z])
+    G = groebner_of(I)
+    verify._remember(verify._entry(J), verify._GB_CACHE[verify._entry(I)])
+    bodies = _count_decodes(monkeypatch)
+    assert ideal_equal(I, J) and bodies == []
+    # the same basis stored in another term order: both are decoded
+    verify._remember(verify._entry(J), _stored_reversed(G))
+    assert ideal_equal(I, J) and len(bodies) == 2
+    assert not ideal_equal(I, Ideal(R, [x ** 2 - y * z, x * y - z ** 2]))
+
+
+def test_rewrite_consistency_reads_the_relations_basis_once(monkeypatch):
+    report = resolve_sym(4, 4, check="none")
+    child = report.node("root/X_1_2")
+    assert child.relations
+    first = _rewrite_consistency_verdict(child)
+    bodies = _count_decodes(monkeypatch)
+    assert _rewrite_consistency_verdict(child) == first
+    assert first["pass"] and len(bodies) == 1
+
+
+def test_decide_equal_reads_a_cached_saturation_before_the_cover(R, monkeypatch):
+    x, y, z = R.vars()
+    eps = R.one() - x * y
+    J, I = Ideal(R, [eps * z, eps ** 2 * x]), Ideal(R, [z, x])
+    I = saturate(I, eps)
+    # J is not I, so the cover fails and the saturation decides
+    assert decide_equal(J, I, eps) == (True, saturate(J, eps))
+    forbidden = []
+    monkeypatch.setattr(verify, "equal_by_cover", lambda *args: forbidden.append(args))
+    assert decide_equal(J, I, eps) == (True, saturate(J, eps)) and forbidden == []
+    assert decide_equal(I, I, None) == (True, I) and len(forbidden) == 1
+    for bad in ((None, I, eps), (J, I, 3), (J, Ideal(ring("x y"), []), None)):
+        with pytest.raises((BadParameters, RingMismatch)):
+            decide_equal(*bad)
+
+
+def test_check_fact_f2_packs_its_matrix_once(monkeypatch):
+    # one minor table serves both minor levels
+    packed = []
+    real = matrices._packed_rows
+    monkeypatch.setattr(matrices, "_packed_rows", lambda M: packed.append(M) or real(M))
+    assert check_fact("F2", 5, l=2) and len(packed) == 1
