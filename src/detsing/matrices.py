@@ -29,8 +29,8 @@ from typing import Iterable
 
 from .errors import BadIndex, BadParameters, CharTwoForbidden, NotSkew, OddSize, RingMismatch
 from .fields import QQ, require_field
-from .rings import (Polynomial, Ring, _exact_div_terms, _packing_for, json_list, require_polynomials, require_ring,
-                    ring, sum_of_products)
+from .rings import (Polynomial, Ring, _exact_div_terms, _packing_for, encode_terms, json_list, require_polynomials,
+                    require_ring, ring, ring_bytes, sum_of_products)
 
 
 class GenericMatrix:
@@ -199,34 +199,73 @@ class MinorCache:
     extraction (ideal(r) for several r, determinant()) costs one pass over
     the subset lattice instead of one expansion per minor or per request.
     The shared sub-results stay packed; minor() unpacks only the one it
-    returns. A caller keeps a table while it works on one matrix and then
-    drops it: the table holds every minor it has computed.
+    returns. The rows are packed at the first minor asked for, so a table
+    whose ideals are all found in the basis cache packs nothing. A caller
+    keeps a table while it works on one matrix and then drops it: the table
+    holds every minor it has computed.
     """
 
     def __init__(self, M: GenericMatrix):
         _require_matrix(M)
         self.M = M
-        self._pk, self._rows = _packed_rows(M)
-        self._cache = {((), ()): {self._pk.C: M.ring.field.one}}
+        self._pk = None
+
+    def _pack(self):
+        """The packing of M's rows, packing them and starting the table on
+        the first call."""
+        if self._pk is None:
+            self._pk, self._rows = _packed_rows(self.M)
+            self._cache = {((), ()): {self._pk.C: self.M.ring.field.one}}
+        return self._pk
 
     def minor(self, I: tuple, J: tuple) -> Polynomial:
-        return Polynomial(self.M.ring, self._pk.unpack_terms(self._minor(I, J)))
+        return Polynomial(self.M.ring, self._pack().unpack_terms(self._minor(I, J)))
 
     def determinant(self) -> Polynomial:
         full = tuple(range(self.M.size))
         return self.minor(full, full)
 
     def ideal(self, r: int) -> "Ideal":
-        """The ideal of r-minors, with zero and sign-duplicate minors dropped.
-
-        A sym or skew matrix takes only I <= J: its (J, I)-minor is +-its
-        (I, J)-minor, which comes first in lexicographic (I, J) order, so the
-        generator tuple is the same as over all pairs.
+        """The ideal of r-minors, with zero and sign-duplicate minors
+        dropped. Its generators are computed at their first read and its
+        cache key is the matrix's (see MinorIdeal); r is checked at once.
         """
+        _index_sets(self.M, r)
+        return MinorIdeal(self, r)
+
+    def _ideal_gens(self, r: int) -> tuple:
+        """The generators of ideal(r). A sym or skew matrix takes only
+        I <= J: its (J, I)-minor is +-its (I, J)-minor, which comes first in
+        lexicographic (I, J) order, so the generator tuple is the same as
+        over all pairs."""
         sets = _index_sets(self.M, r)
-        pairs = (product(sets, repeat=2) if self.M.kind == "general"
-                 else combinations_with_replacement(sets, 2))
-        return Ideal(self.M.ring, _dedup_generators(self.minor(I, J) for I, J in pairs))
+        return self._distinct_minors(product(sets, repeat=2) if self.M.kind == "general"
+                                     else combinations_with_replacement(sets, 2))
+
+    def _distinct_minors(self, pairs) -> tuple:
+        """The (I, J)-minors of the pairs, zero ones and sign duplicates (a
+        minor and its negative generate the same ideal) dropped, first
+        occurrences kept in order. A minor and its negative share their
+        leading monomial and term count, so each minor is compared, on
+        packed terms, only with the kept ones of that bucket; only the kept
+        ones are unpacked."""
+        pk, neg = self._pack(), self.M.ring.field.neg
+        kept, buckets = [], {}
+        for I, J in pairs:
+            p = self._minor(I, J)
+            if not p:
+                continue
+            lm = max(p)
+            bucket = buckets.setdefault((lm, len(p)), [])
+            c = p[lm]
+            for q in bucket:
+                if q[lm] == c and q == p or q[lm] == neg(c) and q == {m: neg(d) for m, d in p.items()}:
+                    break
+            else:
+                bucket.append(p)
+                kept.append(p)
+        R = self.M.ring
+        return tuple(Polynomial(R, pk.unpack_terms(p)) for p in kept)
 
     def _minor(self, I: tuple, J: tuple) -> dict:
         key = (I, J)
@@ -346,6 +385,10 @@ class Ideal:
 
     __slots__ = ("ring", "gens")
 
+    # the basis-cache key that stands for the generators (verify._entry), or
+    # None when the cache encodes the generators themselves
+    cache_id = None
+
     def __init__(self, ring_: Ring, gens: Iterable[Polynomial]):
         self.ring = require_ring(ring_)
         self.gens = require_polynomials(ring_, gens)
@@ -384,27 +427,47 @@ class Ideal:
         return f"<ideal ({shown}{more})>"
 
 
+class MinorIdeal(Ideal):
+    """The ideal of r-minors of a table's matrix (MinorCache.ideal).
+
+    Its generators are computed from the table at their first read (gens,
+    iteration, ==, hash, repr, to_json), which then drops the table. Its
+    basis-cache key, cache_id, is built at its first read from the matrix
+    instead: b"M", the ring (rings.ring_bytes, field included), the kind
+    and r, then the triangle entries (rings.encode_terms). The generator
+    tuple is a function of those, so equal keys are equal ideals. The kind
+    and the triangle fix the size, except that skew sizes 0 and 1 share the
+    empty triangle; the one r both allow is 0, whose ideal is (1) for both.
+    """
+
+    __slots__ = ("_table", "_M", "_r", "_gens", "_key")
+
+    def __init__(self, table: MinorCache, r: int):
+        self.ring = table.M.ring
+        self._table, self._M, self._r = table, table.M, r
+        self._gens = self._key = None
+
+    @property
+    def gens(self) -> tuple:
+        if self._gens is None:
+            self._gens = self._table._ideal_gens(self._r)
+            self._table = None
+        return self._gens
+
+    @property
+    def cache_id(self) -> bytes:
+        if self._key is None:
+            M = self._M
+            entries = [M.rows[i][j] for i, j in triangle(M.size, M.kind)]
+            self._key = b"M%s%s,%d|%s" % (ring_bytes(M.ring), M.kind.encode(), self._r, encode_terms(entries))
+        return self._key
+
+
 def require_ideal(I, *polys) -> None:
     """BadParameters unless I is an Ideal; then Ideal's check on polys."""
     if not isinstance(I, Ideal):
         raise BadParameters(f"expected an Ideal, got {type(I).__name__}")
     require_polynomials(I.ring, polys)
-
-
-def _dedup_generators(gens: Iterable[Polynomial]) -> list:
-    """Drop zero generators and sign duplicates, keeping first occurrences.
-
-    A minor and its negative generate the same ideal; skew minors come in
-    such pairs, and the canonical small examples (like the entry ideal of
-    the 2x2 skew matrix) expect one representative per pair.
-    """
-    out = []
-    seen = set()
-    for g in gens:
-        if g and g not in seen and -g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
 
 
 def minors_ideal(M: GenericMatrix, r: int) -> Ideal:
@@ -416,4 +479,4 @@ def principal_minors_ideal(M: GenericMatrix, r: int) -> Ideal:
     """Same, restricted to I = J (principal minors)."""
     sets = _index_sets(M, r)
     cache = MinorCache(M)
-    return Ideal(M.ring, _dedup_generators(cache.minor(I, I) for I in sets))
+    return Ideal(M.ring, cache._distinct_minors((I, I) for I in sets))

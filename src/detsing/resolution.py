@@ -42,6 +42,7 @@ from .matrices import (
 from .rings import Ring, Substitution, embed
 from .verify import (
     _radical_members,
+    basis_size,
     check_embedded_resolution,
     decide_equal,
     groebner_of,
@@ -459,11 +460,12 @@ def reduce_sym_offdiag_chart(node, position, orbit_size=1):
 
 
 def _basis_witness(ideal, include_bases):
-    gb = groebner_of(ideal)
-    wit = {"basis_size": len(gb.polys)}
-    if include_bases:
-        wit["basis"] = [p.format() for p in gb.polys]
-    return wit
+    """The size of the ideal's reduced basis, and with include_bases the
+    basis itself; only then is the cached basis decoded."""
+    if not include_bases:
+        return {"basis_size": basis_size(ideal)}
+    polys = groebner_of(ideal).polys
+    return {"basis_size": len(polys), "basis": [p.format() for p in polys]}
 
 
 def _strict_minors(parent_matrix, red, j, primed=None):
@@ -686,8 +688,11 @@ def _finalize_leaf(node, parent):
         node.strict_ideal = Ideal(node.ring, gens)
         return
     st = _strict_minors(parent.matrix, node.reduction, parent.residual)
-    gens = [node.rewrite(g) for g in st.gens] if node.rewrite is not None else list(st.gens)
-    node.strict_ideal = Ideal(node.ring, gens)
+    # the generators are computed here, in the build; a leaf with no rewrite
+    # keeps the ideal itself, so check_leaf finds the saturation the certify
+    # pass cached under the same key
+    gens = st.gens
+    node.strict_ideal = st if node.rewrite is None else Ideal(node.ring, [node.rewrite(g) for g in gens])
 
 
 def _root(M, target):

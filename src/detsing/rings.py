@@ -840,13 +840,17 @@ def encode_terms(polys) -> bytes:
     return b"".join(out)
 
 
+def encoded_count(data: bytes) -> int:
+    """How many polynomials encode_terms wrote as data: its header's count."""
+    return int(data[:data.index(b"|")])
+
+
 def decode_terms(ring_: Ring, data: bytes) -> tuple:
     """The polynomials of ring_ that encode_terms wrote as data."""
     n = ring_.nvars
-    head = data.index(b"|")
-    pos = head + 1
+    pos = data.index(b"|") + 1
     polys = []
-    for _ in range(int(data[:head])):
+    for _ in range(encoded_count(data)):
         head = data.index(b"|", pos)
         count, w, c = data[pos:head].split(b",")
         count, w = int(count), int(w)

@@ -18,11 +18,15 @@ that is not an Ideal or a Polynomial raises BadParameters.
 
 One cache serves a long-lived caller: the reduced grevlex basis of each
 ideal asked about, and the result of each saturation (I : u^∞). Entries are
-exact byte strings (``rings.encode_terms``), not live objects: a key
-encodes the field, the variable names and every term of every generator,
-and of u, so no two unequal ideals share an entry; a hit decodes a fresh
-basis or ideal. Keys and values together hold at most _GB_CACHE_BUDGET
-bytes, and the least recently used entries go first.
+exact byte strings (``rings.encode_terms``), not live objects, and no two
+unequal ideals share an entry. An ideal of minors is keyed by its matrix
+(``matrices.MinorIdeal.cache_id``: field, variable names, kind, r and the
+matrix's triangle), so a hit needs none of its minors; any other ideal by
+the field, the variable names and every term of every generator; a
+saturation by I's key and the terms of u. A hit decodes a fresh basis or
+ideal, and ``basis_size`` reads a basis's size without decoding it. Keys
+and values together hold at most _GB_CACHE_BUDGET bytes, and the least
+recently used entries go first.
 """
 
 from collections import OrderedDict
@@ -32,12 +36,14 @@ from .errors import BadParameters, RingMismatch
 from .fields import QQ, field_name
 from .groebner import GroebnerBasis, _seed_loop, elimination_order, grevlex_order, groebner
 from .matrices import Ideal, MinorCache, determinant, generic_skew, pfaffian, require_ideal
-from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, ring_bytes
+from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, encoded_count, ring_bytes
 
-# The cache, least recently used first. A key is b"G" + ring + generators
-# for a basis, b"S" + ring + generators + u for a saturation
-# (rings.ring_bytes, rings.encode_terms); a value is _basis_bytes. The
-# budget, chosen by a sweep on library-mix, holds its whole working set.
+# The cache, least recently used first. A basis key is the ideal's
+# cache_id, b"M" + ring + kind and r + the triangle's entries, for an ideal
+# of minors, else b"G" + ring + generators; a saturation key is b"S" + the
+# basis key + u (rings.ring_bytes, rings.encode_terms). A value is
+# _basis_bytes. The budget, chosen by a sweep on library-mix, holds its
+# whole working set.
 _GB_CACHE_BUDGET = 4 << 20
 _GB_CACHE: OrderedDict = OrderedDict()
 # the cache object counted, and the bytes of its keys and values
@@ -45,10 +51,10 @@ _held = [_GB_CACHE, 0]
 
 
 def _entry(I: Ideal, u: Polynomial = None) -> bytes:
-    """The cache key of I, or with u of the saturation (I : u^∞)."""
-    if u is None:
-        return _entry_of(I.ring, encode_terms(I.gens))
-    return b"S" + ring_bytes(I.ring) + encode_terms(I.gens + (u,))
+    """The cache key of I's basis, or with u of the saturation (I : u^∞):
+    b"S", the basis key, then u."""
+    key = I.cache_id or _entry_of(I.ring, encode_terms(I.gens))
+    return key if u is None else b"S" + key + encode_terms((u,))
 
 
 def _entry_of(R: Ring, gens: bytes) -> bytes:
@@ -116,6 +122,12 @@ def groebner_of(I: Ideal) -> GroebnerBasis:
     ideal calls this once and reuses the basis."""
     value, basis = _basis_entry(I)
     return _basis_from(I.ring, value) if basis is None else basis
+
+
+def basis_size(I: Ideal) -> int:
+    """The number of elements of I's reduced grevlex basis, read from the
+    count in its cached value, which is not decoded."""
+    return encoded_count(_basis_entry(I)[0].partition(b"|")[2])
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:

@@ -30,7 +30,9 @@ stood before the one-basis certificates of ``verify`` (see "Frozen
 decision routes" below): the center identity by comparing both sides'
 reduced bases, and radical membership by the Rabinowitsch basis alone.
 They run the package's Gröbner kernel, so they hold the certificates, not
-the kernel, to account.
+the kernel, to account. A sixth is the dropping of zero and sign-duplicate
+minors as it stood before it moved onto packed terms
+(``frozen_dedup_generators``).
 """
 
 import heapq
@@ -546,6 +548,18 @@ class FrozenMinorCache:
             acc = acc + term if (k + t) % 2 else acc - term
         self._cache[(I, J)] = acc
         return acc
+
+
+def frozen_dedup_generators(gens):
+    """Drop zero generators and sign duplicates, keeping first occurrences,
+    by hashing each polynomial and its negative."""
+    out = []
+    seen = set()
+    for g in gens:
+        if g and g not in seen and -g not in seen:
+            seen.add(g)
+            out.append(g)
+    return out
 
 
 def frozen_cofactor(M):

@@ -746,3 +746,30 @@ def test_a_warm_repeat_decides_a_cached_saturation_without_a_cover(monkeypatch):
     assert _digest(warm) == _digest(cold)
     assert sum(cached for cached, _ in decided) >= 10
     assert [calls for cached, calls in decided if cached and calls] == []
+
+
+# Groebner calls of a resolve from a cold cache, check full. A change in
+# what the basis cache shares between checks moves these counts.
+PINNED_GROEBNER_CALLS = [
+    (resolve_sym, (3, 3), True, 39),
+    (resolve_sym, (4, 4), False, 24),
+    (resolve_sym, (5, 5), False, 45),
+    (resolve_skew, (5, 2), True, 31),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+@pytest.mark.parametrize("resolve, args, all_charts, calls", PINNED_GROEBNER_CALLS,
+                         ids=["sym3/3-all", "sym4/4", "sym5/5", "skew5/2-all"])
+def test_a_cold_resolve_makes_the_pinned_groebner_calls(monkeypatch, resolve, args, all_charts, calls, field):
+    verify._GB_CACHE.clear()
+    made = []
+    real = verify.groebner
+
+    def counted(*a, **k):
+        made.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(verify, "groebner", counted)
+    report = resolve(*args, field, all_charts=all_charts, check="full")
+    assert report.all_passed() and len(made) == calls

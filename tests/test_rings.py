@@ -31,6 +31,7 @@ from detsing.rings import (
     decode_terms,
     embed,
     encode_terms,
+    encoded_count,
     exact_div,
     grevlex_key,
     ring,
@@ -475,8 +476,9 @@ def _polynomial_lists(draw):
 @given(_polynomial_lists())
 def test_encoded_terms_decode_to_the_same_polynomials(case):
     R, polys = case
-    back = decode_terms(R, encode_terms(polys))
-    assert back == tuple(polys)
+    data = encode_terms(polys)
+    back = decode_terms(R, data)
+    assert back == tuple(polys) and encoded_count(data) == len(polys)
     # each keeps its stored term order and its coefficients' types
     assert [list(p.terms.items()) for p in back] == [list(p.terms.items()) for p in polys]
     assert [list(map(type, p.terms.values())) for p in back] == [list(map(type, p.terms.values())) for p in polys]

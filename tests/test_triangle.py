@@ -17,7 +17,6 @@ from detsing.errors import BadIndex, NotSkew
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
     GenericMatrix,
-    _dedup_generators,
     generic_skew,
     generic_sym,
     minors,
@@ -27,6 +26,8 @@ from detsing.matrices import (
 from detsing.resolution import resolve_skew, resolve_sym
 from detsing.rings import ring
 
+from .oracles import frozen_dedup_generators
+
 resolution = importlib.import_module("detsing.resolution")
 
 FIELDS = [QQ, PrimeField(7)]
@@ -35,7 +36,7 @@ FIELD_IDS = ["QQ", "F7"]
 
 def all_minors_ideal_gens(M, r):
     """The old construction: every (I, J)-minor, then sign dedup."""
-    return tuple(_dedup_generators(d for _, _, d in minors(M, r)))
+    return tuple(frozen_dedup_generators(d for _, _, d in minors(M, r)))
 
 
 def old_polynomial_variables(f):
