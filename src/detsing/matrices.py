@@ -9,7 +9,9 @@ which a Bareiss numerator, a cofactor expansion and a pfaffian expansion
 are each one call. Each routine packs the matrix once (``_packed_rows``)
 and stays packed, memos and Bareiss divisions included, until it returns.
 The tests check the kernels against frozen copies of the loops they
-replaced and against sympy.
+replaced and against sympy. Both routes stay uncached, as the oracles of
+those tests; ``verify.determinant_of`` caches each route's result under a
+key of its own, built from ``matrix_bytes`` as an ideal of minors' is.
 
 Conventions, all pinned by tests:
   * triangle(m, kind) lists the positions that determine a matrix: i < j
@@ -116,6 +118,16 @@ def triangle(m: int, kind: str) -> list:
     if kind == "general":
         return [(i, j) for i in range(m) for j in range(m)]
     return [(i, j) for i in range(m) for j in range(i + (kind == "skew"), m)]
+
+
+def matrix_bytes(M: GenericMatrix) -> bytes:
+    """M as bytes: its ring (rings.ring_bytes, field included), kind and
+    size, then the terms of its triangle's entries (rings.encode_terms).
+    Equal bytes are equal matrices; the size tells apart the skew sizes 0
+    and 1, whose triangles are both empty."""
+    _require_matrix(M)
+    entries = [M.rows[i][j] for i, j in triangle(M.size, M.kind)]
+    return b"%s%s%d|%s" % (ring_bytes(M.ring), M.kind.encode(), M.size, encode_terms(entries))
 
 
 def _require_mirror(rows, kind):
@@ -433,11 +445,8 @@ class MinorIdeal(Ideal):
     Its generators are computed from the table at their first read (gens,
     iteration, ==, hash, repr, to_json), which then drops the table. Its
     basis-cache key, cache_id, is built at its first read from the matrix
-    instead: b"M", the ring (rings.ring_bytes, field included), the kind
-    and r, then the triangle entries (rings.encode_terms). The generator
-    tuple is a function of those, so equal keys are equal ideals. The kind
-    and the triangle fix the size, except that skew sizes 0 and 1 share the
-    empty triangle; the one r both allow is 0, whose ideal is (1) for both.
+    instead: b"M", r, then matrix_bytes. The generator tuple is a function
+    of those, so equal keys are equal ideals.
     """
 
     __slots__ = ("_table", "_M", "_r", "_gens", "_key")
@@ -457,9 +466,7 @@ class MinorIdeal(Ideal):
     @property
     def cache_id(self) -> bytes:
         if self._key is None:
-            M = self._M
-            entries = [M.rows[i][j] for i, j in triangle(M.size, M.kind)]
-            self._key = b"M%s%s,%d|%s" % (ring_bytes(M.ring), M.kind.encode(), self._r, encode_terms(entries))
+            self._key = b"M%d," % self._r + matrix_bytes(self._M)
         return self._key
 
 

@@ -45,6 +45,7 @@ from .verify import (
     basis_size,
     check_embedded_resolution,
     decide_equal,
+    determinant_of,
     groebner_of,
     saturate,
     verdict,
@@ -535,9 +536,10 @@ def _det_identity_verdict(parent, red):
     one: det' = det(reduced) for skew and diagonal charts, and
     eps^(m-3) * det' = -det(reduced) for off-diagonal charts (m >= 3; the
     2x2 case degenerates to det' = -eps). parent is the parent matrix's
-    minor table and red a _ChartTables."""
+    minor table and red a _ChartTables; each determinant is read through
+    the basis cache (verify.determinant_of), from its table on a miss."""
     m = parent.M.size
-    det_primed = red.primed.determinant()
+    det_primed = determinant_of(red.matrix, table=red.primed)
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
     if red.eps is not None:
         if red.formula is None:
@@ -546,13 +548,13 @@ def _det_identity_verdict(parent, red):
         else:
             inputs["identity"] = f"eps^{m - 3} * det' = -det(reduced)"
             lhs = det_primed * red.eps ** (m - 3)
-            passed = (lhs + red.formula.determinant()).is_zero()
+            passed = (lhs + determinant_of(red.formula_matrix, table=red.formula)).is_zero()
     else:
         inputs["identity"] = "det' = det(reduced)"
-        passed = det_primed == red.formula.determinant()
+        passed = det_primed == determinant_of(red.formula_matrix, table=red.formula)
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
-    det_parent = parent.determinant()
+    det_parent = determinant_of(parent.M, table=parent)
     if not det_parent.is_zero():
         power, strict = strict_transform_poly(det_parent, red.chart)
         passed = passed and power == m and strict == det_primed

@@ -17,16 +17,19 @@ whose saturation is cached by that saturation alone), and
 that is not an Ideal or a Polynomial raises BadParameters.
 
 One cache serves a long-lived caller: the reduced grevlex basis of each
-ideal asked about, and the result of each saturation (I : u^∞). Entries are
-exact byte strings (``rings.encode_terms``), not live objects, and no two
-unequal ideals share an entry. An ideal of minors is keyed by its matrix
-(``matrices.MinorIdeal.cache_id``: field, variable names, kind, r and the
+ideal asked about, the result of each saturation (I : u^∞), and each
+determinant that a check reads (``determinant_of``). Entries are exact byte
+strings (``rings.encode_terms``), not live objects, and no two unequal
+ideals or matrices share an entry. An ideal of minors is keyed by its
+matrix (``matrices.MinorIdeal.cache_id``: r and ``matrices.matrix_bytes``,
+which holds the field, the variable names, the kind, the size and the
 matrix's triangle), so a hit needs none of its minors; any other ideal by
 the field, the variable names and every term of every generator; a
-saturation by I's key and the terms of u. A hit decodes a fresh basis or
-ideal, and ``basis_size`` reads a basis's size without decoding it. Keys
-and values together hold at most _GB_CACHE_BUDGET bytes, and the least
-recently used entries go first.
+saturation by I's key and the terms of u; a determinant by its route and
+its matrix, so a hit runs neither route. A hit decodes a fresh basis,
+ideal or determinant, and ``basis_size`` reads a basis's size without
+decoding it. Keys and values together hold at most _GB_CACHE_BUDGET bytes,
+and the least recently used entries go first.
 """
 
 from collections import OrderedDict
@@ -35,15 +38,17 @@ from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
 from .fields import QQ, field_name
 from .groebner import GroebnerBasis, _seed_loop, elimination_order, grevlex_order, groebner
-from .matrices import Ideal, MinorCache, determinant, generic_skew, pfaffian, require_ideal
+from .matrices import (GenericMatrix, Ideal, MinorCache, determinant, generic_skew, matrix_bytes, pfaffian,
+                       require_ideal)
 from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, encoded_count, ring_bytes
 
 # The cache, least recently used first. A basis key is the ideal's
-# cache_id, b"M" + ring + kind and r + the triangle's entries, for an ideal
-# of minors, else b"G" + ring + generators; a saturation key is b"S" + the
-# basis key + u (rings.ring_bytes, rings.encode_terms). A value is
-# _basis_bytes. The budget, chosen by a sweep on library-mix, holds its
-# whole working set.
+# cache_id, b"M" + r + the matrix (matrices.matrix_bytes), for an ideal of
+# minors, else b"G" + ring + generators (rings.ring_bytes,
+# rings.encode_terms); a saturation key is b"S" + the basis key + u; a
+# determinant key is b"D" + the route + "," + the matrix. A basis or
+# saturation value is _basis_bytes, a determinant's encode_terms((det,)).
+# The budget, chosen by a sweep on library-mix, holds its whole working set.
 _GB_CACHE_BUDGET = 4 << 20
 _GB_CACHE: OrderedDict = OrderedDict()
 # the cache object counted, and the bytes of its keys and values
@@ -128,6 +133,21 @@ def basis_size(I: Ideal) -> int:
     """The number of elements of I's reduced grevlex basis, read from the
     count in its cached value, which is not decoded."""
     return encoded_count(_basis_entry(I)[0].partition(b"|")[2])
+
+
+def determinant_of(M: GenericMatrix, method: str = "cofactor", table: MinorCache = None) -> Polynomial:
+    """det M by one route of matrices.determinant, "cofactor" or "bareiss",
+    cached under a key of its own per route, so that the two routes still
+    give values computed apart. On a miss the cofactor route reads table, a
+    minor table of M, when one is given: the determinant then shares its
+    sub-minors with the table's ideals."""
+    key = b"D%s," % str(method).encode() + matrix_bytes(M)
+    value = _recall(key)
+    if value is not None:
+        return decode_terms(M.ring, value)[0]
+    det = table.determinant() if method == "cofactor" and table is not None else determinant(M, method)
+    _remember(key, encode_terms((det,)))
+    return det
 
 
 def verdict(check: str, inputs: dict, passed: bool, witness=None) -> dict:
@@ -313,25 +333,22 @@ def check_fact(fact: str, m: int, field=QQ, l: int = None) -> bool:
 
     F1: det of an odd generic skew matrix is 0 (both determinant routes).
     F3: det = pfaffian² for even generic skew matrices (both routes).
+    Each route's determinant is read through determinant_of, under a key
+    of its own; F1 and F3 take no minor level l.
     F2 / Eq2l: the 2ℓ- and (2ℓ−1)-minor ideals of a generic skew matrix
     have equal radicals — containment one way, radical membership the other.
     """
     tag = fact.upper() if isinstance(fact, str) else None
     if type(m) is not int or m < 1:
         raise BadParameters(f"the matrix size must be an integer m >= 1, got {m!r}")
-    if tag == "F1":
-        if m % 2 == 0:
-            raise BadParameters("F1 concerns odd sizes")
+    if tag in ("F1", "F3"):
+        if l is not None:
+            raise BadParameters("F1 and F3 take no minor level")
+        if m % 2 != (tag == "F1"):
+            raise BadParameters("F1 concerns odd sizes" if tag == "F1" else "F3 concerns even sizes")
         A = generic_skew(m, field)
-        return determinant(A, "cofactor").is_zero() and determinant(A, "bareiss").is_zero()
-    if tag == "F3":
-        if m % 2:
-            raise BadParameters("F3 concerns even sizes")
-        A = generic_skew(m, field)
-        pf = pfaffian(A)
-        return (determinant(A, "cofactor") - pf * pf).is_zero() and (
-            determinant(A, "bareiss") - pf * pf
-        ).is_zero()
+        expected = A.ring.zero() if tag == "F1" else pfaffian(A) ** 2
+        return all(determinant_of(A, method) == expected for method in ("cofactor", "bareiss"))
     if tag in ("F2", "EQ2L"):
         if l is None:
             raise BadParameters("F2 needs the minor level l")

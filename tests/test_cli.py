@@ -164,6 +164,15 @@ def test_verify_fact_f2_needs_level(capsys):
     assert payload["inputs"]["l"] == 2
 
 
+def test_verify_fact_f1_f3_refuse_a_level(capsys):
+    # F1 and F3 take no minor level: a stray --l is an error, never an input
+    # of a verdict
+    for fact, m in (("F1", "3"), ("F3", "4")):
+        assert main(["verify", "--fact", fact, "--m", m, "--l", "1"]) == EXIT_BAD_PARAMETERS
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no minor level" in captured.err
+
+
 def test_verify_fact_bad_parity(capsys):
     assert main(["verify", "--fact", "F1", "--m", "4"]) == EXIT_BAD_PARAMETERS
     capsys.readouterr()

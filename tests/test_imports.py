@@ -12,6 +12,10 @@ packing class or its overflow signal, or packs through int bytes or
 arrays, so the packed layout is known to one module. The
 packing is also the only definition of each monomial order, so no other
 module defines a sort key: a function named ``key`` or ``*_key``.
+
+The basis cache is ``verify``'s alone: no other module names ``_GB_CACHE``,
+``_recall`` or ``_remember``, and ``matrices`` imports nothing from
+``verify``, so both determinant routes stay uncached oracles.
 """
 
 import ast
@@ -208,3 +212,66 @@ def test_finds_an_order_key():
 )
 def test_only_rings_defines_an_order_key(path):
     assert order_keys(path.read_text()) == []
+
+
+CACHE_NAMES = {"_GB_CACHE", "_recall", "_remember"}
+
+
+def cache_names(source):
+    """(line, name) of each use of _GB_CACHE, _recall or _remember in
+    source: as a name, an attribute, an imported name or a definition."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in CACHE_NAMES]
+    return sorted(found)
+
+
+def verify_imports(source):
+    """(line, module) of each import, at any depth, that reaches the verify
+    module: from .verify, from . import verify, import detsing.verify."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names if not node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules if module.split(".")[-1] == "verify"]
+    return sorted(found)
+
+
+def test_finds_the_cache_and_verify_imports():
+    source = (
+        "from .verify import _GB_CACHE, groebner_of\n"
+        "from . import verify\n"
+        "import detsing.verify as v\n"
+        "def _recall(key):\n    return v._remember(key, b'')\n"
+        "def det(M):\n"
+        "    from .verify import determinant_of\n"
+        "    return determinant_of(M), _GB_CACHE\n"
+        "from .verifying import recall\n"
+    )
+    assert cache_names(source) == [(1, "_GB_CACHE"), (4, "_recall"), (5, "_remember"), (8, "_GB_CACHE")]
+    assert verify_imports(source) == [(1, "verify"), (2, "verify"), (3, "detsing.verify"), (7, "verify")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "verify.py"), ids=lambda p: p.name
+)
+def test_only_verify_names_the_cache(path):
+    assert cache_names(path.read_text()) == []
+
+
+def test_matrices_imports_nothing_from_verify():
+    assert verify_imports((PACKAGE / "matrices.py").read_text()) == []

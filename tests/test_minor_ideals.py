@@ -5,7 +5,9 @@ computed at their first read, and the basis cache files it under a key
 built from the matrix (``cache_id``), so a warm check computes no minor.
 The tests hold the key to the ideal it names, the laziness to the places
 that must not see it, and the packed dropping of zero and sign-duplicate
-minors to its frozen copy.
+minors to its frozen copy. Beside the audit of the matrix-keyed bases and
+saturations, the determinants filed by the same kind of menu are held to
+fresh ones (``verify.determinant_of``).
 """
 
 import random
@@ -18,6 +20,7 @@ from detsing.fields import QQ, PrimeField
 from detsing.groebner import groebner
 from detsing.matrices import GenericMatrix, Ideal, MinorCache, MinorIdeal, generic_skew, generic_sym, minors
 from detsing.resolution import chart_identity, resolve_skew, resolve_sym
+from detsing.verify import check_fact, check_lemma_counterexample
 from detsing.rings import decode_terms, ring
 
 from .oracles import frozen_dedup_generators
@@ -137,6 +140,46 @@ def test_every_matrix_keyed_entry_is_the_basis_of_its_ideal(monkeypatch, field):
     # every keyed ideal is filed, as a basis or as a saturation
     assert all(key in entries or any(k[1:].startswith(key) for k in entries) for key in keyed)
     assert bases > 30 and saturations > 5
+
+
+FACT_MENU = [("F1", 3, None), ("F1", 5, None), ("F1", 7, None), ("F3", 2, None), ("F3", 4, None),
+             ("F3", 6, None), ("F2", 4, 2), ("F2", 5, 2)]
+RESOLVE_MENU = [(resolve_sym, (3, 3), True), (resolve_skew, (4, 2), True), (resolve_sym, (4, 4), False),
+                (resolve_skew, (5, 2), False), (resolve_sym, (4, 3), True), (resolve_skew, (5, 2), True)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_every_determinant_entry_is_the_determinant_of_its_matrix(monkeypatch, field):
+    # the library-mix menu from a cold cache: chart identities, facts, the
+    # lemma and checked resolves; then every entry filed under a
+    # determinant key is held to a fresh determinant of its matrix by its
+    # route
+    verify._GB_CACHE.clear()
+    seen = {}
+    real = verify.matrix_bytes
+
+    def recorded(M):
+        seen[real(M)] = M
+        return real(M)
+
+    monkeypatch.setattr(verify, "matrix_bytes", recorded)
+    for kind, m, r, ct in CHART_IDENTITY_MENU:
+        assert chart_identity(kind, m, r, ct, field)["pass"]
+    for fact, m, l in FACT_MENU:
+        assert check_fact(fact, m, field, l=l)
+    assert check_lemma_counterexample(field)["pass"]
+    for resolve, args, all_charts in RESOLVE_MENU:
+        assert resolve(*args, field, all_charts=all_charts).all_passed()
+    entries = {key: value for key, value in verify._GB_CACHE.items() if key[:1] == b"D"}
+    verify._GB_CACHE.clear()
+    routes = set()
+    for key, value in entries.items():
+        route, _, rest = key[1:].partition(b",")
+        M = seen[rest]
+        (det,) = decode_terms(M.ring, value)
+        assert det == matrices.determinant(M, route.decode())
+        routes.add(route)
+    assert routes == {b"cofactor", b"bareiss"} and len(entries) > 100
 
 
 def test_keys_differ_when_the_kind_r_the_field_or_an_entry_differs():

@@ -684,8 +684,11 @@ def _digest(report):
 
 
 def test_certify_packs_each_matrix_once(monkeypatch):
-    # one table per node matrix serves all its children, and one per
-    # primed and formula matrix serves all of a child's verdicts
+    # from a cold cache, one table per node matrix serves all its children,
+    # and one per primed and formula matrix serves all of a child's
+    # verdicts; a warm repeat finds every minor ideal and determinant in
+    # the cache and packs no matrix
+    verify._GB_CACHE.clear()
     report = resolve_sym(4, 3, all_charts=True, check="none")
     packed = []
     real = matrices._packed_rows
@@ -701,7 +704,11 @@ def test_certify_packs_each_matrix_once(monkeypatch):
     for node in report.nodes[1:]:
         expected |= {id(node.reduction.matrix), id(node.reduction.formula_matrix)} - {id(None)}
     assert set(counts) == expected and set(counts.values()) == {1}
-    assert _digest(report) == _digest(resolve_sym(4, 3, all_charts=True, check="full"))
+    warm = resolve_sym(4, 3, all_charts=True, check="none")
+    packed.clear()
+    resolution._certify(warm, True)
+    assert packed == []
+    assert _digest(report) == _digest(warm) == _digest(resolve_sym(4, 3, all_charts=True, check="full"))
 
 
 def test_no_minor_table_outlives_the_certify_pass(monkeypatch):

@@ -399,6 +399,15 @@ def test_check_fact_f1_f3():
             check_fact(fact, m, l=1)
 
 
+@pytest.mark.parametrize("fact, m", [("F1", 3), ("F3", 4)])
+def test_f1_and_f3_refuse_a_minor_level(fact, m):
+    # l plays no part in F1 or F3, so a stray one is an error, not an input
+    for l in (1, 0, "2"):
+        with pytest.raises(BadParameters, match="no minor level"):
+            check_fact(fact, m, l=l)
+    assert check_fact(fact, m, l=None)
+
+
 @pytest.mark.parametrize("field", ["Q", None, PrimeField])
 def test_check_fact_refuses_a_non_field(field):
     with pytest.raises(BadParameters):
