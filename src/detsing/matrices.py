@@ -42,7 +42,7 @@ class GenericMatrix:
     validated at construction so downstream shape shortcuts stay sound.
     """
 
-    __slots__ = ("ring", "rows", "kind")
+    __slots__ = ("ring", "rows", "kind", "_bytes")
 
     def __init__(self, ring_: Ring, rows, kind: str = "general"):
         rows = tuple(tuple(row) for row in rows)
@@ -58,6 +58,7 @@ class GenericMatrix:
         self.ring = ring_
         self.rows = rows
         self.kind = kind
+        self._bytes = None
 
     @property
     def size(self) -> int:
@@ -124,10 +125,13 @@ def matrix_bytes(M: GenericMatrix) -> bytes:
     """M as bytes: its ring (rings.ring_bytes, field included), kind and
     size, then the terms of its triangle's entries (rings.encode_terms).
     Equal bytes are equal matrices; the size tells apart the skew sizes 0
-    and 1, whose triangles are both empty."""
+    and 1, whose triangles are both empty. M, immutable by convention,
+    keeps them from the first call on, for every key that names it."""
     _require_matrix(M)
-    entries = [M.rows[i][j] for i, j in triangle(M.size, M.kind)]
-    return b"%s%s%d|%s" % (ring_bytes(M.ring), M.kind.encode(), M.size, encode_terms(entries))
+    if M._bytes is None:
+        entries = [M.rows[i][j] for i, j in triangle(M.size, M.kind)]
+        M._bytes = b"%s%s%d|%s" % (ring_bytes(M.ring), M.kind.encode(), M.size, encode_terms(entries))
+    return M._bytes
 
 
 def _require_mirror(rows, kind):
@@ -395,15 +399,21 @@ def minors(M: GenericMatrix, r: int) -> list:
 class Ideal:
     """A finitely generated ideal: a ring plus an ordered generator tuple."""
 
-    __slots__ = ("ring", "gens")
-
-    # the basis-cache key that stands for the generators (verify._entry), or
-    # None when the cache encodes the generators themselves
-    cache_id = None
+    __slots__ = ("ring", "gens", "_key")
 
     def __init__(self, ring_: Ring, gens: Iterable[Polynomial]):
         self.ring = require_ring(ring_)
         self.gens = require_polynomials(ring_, gens)
+        self._key = None
+
+    @property
+    def cache_id(self) -> bytes:
+        """The ideal's key in verify's basis cache, built once, at its first
+        read, as an ideal is immutable by convention: b"G", the ring
+        (rings.ring_bytes), then the generators (rings.encode_terms)."""
+        if self._key is None:
+            self._key = b"G" + ring_bytes(self.ring) + encode_terms(self.gens)
+        return self._key
 
     def contains_unit_generator(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.gens)
@@ -444,12 +454,12 @@ class MinorIdeal(Ideal):
 
     Its generators are computed from the table at their first read (gens,
     iteration, ==, hash, repr, to_json), which then drops the table. Its
-    basis-cache key, cache_id, is built at its first read from the matrix
-    instead: b"M", r, then matrix_bytes. The generator tuple is a function
-    of those, so equal keys are equal ideals.
+    basis-cache key, cache_id, is built once, at its first read, from the
+    matrix instead: b"M", r, then matrix_bytes. The generator tuple is a
+    function of those, so equal keys are equal ideals.
     """
 
-    __slots__ = ("_table", "_M", "_r", "_gens", "_key")
+    __slots__ = ("_table", "_M", "_r", "_gens")
 
     def __init__(self, table: MinorCache, r: int):
         self.ring = table.M.ring

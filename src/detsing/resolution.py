@@ -28,7 +28,7 @@ each leaf through the verify module, and records them as node verdicts.
 import time
 
 from .blowup import Center, make_chart, primed, strict_transform_ideal, strict_transform_poly
-from .errors import BadParameters, SizeTooSmall
+from .errors import BadParameters, NonHomogeneousGenerators, SizeTooSmall
 from .fields import QQ, field_name
 from .matrices import (
     GenericMatrix,
@@ -469,48 +469,39 @@ def _basis_witness(ideal, include_bases):
     return {"basis_size": len(polys), "basis": [p.format() for p in polys]}
 
 
-def _strict_minors(parent_matrix, red, j, primed=None):
+def _strict_minors(red, j, primed):
     """The strict transform of the j-minors of the parent matrix A. Each
     entry of A is a center variable, so a j-minor's total transform is e^j
-    times the same minor of the primed matrix A'; when no entry of A'
-    contains the exceptional variable e, those j-minors of A' are the strict
-    transforms, generator for generator, read from ``primed`` (A''s minor
-    table) when given. Else the generator-wise route."""
-    if red.chart.exceptional_var not in red.matrix.variables():
-        return (primed or MinorCache(red.matrix)).ideal(j)
-    return strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
+    times the same minor of the primed matrix A'. While no entry of A'
+    holds e, those minors, read from its table ``primed``, are the strict
+    transforms, generator for generator; an A' that holds e (from entries
+    of A not homogeneous in the center variables) is refused."""
+    if red.chart.exceptional_var in red.matrix.variables():
+        raise NonHomogeneousGenerators("the primed matrix holds the exceptional variable")
+    return primed.ideal(j)
 
 
-class _ChartTables:
-    """A chart reduction with one minor table for each of its matrices, the
-    primed A' and the formula matrix B (None when B is); every other
-    attribute is the reduction's, so it stands in for the reduction in the
-    verdicts' arguments. _child_verdicts makes one per child: the tables
-    serve all that child's verdicts and are dropped with them."""
-
-    def __init__(self, red):
-        self.red = red
-        self.primed = MinorCache(red.matrix)
-        self.formula = None if red.formula_matrix is None else MinorCache(red.formula_matrix)
-
-    def __getattr__(self, name):
-        return getattr(self.red, name)
+def _tables(red):
+    """A minor table of each matrix of a chart reduction, the primed A' and
+    the formula matrix B (None when B is), for all the chart's verdicts."""
+    return MinorCache(red.matrix), None if red.formula_matrix is None else MinorCache(red.formula_matrix)
 
 
-def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
+def _center_identity_verdict(parent_matrix, red, tables, j, roles, include_bases):
     """The contraction identity at minor level j: the strict transform of
     the j-minors of the parent matrix equals the (j - drop)-minors of the
-    reduced matrix (both saturated by eps in off-diagonal charts). red is a
-    _ChartTables, whose tables give both sides."""
+    reduced matrix (both saturated by eps in off-diagonal charts). tables,
+    the reduction's (_tables), give both sides."""
     jr = j - (parent_matrix.size - len(red.remaining))
-    lhs = _strict_minors(parent_matrix, red, j, red.primed)
+    primed, formula = tables
+    lhs = _strict_minors(red, j, primed)
     T = red.ring
     if jr <= 0:
         rhs = Ideal(T, [T.one()])
-    elif red.formula is None or jr > red.formula_matrix.size:
+    elif formula is None or jr > red.formula_matrix.size:
         rhs = Ideal(T, [])
     else:
-        rhs = red.formula.ideal(jr)
+        rhs = formula.ideal(jr)
     inputs = {
         "chart": f"X_{red.position[0]}_{red.position[1]}",
         "j": j,
@@ -531,27 +522,28 @@ def _center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     return verdict("center_identity", inputs, passed, witness)
 
 
-def _det_identity_verdict(parent, red):
+def _det_identity_verdict(parent, red, tables):
     """Exact polynomial identity tying the primed determinant to the reduced
     one: det' = det(reduced) for skew and diagonal charts, and
     eps^(m-3) * det' = -det(reduced) for off-diagonal charts (m >= 3; the
-    2x2 case degenerates to det' = -eps). parent is the parent matrix's
-    minor table and red a _ChartTables; each determinant is read through
-    the basis cache (verify.determinant_of), from its table on a miss."""
+    2x2 case degenerates to det' = -eps). parent and tables (_tables) are
+    the minor tables of the parent and of red; each determinant is read
+    through the basis cache (verify.determinant_of), from its table on a miss."""
     m = parent.M.size
-    det_primed = determinant_of(red.matrix, table=red.primed)
+    primed, formula = tables
+    det_primed = determinant_of(red.matrix, table=primed)
     inputs = {"chart": f"X_{red.position[0]}_{red.position[1]}", "size": m}
     if red.eps is not None:
-        if red.formula is None:
+        if formula is None:
             inputs["identity"] = "det' = -eps"
             passed = (det_primed + red.eps).is_zero()
         else:
             inputs["identity"] = f"eps^{m - 3} * det' = -det(reduced)"
             lhs = det_primed * red.eps ** (m - 3)
-            passed = (lhs + determinant_of(red.formula_matrix, table=red.formula)).is_zero()
+            passed = (lhs + determinant_of(red.formula_matrix, table=formula)).is_zero()
     else:
         inputs["identity"] = "det' = det(reduced)"
-        passed = det_primed == determinant_of(red.formula_matrix, table=red.formula)
+        passed = det_primed == determinant_of(red.formula_matrix, table=formula)
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
     det_parent = determinant_of(parent.M, table=parent)
@@ -631,10 +623,10 @@ def _terminal_reason(kind, residual):
 def _child_verdicts(node, parent, child, include_bases):
     """The chart verdicts of one child of node, whose matrix's minor table
     is parent."""
-    red = _ChartTables(child.reduction)
+    red, tables = child.reduction, _tables(child.reduction)
     out = [
         _center_strict_unit_verdict(node, red),
-        _det_identity_verdict(parent, red),
+        _det_identity_verdict(parent, red, tables),
     ]
     if child.rewrite is not None:
         out.append(_rewrite_consistency_verdict(child))
@@ -645,7 +637,7 @@ def _child_verdicts(node, parent, child, include_bases):
         drop = node.size - child.size
         levels.setdefault(drop + (2 if child.kind == "skew" else 1), []).append("next_center")
     for j in sorted(levels):
-        out.append(_center_identity_verdict(node.matrix, red, j, levels[j], include_bases))
+        out.append(_center_identity_verdict(node.matrix, red, tables, j, levels[j], include_bases))
     if child.kind == "skew" and child.matrix is not None:
         out.append(_radical_identification_verdict(child.matrix, include_bases))
     return out
@@ -689,7 +681,7 @@ def _finalize_leaf(node, parent):
         gens = [node.ring.var(nm) for nm in node.matrix_variable_names()]
         node.strict_ideal = Ideal(node.ring, gens)
         return
-    st = _strict_minors(parent.matrix, node.reduction, parent.residual)
+    st = _strict_minors(node.reduction, parent.residual, MinorCache(node.reduction.matrix))
     # the generators are computed here, in the build; a leaf with no rewrite
     # keeps the ideal itself, so check_leaf finds the saturation the certify
     # pass cached under the same key
@@ -823,8 +815,8 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
         position = (1, 1) if chart_type == "diag" else (1, 2)
     maker = generic_skew if kind == "skew" else generic_sym
     root = _root(maker(m, field), r)
-    red = _ChartTables(_chart_step(root, chart_type, position))
-    result = _center_identity_verdict(root.matrix, red, r, ["standalone"], include_bases)
+    red = _chart_step(root, chart_type, position)
+    result = _center_identity_verdict(root.matrix, red, _tables(red), r, ["standalone"], include_bases)
     result["inputs"].update(
         {"kind": kind, "m": m, "r": r, "field": field_name(field)}
     )

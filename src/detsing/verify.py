@@ -20,13 +20,14 @@ One cache serves a long-lived caller: the reduced grevlex basis of each
 ideal asked about, the result of each saturation (I : u^∞), and each
 determinant that a check reads (``determinant_of``). Entries are exact byte
 strings (``rings.encode_terms``), not live objects, and no two unequal
-ideals or matrices share an entry. An ideal of minors is keyed by its
-matrix (``matrices.MinorIdeal.cache_id``: r and ``matrices.matrix_bytes``,
-which holds the field, the variable names, the kind, the size and the
-matrix's triangle), so a hit needs none of its minors; any other ideal by
-the field, the variable names and every term of every generator; a
-saturation by I's key and the terms of u; a determinant by its route and
-its matrix, so a hit runs neither route. A hit decodes a fresh basis,
+ideals or matrices share an entry. Each ideal builds its key once
+(``matrices.Ideal.cache_id``): an ideal of minors from r and its matrix's
+bytes (``matrices.matrix_bytes``, built once per matrix: field, variable
+names, kind, size and triangle), so a hit needs none of its minors; any
+other ideal, ``saturate``'s results included, from the field, the variable
+names and every term of every generator. This module keys a saturation
+by I's key and u, and a determinant by its route and its matrix's bytes,
+so a hit runs neither route. A hit decodes a fresh basis,
 ideal or determinant, and ``basis_size`` reads a basis's size without
 decoding it. Keys and values together hold at most _GB_CACHE_BUDGET bytes,
 and the least recently used entries go first.
@@ -40,13 +41,12 @@ from .fields import QQ, field_name
 from .groebner import GroebnerBasis, _seed_loop, elimination_order, grevlex_order, groebner
 from .matrices import (GenericMatrix, Ideal, MinorCache, determinant, generic_skew, matrix_bytes, pfaffian,
                        require_ideal)
-from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, encoded_count, ring_bytes
+from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, encoded_count
 
 # The cache, least recently used first. A basis key is the ideal's
-# cache_id, b"M" + r + the matrix (matrices.matrix_bytes), for an ideal of
-# minors, else b"G" + ring + generators (rings.ring_bytes,
-# rings.encode_terms); a saturation key is b"S" + the basis key + u; a
-# determinant key is b"D" + the route + "," + the matrix. A basis or
+# cache_id, built once by the ideal (matrices.Ideal, matrices.MinorIdeal);
+# a saturation key is b"S" + the basis key + u; a determinant key is b"D"
+# + the route + "," + the matrix's bytes (matrices.matrix_bytes). A basis or
 # saturation value is _basis_bytes, a determinant's encode_terms((det,)).
 # The budget, chosen by a sweep on library-mix, holds its whole working set.
 _GB_CACHE_BUDGET = 4 << 20
@@ -56,16 +56,9 @@ _held = [_GB_CACHE, 0]
 
 
 def _entry(I: Ideal, u: Polynomial = None) -> bytes:
-    """The cache key of I's basis, or with u of the saturation (I : u^∞):
-    b"S", the basis key, then u."""
-    key = I.cache_id or _entry_of(I.ring, encode_terms(I.gens))
-    return key if u is None else b"S" + key + encode_terms((u,))
-
-
-def _entry_of(R: Ring, gens: bytes) -> bytes:
-    """The cache key of the basis of the ideal of R whose generators encode
-    as gens."""
-    return b"G" + ring_bytes(R) + gens
+    """The cache key of I's basis, I.cache_id, or with u of the saturation
+    (I : u^∞): b"S", the basis key, then u."""
+    return I.cache_id if u is None else b"S" + I.cache_id + encode_terms((u,))
 
 
 def _basis_bytes(basis: GroebnerBasis) -> bytes:
@@ -273,13 +266,13 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     by (I, u).
 
     The generators of the result are its reduced grevlex basis, which is
-    also entered in the basis cache, on a hit too.
+    also entered in the basis cache under the result's key, on a hit too.
     """
-    return Ideal(I.ring, _saturation_basis(I, u).polys)
+    return _saturation(I, u)[0]
 
 
-def _saturation_basis(I: Ideal, u: Polynomial) -> GroebnerBasis:
-    """The reduced grevlex basis of (I : u^∞), as saturate() finds it."""
+def _saturation(I: Ideal, u: Polynomial) -> tuple:
+    """(I : u^∞) as saturate() returns it, and its reduced grevlex basis."""
     require_ideal(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
@@ -302,9 +295,9 @@ def _saturation_basis(I: Ideal, u: Polynomial) -> GroebnerBasis:
         _remember(key, value)
     else:
         basis = _basis_from(R, value)
-    # the result's generators encode as the value's body
-    _remember(_entry_of(R, value.partition(b"|")[2]), value)
-    return basis
+    out = Ideal(R, basis.polys)
+    _remember(out.cache_id, value)
+    return out, basis
 
 
 def coordinate_subspace(I: Ideal):
@@ -410,7 +403,7 @@ def _unit_saturation_basis(I: Ideal, units) -> GroebnerBasis:
     """The reduced basis of I saturated by each unit in turn, decoded once."""
     for u in units[:-1]:
         I = saturate(I, u)
-    return _saturation_basis(I, units[-1]) if units else groebner_of(I)
+    return _saturation(I, units[-1])[1] if units else groebner_of(I)
 
 
 def check_leaf(leaf) -> dict:
@@ -423,7 +416,10 @@ def check_leaf(leaf) -> dict:
         intersections are transversal.
     Condition (b) — isomorphism off the singular locus — holds structurally
     for blow-ups centered inside the singular locus and is recorded as such.
+    A leaf without a strict ideal (an interior node) raises BadParameters.
     """
+    if not isinstance(getattr(leaf, "strict_ideal", None), Ideal):
+        raise BadParameters(f"expected a leaf with a strict ideal, got {leaf!r}")
     G = _unit_saturation_basis(leaf.strict_ideal, leaf.units)
     exc = list(leaf.exceptional_names)
     snc = len(exc) == len(set(exc)) and all(n in G.ring.index for n in exc)
@@ -453,7 +449,9 @@ def check_leaf(leaf) -> dict:
 
 
 def check_embedded_resolution(report) -> dict:
-    """Aggregate per-leaf verdicts for a resolution report."""
+    """Aggregate per-leaf verdicts for a resolution report; BadParameters for anything else."""
+    if not callable(getattr(report, "leaves", None)):
+        raise BadParameters(f"expected a resolution report, got {type(report).__name__}")
     leaf_verdicts = [check_leaf(leaf) for leaf in report.leaves()]
     return verdict(
         "embedded_resolution",

@@ -212,8 +212,8 @@ def test_small_center_identities_match_the_both_bases_route(monkeypatch):
     live = resolution._center_identity_verdict
     seen = []
 
-    def both(parent_matrix, red, j, roles, include_bases):
-        out = live(parent_matrix, red, j, roles, include_bases)
+    def both(parent_matrix, red, tables, j, roles, include_bases):
+        out = live(parent_matrix, red, tables, j, roles, include_bases)
         frozen = oracle_center_identity_verdict(parent_matrix, red, j, roles, include_bases)
         seen.append((json.dumps(out), json.dumps(frozen)))
         return out

@@ -15,7 +15,10 @@ module defines a sort key: a function named ``key`` or ``*_key``.
 
 The basis cache is ``verify``'s alone: no other module names ``_GB_CACHE``,
 ``_recall`` or ``_remember``, and ``matrices`` imports nothing from
-``verify``, so both determinant routes stay uncached oracles.
+``verify``, so both determinant routes stay uncached oracles. Which bytes
+name an ideal or a matrix is ``matrices``' alone: no other module writes a
+bytes literal that starts an ideal's key (``b"G"``) or a minor ideal's
+(``b"M..."``).
 """
 
 import ast
@@ -275,3 +278,34 @@ def test_only_verify_names_the_cache(path):
 
 def test_matrices_imports_nothing_from_verify():
     assert verify_imports((PACKAGE / "matrices.py").read_text()) == []
+
+
+KEY_PREFIXES = (b"G", b"M")
+
+
+def key_literals(source):
+    """(line, literal) of each bytes literal in source that starts an
+    ideal's basis key (b"G...") or a minor ideal's (b"M...")."""
+    return sorted(
+        (node.lineno, node.value) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, bytes) and node.value.startswith(KEY_PREFIXES)
+    )
+
+
+def test_finds_a_key_literal():
+    source = (
+        "def basis(I):\n    return b'G' + I\n"
+        "def minor(r, M):\n    return b'M%d,' % r + M\n"
+        "sat = b'S' + b'Gx'\n"
+        "text = 'G' + 'M'\n"
+        "det = b'D%s,' % b'cofactor'\n"
+        "tail = b'|G'\n"
+    )
+    assert key_literals(source) == [(2, b"G"), (4, b"M%d,"), (5, b"Gx")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "matrices.py"), ids=lambda p: p.name
+)
+def test_only_matrices_names_an_ideal_or_a_matrix(path):
+    assert key_literals(path.read_text()) == []

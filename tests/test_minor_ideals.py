@@ -11,6 +11,7 @@ fresh ones (``verify.determinant_of``).
 """
 
 import random
+import sys
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_every_matrix_keyed_entry_is_the_basis_of_its_ideal(monkeypatch, field):
         elif key[:2] == b"SM":
             I = next(I for k, I in keyed.items() if key[1:].startswith(k))
             (u,) = decode_terms(I.ring, key[1 + len(I.cache_id):])
-            fresh = verify._saturation_basis(Ideal(I.ring, I.gens), u)
+            fresh = verify._saturation(Ideal(I.ring, I.gens), u)[1]
             assert verify._basis_from(I.ring, value).polys == fresh.polys
             saturations += 1
         else:
@@ -221,6 +222,57 @@ def test_equal_matrices_share_a_key_and_unequal_ideals_never_do():
                 for r in range(m + 1):
                     I = MinorCache(M).ideal(r)
                     assert named.setdefault(I.cache_id, I.gens) == I.gens
+
+
+# the keys of the 1-minors of the generic symmetric 2x2 matrix over Q and of
+# the 2-minors of the generic skew 3x3 matrix over F_7
+FROZEN_MINOR_KEYS = [
+    (generic_sym, 2, QQ, 1,
+     b"M1,Q|x_1_1,x_1_2,x_2_2|sym2|3|1,1,b|\x01\x00\x00\x011,1,b|\x00\x01\x00\x011,1,b|\x00\x00\x01\x01"),
+    (generic_skew, 3, PrimeField(7), 2,
+     b"M2,Fp:7|x_1_2,x_1_3,x_2_3|skew3|3|1,1,b|\x01\x00\x00\x011,1,b|\x00\x01\x00\x011,1,b|\x00\x00\x01\x01"),
+]
+
+
+def test_minor_ideal_keys_are_frozen():
+    for maker, m, field, r, key in FROZEN_MINOR_KEYS:
+        assert MinorCache(maker(m, field)).ideal(r).cache_id == key
+    # the size tells apart the skew sizes 0 and 1, whose triangles are empty
+    assert matrices.matrix_bytes(generic_skew(0)) != matrices.matrix_bytes(generic_skew(1))
+
+
+def _matrix_encodings(monkeypatch):
+    """A list that collects every matrix whose bytes matrix_bytes encodes."""
+    encoded = []
+    real = matrices.encode_terms
+
+    def counted(polys):
+        caller = sys._getframe(1)
+        if caller.f_code is matrices.matrix_bytes.__code__:
+            encoded.append(caller.f_locals["M"])
+        return real(polys)
+
+    monkeypatch.setattr(matrices, "encode_terms", counted)
+    return encoded
+
+
+@pytest.mark.parametrize("run", [
+    lambda: chart_identity("skew", 6, 4),
+    lambda: resolve_sym(4, 4, all_charts=True, check="identities"),
+], ids=["chart_identity-skew6/4", "sym4/4-identities"])
+def test_a_warm_check_encodes_each_matrix_at_most_once(monkeypatch, run):
+    run()
+    encoded = _matrix_encodings(monkeypatch)
+    run()
+    # the list holds every matrix alive, so two objects never share an id
+    ids = [id(M) for M in encoded]
+    assert ids and len(ids) == len(set(ids))
+
+
+def test_a_build_without_checks_encodes_no_matrix_and_no_ideal(monkeypatch):
+    encoded = []
+    monkeypatch.setattr(matrices, "encode_terms", encoded.append)
+    assert len(resolve_sym(4, 4, all_charts=True, check="none").nodes) > 10 and encoded == []
 
 
 # --- laziness ----------------------------------------------------------------

@@ -739,11 +739,11 @@ def test_a_warm_repeat_decides_a_cached_saturation_without_a_cover(monkeypatch):
     live = resolution._center_identity_verdict
     decided = []
 
-    def watched(parent_matrix, red, j, roles, include_bases):
-        lhs = resolution._strict_minors(parent_matrix, red, j)
+    def watched(parent_matrix, red, tables, j, roles, include_bases):
+        lhs = resolution._strict_minors(red, j, tables[0])
         cached = red.eps is not None and verify._entry(lhs, red.eps) in verify._GB_CACHE
         before = len(seeds)
-        out = live(parent_matrix, red, j, roles, include_bases)
+        out = live(parent_matrix, red, tables, j, roles, include_bases)
         decided.append((cached, len(seeds) - before))
         return out
 

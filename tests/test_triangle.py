@@ -13,10 +13,11 @@ from types import SimpleNamespace
 import pytest
 
 from detsing.blowup import strict_transform_ideal, strict_transform_poly
-from detsing.errors import BadIndex, NotSkew
+from detsing.errors import BadIndex, NonHomogeneousGenerators, NotSkew
 from detsing.fields import QQ, PrimeField
 from detsing.matrices import (
     GenericMatrix,
+    MinorCache,
     generic_skew,
     generic_sym,
     minors,
@@ -217,7 +218,8 @@ def test_strict_minors_are_the_primed_minors(resolve, m, target, field):
     report = resolve(m, target, field, all_charts=True, check="none")
     for parent, red in parent_matrices_and_reductions(report):
         for j in range(1, parent.size + 1):
-            assert resolution._strict_minors(parent, red, j).gens == old_strict_minors(parent, red, j).gens
+            got = resolution._strict_minors(red, j, MinorCache(red.matrix))
+            assert got.gens == old_strict_minors(parent, red, j).gens
     # skew trees end in regular leaves only
     empty = [node for node in report.nodes if node.terminal_reason == "empty"]
     assert bool(empty) == (resolve is resolve_sym)
@@ -229,7 +231,9 @@ def test_strict_minors_are_the_primed_minors(resolve, m, target, field):
         assert node.strict_ideal.gens == old
 
 
-def test_strict_minors_fall_back_when_the_primed_matrix_holds_the_exceptional_variable():
+def test_strict_minors_refuse_a_primed_matrix_that_holds_the_exceptional_variable():
+    # only entries that are not homogeneous in the center variables leave e
+    # in A'; its minors are then not the strict transforms
     report = resolve_sym(3, 3, check="none")
     parent, red = parent_matrices_and_reductions(report)[0]
     e = red.ring.var(red.chart.exceptional_var)
@@ -237,8 +241,9 @@ def test_strict_minors_fall_back_when_the_primed_matrix_holds_the_exceptional_va
         red.ring, parent.size, {(i, j): red.matrix.rows[i][j] * e for i, j in triangle(3, "sym")}, "sym")
     stub = SimpleNamespace(chart=red.chart, matrix=bent)
     for j in range(1, 4):
-        assert resolution._strict_minors(parent, stub, j).gens == old_strict_minors(parent, red, j).gens
-        assert resolution._strict_minors(parent, stub, j).gens != minors_ideal(bent, j).gens
+        with pytest.raises(NonHomogeneousGenerators):
+            resolution._strict_minors(stub, j, MinorCache(bent))
+        assert old_strict_minors(parent, red, j).gens != minors_ideal(bent, j).gens
 
 
 # --------------------------------------------------------------------------

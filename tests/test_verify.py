@@ -7,7 +7,7 @@ import pytest
 
 from detsing.blowup import Center, make_chart, strict_transform_ideal, strict_transform_poly
 from detsing.errors import BadParameters, RingMismatch
-from detsing.fields import QQ, PrimeField
+from detsing.fields import QQ, PrimeField, field_name
 from detsing.groebner import GroebnerBasis, groebner
 from detsing.matrices import (
     Ideal,
@@ -24,8 +24,9 @@ from detsing.resolution import (
     _rewrite_consistency_verdict,
     resolve_sym,
 )
-from detsing.rings import Polynomial, decode_terms, ring, ring_bytes
+from detsing.rings import Polynomial, decode_terms, encode_terms, ring, ring_bytes
 from detsing.verify import (
+    check_embedded_resolution,
     check_fact,
     check_leaf,
     containment_witness,
@@ -249,6 +250,46 @@ def test_cache_keys_tell_apart_what_a_lossy_encoding_would_merge():
     I = Ideal(R, [x * y])
     sat_keys = {verify._entry(I, x), verify._entry(I, y), verify._entry(Ideal(R, [x * y, x]), None)}
     assert len(sat_keys) == 3 and not sat_keys & set(distinct)
+
+
+# the basis keys of (x*y - 2, y^3) and of the zero ideal in Q[x, y],
+# F_7[x, y] and F_101[x, y]
+FROZEN_IDEAL_KEYS = {
+    "Q": (b"GQ|x,y|2|2,1,4|\x01\x01\x00\x001,-21,1,b|\x00\x03\x01", b"GQ|x,y|0|"),
+    "Fp:7": (b"GFp:7|x,y|2|2,1,b|\x01\x01\x00\x00\x01\x051,1,b|\x00\x03\x01", b"GFp:7|x,y|0|"),
+    "Fp:101": (b"GFp:101|x,y|2|2,1,b|\x01\x01\x00\x00\x01c1,1,b|\x00\x03\x01", b"GFp:101|x,y|0|"),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)], ids=["Q", "F7", "F101"])
+def test_an_ideal_builds_its_frozen_key_once(monkeypatch, field):
+    R = ring("x y", field)
+    x, y = R.vars()
+    I, zero = Ideal(R, [x * y - 2, y ** 3]), Ideal(R, [])
+    assert (I.cache_id, zero.cache_id) == FROZEN_IDEAL_KEYS[field_name(field)]
+    assert I.cache_id == b"G" + ring_bytes(R) + encode_terms(I.gens)
+    # the key is kept by its ideal, and each ideal builds its own
+    encoded = []
+    monkeypatch.setattr(matrices, "encode_terms", lambda polys: encoded.append(polys) or encode_terms(polys))
+    assert verify._entry(I) is I.cache_id and verify._entry(zero, x)[1:].startswith(zero.cache_id)
+    assert encoded == []
+    assert Ideal(R, [y ** 3]).cache_id == b"G" + ring_bytes(R) + encode_terms((y ** 3,)) and len(encoded) == 1
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+def test_a_saturation_carries_the_key_of_its_generators(monkeypatch, warm):
+    monkeypatch.setattr(verify, "_GB_CACHE", OrderedDict())
+    R = ring("x y z", PrimeField(7))
+    x, y, z = R.vars()
+    I = Ideal(R, [x * y, x * z])
+    if warm:
+        saturate(I, x)
+    S = saturate(I, x)
+    assert S.gens == groebner([y, z]).polys
+    assert S.cache_id == Ideal(R, S.gens).cache_id
+    # the saturation's basis is filed under that key, and not under I's
+    assert verify._GB_CACHE[S.cache_id] == verify._basis_bytes(groebner(list(S.gens)))
+    assert I.cache_id not in verify._GB_CACHE
 
 
 def test_cached_bases_answer_for_their_own_ideal():
@@ -476,6 +517,18 @@ def test_check_embedded_resolution_shapes():
     assert agg["pass"] and len(agg["leaves"]) == 2
     bad = check_embedded_resolution(_Report([good, singular]))
     assert not bad["pass"]
+
+
+def test_the_leaf_checks_refuse_what_is_not_a_leaf_or_a_report():
+    interior = resolve_sym(3, 3, check="none").nodes[0]
+    for bad in (3, None, interior, _Leaf(None), _Leaf([ring("y").var("y")])):
+        with pytest.raises(BadParameters):
+            check_leaf(bad)
+    for bad in (3, None, [interior]):
+        with pytest.raises(BadParameters):
+            check_embedded_resolution(bad)
+    with pytest.raises(BadParameters):
+        check_embedded_resolution(_Report([interior]))
 
 
 # --- one read of each cached basis per check ---------------------------------
