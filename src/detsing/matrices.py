@@ -396,6 +396,12 @@ def minors(M: GenericMatrix, r: int) -> list:
     return [(I, J, cache.minor(I, J)) for I, J in product(sets, repeat=2)]
 
 
+def ideal_cache_id(ring_: Ring, body: bytes) -> bytes:
+    """The basis-cache key of an ideal of ring_ whose generators encode_terms
+    wrote as body: b"G", the ring (rings.ring_bytes), then body."""
+    return b"G" + ring_bytes(ring_) + body
+
+
 class Ideal:
     """A finitely generated ideal: a ring plus an ordered generator tuple."""
 
@@ -412,7 +418,7 @@ class Ideal:
         read, as an ideal is immutable by convention: b"G", the ring
         (rings.ring_bytes), then the generators (rings.encode_terms)."""
         if self._key is None:
-            self._key = b"G" + ring_bytes(self.ring) + encode_terms(self.gens)
+            self._key = ideal_cache_id(self.ring, encode_terms(self.gens))
         return self._key
 
     def contains_unit_generator(self) -> bool:

@@ -335,10 +335,10 @@ def _transcript(red):
 
 
 def _build_child(node, red, orbit_size):
-    """Assemble the child node for one chart reduction.  One map, ``step``,
-    leads from the parent ring to the child's: the chart map, then the
-    rewrite to fresh generic coordinates when any remain.  The composed
-    map, units and relations pass through it once."""
+    """Assemble the child node for one chart reduction.  Each image of the
+    composed map, each unit and each relation goes from the parent ring to
+    the child's by the chart's exponent rule (``ChartMap.apply``), then by
+    the rewrite to fresh generic coordinates when any remain."""
     k, l = red.position
     chart = red.chart
     T = red.ring
@@ -350,7 +350,7 @@ def _build_child(node, red, orbit_size):
     if n == 0:
         # Off-diagonal chart of a 2x2 symmetric matrix: nothing remains to
         # reduce; the child is terminal with the chart ring as its own.
-        U, child_matrix, rewrite, step = T, None, None, chart.substitution
+        U, child_matrix, rewrite = T, None, None
         units, relations = [red.eps], []
     else:
         # Each upper-triangle entry (a, b) pairs a fresh variable with the
@@ -372,7 +372,6 @@ def _build_child(node, red, orbit_size):
                 image = U.var(s_name) * image + embed(Q, U)
             images[x] = image
         rewrite = Substitution(T, U, images)
-        step = chart.substitution.then(rewrite)
 
         maker = generic_skew if node.kind == "skew" else generic_sym
         child_matrix = maker(n, T.field, prefix=prefix, ring_=U)
@@ -382,6 +381,7 @@ def _build_child(node, red, orbit_size):
             units.append(eps_u)
             relations.append(U.var(s_name) * eps_u - U.one())
 
+    step = chart.apply if rewrite is None else lambda f: rewrite(chart.apply(f))
     child = ChartNode(
         node_id=f"{node.node_id}/X_{k}_{l}",
         parent_id=node.node_id,
@@ -391,7 +391,7 @@ def _build_child(node, red, orbit_size):
         matrix=child_matrix,
         stage=node.stage + node.size - n,
         target=node.target,
-        composed=node.composed.then(step),
+        composed=Substitution(node.composed.source, U, {n: step(g) for n, g in node.composed.images.items()}),
         rewrite=rewrite,
         reduction=red,
         exceptional=exceptional,

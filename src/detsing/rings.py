@@ -16,8 +16,8 @@ behind Bareiss and ``exact_div``) work on one packed-int monomial layout,
 them and the matrix routes; every other routine, ``Polynomial.__mul__``
 and ``Substitution`` included, works on exponent tuples.
 
-A substitution expands each term factor by factor, which is cheap for the
-chart tree's images: monomials, or polynomials met at power 1 or 2.
+A substitution renames by one gather per term and multiplies in its other
+images factor by factor; the chart trees meet those at power 1 or 2.
 
 Printing and parsing share one text grammar:
 
@@ -44,7 +44,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from operator import add, mul, neg
+from operator import add, itemgetter, mul, neg
 from typing import Iterable
 
 from .errors import (
@@ -460,16 +460,22 @@ class Substitution:
     from `images` default to the same-named target variable when one exists.
     Both rings share one field: coefficients carry over unconverted.
 
-    A variable at exponent e multiplies each partial term by its image's
-    terms e times, and like monomials are collected only over the result.
-    Work repeats only where repeated partial terms meet a further factor,
-    e.g. from the third factor of a power of a multi-term image on; the
-    result stays exact. The chart trees never get there: their images are
-    monomials or polynomials met at power 1, and the squares of multi-term
-    images at the empty leaves of trees like sym 6/3 repeat nothing.
+    The first call builds a plan that later calls reuse. A source variable
+    whose image is one target variable with coefficient one is a rename,
+    unless an earlier source renames to that variable: one gather
+    (``operator.itemgetter`` over the exponent tuple padded with a zero)
+    moves a term's renamed exponents to their target positions. Every other
+    variable at a nonzero exponent e then multiplies each partial term by
+    its image's terms e times, and like monomials are collected only over
+    the result. Work repeats only where repeated partial terms meet a
+    further factor, e.g. from the third factor of a power of a multi-term
+    image on; the result stays exact. The chart trees never get there:
+    their images are monomials or polynomials met at power 1, and the
+    squares of multi-term images at the empty leaves of trees like sym 6/3
+    repeat nothing.
     """
 
-    __slots__ = ("source", "target", "images", "_image_list")
+    __slots__ = ("source", "target", "images", "_plan")
 
     def __init__(self, source: Ring, target: Ring, images: dict):
         if require_ring(source).field != require_ring(target).field:
@@ -492,22 +498,38 @@ class Substitution:
                     )
                 resolved[name] = target.var(name)
         self.images = resolved
-        self._image_list = [resolved[n] for n in source.names]
+        self._plan = None
+
+    def _make_plan(self) -> tuple:
+        """(gather, image terms, flags): the plan of the class docstring."""
+        one, n = self.target.field.one, self.source.nvars
+        # each target position reads the padding zero unless a source renames to it
+        order = [n] * self.target.nvars
+        images, general = [], []
+        for i, name in enumerate(self.source.names):
+            items = list(self.images[name].terms.items())
+            m, c = items[0] if len(items) == 1 else ((), None)
+            renamed = c == one and sum(m) == 1 and order[m.index(1)] == n
+            if renamed:
+                order[m.index(1)] = i
+            images.append(items)
+            general.append(int(not renamed))
+        # itemgetter returns a scalar for one index and takes no empty list
+        gather = itemgetter(*order) if len(order) > 1 else lambda m: tuple([m[i] for i in order])
+        self._plan = gather, images, general
+        return self._plan
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        if f.ring is not self.source and f.ring != self.source:
-            raise RingMismatch("polynomial is not in the source ring")
-        images = self._image_list
+        if not isinstance(f, Polynomial) or f.ring is not self.source and f.ring != self.source:
+            require_polynomials(self.source, [f])
+        gather, images, general = self._plan or self._make_plan()
         acc: dict = {}
         get = acc.get
         for mono, coeff in f.terms.items():
-            term = [(self.target._zero_mono, coeff)]
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
+            term = [(gather(mono + (0,)), coeff)]
+            for e, items in compress(zip(mono, images), map(mul, mono, general)):
                 for _ in range(e):
-                    term = [(m_mul(m1, m2), c1 * c2)
-                            for m1, c1 in term for m2, c2 in images[i].terms.items()]
+                    term = [(m_mul(m1, m2), c1 * c2) for m1, c1 in term for m2, c2 in items]
             for m, c in term:
                 acc[m] = get(m, 0) + c
         return Polynomial._reduced(self.target, acc)

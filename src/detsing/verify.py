@@ -39,8 +39,8 @@ from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
 from .fields import QQ, field_name
 from .groebner import GroebnerBasis, _seed_loop, elimination_order, grevlex_order, groebner
-from .matrices import (GenericMatrix, Ideal, MinorCache, determinant, generic_skew, matrix_bytes, pfaffian,
-                       require_ideal)
+from .matrices import (GenericMatrix, Ideal, MinorCache, determinant, generic_skew, ideal_cache_id, matrix_bytes,
+                       pfaffian, require_ideal)
 from .rings import Polynomial, Ring, decode_terms, embed, encode_terms, encoded_count
 
 # The cache, least recently used first. A basis key is the ideal's
@@ -296,6 +296,8 @@ def _saturation(I: Ideal, u: Polynomial) -> tuple:
     else:
         basis = _basis_from(R, value)
     out = Ideal(R, basis.polys)
+    # the value's body is encode_terms(basis.polys), so it keys out as is
+    out._key = ideal_cache_id(R, value.partition(b"|")[2])
     _remember(out.cache_id, value)
     return out, basis
 

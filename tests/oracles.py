@@ -32,7 +32,10 @@ reduced bases, and radical membership by the Rabinowitsch basis alone.
 They run the package's Gröbner kernel, so they hold the certificates, not
 the kernel, to account. A sixth is the dropping of zero and sign-duplicate
 minors as it stood before it moved onto packed terms
-(``frozen_dedup_generators``).
+(``frozen_dedup_generators``). A seventh is the substitution loop as it
+stood before renames moved into one gather (``oracle_substitute``); the
+differential tests hold ``rings.Substitution`` and the chart's exponent
+rule (``blowup.ChartMap.apply``) to it.
 """
 
 import heapq
@@ -649,3 +652,19 @@ def oracle_radical_member(f, I):
     ext = Ring(list(R.names) + [t], R.field)
     gens = [embed(g, ext) for g in I.gens] + [ext.one() - ext.var(t) * embed(f, ext)]
     return groebner(gens).is_unit_ideal()
+
+
+def oracle_substitute(sub, f):
+    """sub(f) by the frozen loop: every variable at exponent e, renames
+    included, multiplies each partial term by its image's terms e times,
+    and like monomials are collected only over the result."""
+    images = [sub.images[n] for n in sub.source.names]
+    acc = {}
+    for mono, coeff in f.terms.items():
+        term = [(sub.target._zero_mono, coeff)]
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = [(_m_mul(m1, m2), c1 * c2) for m1, c1 in term for m2, c2 in images[i].terms.items()]
+        for m, c in term:
+            acc[m] = acc.get(m, 0) + c
+    return Polynomial._reduced(sub.target, acc)

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import detsing
-from detsing import cli
+from detsing import cli, resolution
+from detsing.rings import Substitution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -78,3 +79,29 @@ def test_cli_output_matches_frozen_expectation(expected, req, capsys):
     code = cli.main(workloads.cli_argv(req))
     observed = workloads.observe_cli(req, code, capsys.readouterr().out)
     assert workloads.matches(observed, expected["cli-resolve"][req.key]), observed
+
+
+def test_a_build_composes_no_map_and_calls_no_chart_substitution(expected, monkeypatch):
+    # a child's composed map, units and relations go through the chart's
+    # exponent rule and the rewrite; composing them first (Substitution.then)
+    # or calling the chart's own substitution would repeat that work
+    charts, then_calls, chart_calls = {}, [], []
+    real_make_chart, real_call = resolution.make_chart, Substitution.__call__
+
+    def make_chart(center, chart_var):
+        chart = real_make_chart(center, chart_var)
+        charts[id(chart.substitution)] = chart
+        return chart
+
+    def call(self, f):
+        if id(self) in charts:
+            chart_calls.append(self)
+        return real_call(self, f)
+
+    monkeypatch.setattr(resolution, "make_chart", make_chart)
+    monkeypatch.setattr(Substitution, "__call__", call)
+    monkeypatch.setattr(Substitution, "then", lambda *args: then_calls.append(args))
+    req = workloads.Request("build", ("sym", 4, 4, True), "Q")
+    report = workloads.execute(detsing, req)
+    assert len(charts) == len(report.nodes) - 1 and then_calls == [] and chart_calls == []
+    assert workloads.matches(workloads.observe(req, report), expected["chart-build"][req.key])

@@ -1,5 +1,7 @@
 """Chart construction and transforms under coordinate-subspace blow-ups."""
 
+import random
+
 import pytest
 import sympy
 
@@ -22,9 +24,10 @@ from detsing.errors import (
 )
 from detsing.groebner import groebner
 from detsing.matrices import Ideal, determinant, generic_skew, generic_sym, minors_ideal
-from detsing.rings import ring
+from detsing.fields import QQ, PrimeField
+from detsing.rings import Polynomial, Ring, ring
 
-from .oracles import to_sympy
+from .oracles import oracle_substitute, to_sympy
 
 
 @pytest.fixture
@@ -259,3 +262,45 @@ def test_strict_transform_ideal_refuses_a_non_chart(origin3, chart):
         strict_transform_ideal(I, chart)
     with pytest.raises(BadParameters):
         strict_transform_ideal(I, origin3)
+
+
+# --- the chart's exponent rule against its substitution ---------------------
+
+
+def _random_poly(rng, R, max_terms=6, max_exp=3):
+    """Random polynomial, in general not homogeneous in any center."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple(rng.randint(0, max_exp) for _ in R.names)
+        terms[mono] = terms.get(mono, 0) + rng.randint(-9, 9)
+    return Polynomial._reduced(R, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_chart_rule_matches_the_chart_substitution(field):
+    # every center of one to all five variables, the proper subsets
+    # included, and every chart of it; f is mostly not homogeneous in the
+    # center, where a rule that drops a center variable from the degree
+    # still agrees on some terms but not on all
+    rng = random.Random(f"chart-rule/{field!r}")
+    R = Ring(["a", "b", "c", "d", "e"], field)
+    for size in range(1, 6):
+        for _ in range(6):
+            center = Center(R, rng.sample(R.names, size))
+            for chart in charts(center):
+                for _ in range(3):
+                    f = _random_poly(rng, R)
+                    got = total_transform(f, chart)
+                    want = chart.substitution(f)
+                    assert got == want == oracle_substitute(chart.substitution, f)
+                    assert list(got.terms.items()) == list(want.terms.items())
+                    if f:
+                        assert strict_transform_poly(f, chart) == want.factor_out(chart.exceptional_var)
+
+
+def test_chart_rule_on_a_proper_center():
+    R = ring("x y z w")
+    chart = make_chart(Center(R, ["y", "w"]), "w")
+    f = R.parse("x^2*y*w^3 + y^2 - z*w + 3")
+    # y -> wp*yp, w -> wp, x and z renamed
+    assert total_transform(f, chart) == chart.target.parse("xp^2*yp*wp^4 + yp^2*wp^2 - zp*wp + 3")

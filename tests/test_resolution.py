@@ -479,8 +479,9 @@ def test_composed_substitution_depth_two():
 
 @pytest.mark.parametrize("resolve, m, size", [(resolve_sym, 4, 4), (resolve_skew, 6, 3)])
 def test_fused_step_matches_chart_then_rewrite(resolve, m, size):
-    # each child is reached by one map; it must agree with the chart map
-    # followed by the rewrite, applied one after the other
+    # each child's composed map, units and relations must agree with the
+    # chart map followed by the rewrite, composed by Substitution.then and
+    # applied one after the other
     rep = resolve(m, size, all_charts=True, check="none")
     for child in rep.nodes[1:]:
         parent = rep.node(child.parent_id)

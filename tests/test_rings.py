@@ -38,6 +38,8 @@ from detsing.rings import (
     ring_bytes,
 )
 
+from .oracles import oracle_substitute
+
 
 @pytest.fixture
 def R3():
@@ -448,6 +450,89 @@ def test_substitution_refuses_a_non_polynomial_image_or_a_non_ring():
         Substitution(R, "S", {})
     with pytest.raises(RingMismatch):
         Substitution(R, S, {"x": R.var("x")})
+
+
+def test_substitution_refuses_an_argument_that_is_not_a_polynomial():
+    R = ring("x y")
+    sub = Substitution(R, R, {})
+    for bad in (3, "x", None, (R.var("x"),)):
+        with pytest.raises(BadParameters):
+            sub(bad)
+    with pytest.raises(RingMismatch):
+        sub(ring("x y z").var("x"))
+
+
+# --- the substitution kernel against the frozen loop -----------------------
+
+
+def _same_terms(sub, f):
+    """sub(f) equals the frozen loop's result, its terms in the same stored
+    order, which the cache keys of ``rings.encode_terms`` read."""
+    got, want = sub(f), oracle_substitute(sub, f)
+    assert got == want and list(got.terms.items()) == list(want.terms.items())
+    return got
+
+
+def _random_poly(rng, R, max_terms=5, max_exp=3):
+    """Random polynomial, small int coefficients, exponents up to max_exp."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mono = tuple(rng.randint(0, max_exp) for _ in R.names)
+        terms[mono] = terms.get(mono, 0) + rng.randint(-9, 9)
+    return Polynomial._reduced(R, terms)
+
+
+def _random_image(rng, S):
+    """One image in S: a target variable y, 2*y or -y when S has
+    variables, else (and also then) a constant, zero or a polynomial."""
+    kinds = ["const", "zero", "poly"] + (["rename"] * 3 + ["double", "negated"] if S.names else [])
+    kind = rng.choice(kinds)
+    if kind == "rename":
+        return S.var(rng.choice(S.names))
+    if kind in ("double", "negated"):
+        return S.var(rng.choice(S.names)) * (2 if kind == "double" else -1)
+    if kind == "const":
+        return S.const(rng.randint(1, 9))
+    return S.zero() if kind == "zero" else _random_poly(rng, S, max_terms=3, max_exp=2)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("target_vars", [0, 1, 2, 3])
+def test_substitution_matches_the_frozen_loop(field, target_vars):
+    # itemgetter gives a scalar for one index and refuses none, so the
+    # target rings of 0 and 1 variables take the gather's other branch
+    rng = random.Random(f"substitution/{field!r}/{target_vars}")
+    S = Ring(["u", "v", "w"][:target_vars], field)
+    for _ in range(40):
+        R = Ring(["x", "y", "z", "t"][:rng.randint(1, 4)], field)
+        sub = Substitution(R, S, {n: _random_image(rng, S) for n in R.names})
+        for _ in range(4):
+            _same_terms(sub, _random_poly(rng, R))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_substitution_corner_images(field):
+    R, S = Ring(["x", "y", "z"], field), Ring(["u", "v"], field)
+    f = R.parse("x^3*y^2*z + 2*x*y^3 - x^2*z^2 + 5*y + 1")
+    # two sources renamed to one target: the second is multiplied in
+    both = Substitution(R, S, {"x": "u", "y": "u", "z": "v"})
+    assert _same_terms(both, R.parse("x^2*y")) == S.parse("u^3")
+    _same_terms(both, f)
+    # 2*u and -u are not renames; an odd power of -u keeps its sign
+    scaled = Substitution(R, S, {"x": "2*u", "y": "-u", "z": "v"})
+    assert _same_terms(scaled, R.parse("x*y^3")) == S.parse("-2*u^4")
+    _same_terms(scaled, f)
+    # constant and zero images
+    flat = Substitution(R, S, {"x": "3", "y": "0", "z": "u"})
+    assert _same_terms(flat, f) == S.parse("-9*u^2 + 1")
+    # multi-term images met at exponent 2 and 3
+    dense = Substitution(R, S, {"x": "u + v", "y": "u - 2*v + 1", "z": "u*v"})
+    assert _same_terms(dense, R.parse("x^3")) == S.parse("u^3 + 3*u^2*v + 3*u*v^2 + v^3")
+    _same_terms(dense, f)
+    # a rename into a target variable of another position
+    swapped = Substitution(R, S, {"x": "v", "y": "u", "z": "u + v"})
+    assert _same_terms(swapped, R.parse("x^2*y")) == S.parse("u*v^2")
+    _same_terms(swapped, f)
 
 
 # --- exact byte strings ----------------------------------------------------
