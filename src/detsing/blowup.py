@@ -5,9 +5,9 @@ those variables lives in a fresh ring whose variables carry a ``p`` suffix;
 the chart variable maps to the exceptional variable e, every other center
 variable t maps to e*tp, and the remaining variables are renamed untouched.
 So a monomial keeps its exponent vector, except at the chart variable, whose
-exponent becomes its degree in the center; ``ChartMap.apply`` transforms by
-this rule, with no substitution. Strict transforms divide out the
-exceptional variable as often as possible.
+exponent becomes its degree in the center. A ``ChartMap`` is this rule
+alone: ``apply`` transforms by it and ``to_json`` prints its images. Strict
+transforms divide out the exceptional variable as often as possible.
 """
 
 from itertools import compress
@@ -16,10 +16,11 @@ from .errors import (
     BadParameters,
     NonHomogeneousGenerators,
     NotInCenter,
+    UnknownVariable,
     ZeroPolynomial,
 )
 from .matrices import Ideal, require_ideal
-from .rings import Polynomial, Ring, Substitution, as_tuple, require_polynomials, require_ring
+from .rings import Polynomial, Ring, as_tuple, require_polynomials, require_ring
 
 
 class Center:
@@ -29,14 +30,17 @@ class Center:
 
     def __init__(self, ring_: Ring, names):
         require_ring(ring_)
-        ordered = list(dict.fromkeys(as_tuple(names, "the center's names")))
-        if not ordered:
+        names = as_tuple(names, "the center's names")
+        if not names:
             raise BadParameters("a blow-up center needs at least one variable")
-        for n in ordered:
-            ring_.var(n)  # raises UnknownVariable
+        for n in names:
+            if not isinstance(n, str):
+                raise BadParameters(f"a center variable is named by a string, not {n!r}")
+            if n not in ring_.index:
+                raise UnknownVariable(f"{n!r} is not a variable of {ring_!r}")
         self.ring = ring_
         # store in ring order so chart enumeration is deterministic
-        self.names = tuple(sorted(ordered, key=ring_.names.index))
+        self.names = tuple(sorted(set(names), key=ring_.index.get))
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -64,24 +68,25 @@ class Center:
 class ChartMap:
     """One affine chart of the blow-up along a center.
 
-    The substitution sends the source ring into the chart's fresh target
-    ring; ``exceptional_var`` cuts out the exceptional divisor there.
+    The exponent rule of the module docstring sends the source ring into
+    the chart's fresh target ring of primed names; ``exceptional_var``, the
+    chart variable's primed name, cuts out the exceptional divisor there.
     """
 
-    __slots__ = ("center", "chart_var", "substitution", "exceptional_var", "source", "target", "_index", "_mask")
+    __slots__ = ("center", "chart_var", "exceptional_var", "source", "target", "_index", "_mask")
 
-    def __init__(self, center, chart_var, substitution, exceptional_var):
+    def __init__(self, center, chart_var):
         self.center = center
         self.chart_var = chart_var
-        self.substitution = substitution
-        self.exceptional_var = exceptional_var
-        self.source, self.target = substitution.source, substitution.target
+        self.exceptional_var = primed(chart_var)
+        self.source = src = center.ring
+        self.target = Ring([primed(n) for n in src.names], src.field)
         # the chart variable's position and the center's 0/1 mask, for apply
-        self._index = self.source.index[chart_var]
-        self._mask = [int(n in center) for n in self.source.names]
+        self._index = src.index[chart_var]
+        self._mask = [int(n in center) for n in src.names]
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """substitution(f) by the exponent rule, injective on monomials."""
+        """f's image in the chart by the exponent rule, injective on monomials."""
         if not isinstance(f, Polynomial) or f.ring is not self.source:
             require_polynomials(self.source, [f])
         i, mask = self._index, self._mask
@@ -92,10 +97,13 @@ class ChartMap:
         return f"ChartMap({self.chart_var}-chart of {self.center!r})"
 
     def to_json(self):
+        # n's image: the primed names at n's position and, for n in the center, at the chart variable's
+        names, i = self.source.names, self._index
         return {
             "center_vars": list(self.center.names),
             "chart_var": self.chart_var,
-            "substitution": self.substitution.to_json(),
+            "substitution": {n: "*".join(primed(names[k]) for k in sorted({j, i} if c else {j}))
+                             for j, (n, c) in enumerate(zip(names, self._mask))},
             "exceptional_var": self.exceptional_var,
         }
 
@@ -105,45 +113,27 @@ def primed(name: str) -> str:
     return name + "p"
 
 
-def _require_center(value) -> Center:
-    if not isinstance(value, Center):
-        raise BadParameters(f"expected a Center, got {type(value).__name__}")
-    return value
-
-
-def _require_chart(value) -> ChartMap:
-    if not isinstance(value, ChartMap):
-        raise BadParameters(f"expected a ChartMap, got {type(value).__name__}")
+def _require(value, kind):
+    if not isinstance(value, kind):
+        raise BadParameters(f"expected a {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def make_chart(center: Center, chart_var: str) -> ChartMap:
     """Chart of the blow-up of ``center`` where ``chart_var`` is the unit."""
-    if chart_var not in _require_center(center):
+    if chart_var not in _require(center, Center):
         raise NotInCenter(f"{chart_var} is not a center variable")
-    src = center.ring
-    target = Ring([primed(n) for n in src.names], src.field)
-    e = target.var(primed(chart_var))
-    images = {}
-    for n in src.names:
-        if n == chart_var:
-            images[n] = e
-        elif n in center:
-            images[n] = e * target.var(primed(n))
-        else:
-            images[n] = target.var(primed(n))
-    sub = Substitution(src, target, images)
-    return ChartMap(center, chart_var, sub, primed(chart_var))
+    return ChartMap(center, chart_var)
 
 
 def charts(center: Center):
     """All charts of the blow-up, in center-variable order."""
-    return [make_chart(center, n) for n in _require_center(center).names]
+    return [make_chart(center, n) for n in _require(center, Center).names]
 
 
 def total_transform(f: Polynomial, c: ChartMap) -> Polynomial:
-    """c.substitution(f), by the chart's exponent rule (ChartMap.apply)."""
-    return _require_chart(c).apply(f)
+    """f's image in the chart ring, by the chart's exponent rule (ChartMap.apply)."""
+    return _require(c, ChartMap).apply(f)
 
 
 def strict_transform_poly(f: Polynomial, c: ChartMap):
@@ -167,7 +157,7 @@ def strict_transform_ideal(I: Ideal, c: ChartMap) -> Ideal:
     membership tests for an explicit two-generator failure).
     """
     require_ideal(I)
-    _require_chart(c)
+    _require(c, ChartMap)
     gens = [g for g in I.gens if not g.is_zero()]
     for g in gens:
         if not g.is_homogeneous(in_vars=c.center.names):

@@ -726,6 +726,8 @@ def _certify(report, include_bases):
 def _resolve(kind, m, target, field, all_charts, check, input_desc):
     if check not in ("none", "identities", "full"):
         raise BadParameters(f"unknown check level {check!r}")
+    if type(all_charts) is not bool:
+        raise BadParameters(f"all_charts is True or False, not {all_charts!r}")
     t0 = time.monotonic()
     maker = generic_skew if kind == "skew" else generic_sym
     nodes = []
@@ -803,8 +805,8 @@ def chart_identity(kind, m, r, chart_type=None, field=QQ, position=None,
     kind "skew" uses the off-diagonal chart; kind "sym" needs chart_type
     "diag" or "offdiag" (off-diagonal identities are eps-saturated).
     """
-    if type(m) is not int or type(r) is not int:
-        raise BadParameters("m and r must be integers")
+    if type(m) is not int or type(r) is not int or type(include_bases) is not bool:
+        raise BadParameters("m and r must be integers and include_bases True or False")
     if kind == "skew" and chart_type in (None, "offdiag"):
         chart_type = "skew"
     if _CHARTS.get(chart_type, (None,))[0] != kind:

@@ -536,6 +536,8 @@ class Substitution:
 
     def then(self, later: "Substitution") -> "Substitution":
         """Composition: first self, then later."""
+        if not isinstance(later, Substitution):
+            raise BadParameters(f"a substitution composes with a substitution, not {later!r}")
         if self.target is not later.source and self.target != later.source:
             raise RingMismatch("substitutions do not compose")
         images = {n: later(self.images[n]) for n in self.source.names}

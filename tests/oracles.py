@@ -35,7 +35,11 @@ minors as it stood before it moved onto packed terms
 (``frozen_dedup_generators``). A seventh is the substitution loop as it
 stood before renames moved into one gather (``oracle_substitute``); the
 differential tests hold ``rings.Substitution`` and the chart's exponent
-rule (``blowup.ChartMap.apply``) to it.
+rule (``blowup.ChartMap.apply``) to it. An eighth is a chart's map as a
+``Substitution`` with one image polynomial per variable, built the way
+``blowup.make_chart`` built it before a chart became its exponent rule
+(``oracle_chart_substitution``); the differential tests hold the rule's
+transforms and its printed images (``blowup.ChartMap.to_json``) to it.
 """
 
 import heapq
@@ -48,7 +52,7 @@ from detsing.blowup import strict_transform_ideal
 from detsing.errors import ResourceLimit
 from detsing.groebner import groebner
 from detsing.matrices import Ideal, minors_ideal
-from detsing.rings import Polynomial, Ring, embed
+from detsing.rings import Polynomial, Ring, Substitution, embed
 from detsing.verify import saturate, verdict
 
 
@@ -668,3 +672,22 @@ def oracle_substitute(sub, f):
         for m, c in term:
             acc[m] = acc.get(m, 0) + c
     return Polynomial._reduced(sub.target, acc)
+
+
+def oracle_chart_substitution(chart):
+    """The chart's map as a Substitution into its own ring of primed names
+    (a ``p`` suffix): the chart variable goes to e, its primed name, every
+    other center variable t to e*tp, and every other variable to its
+    primed name."""
+    src = chart.source
+    target = Ring([n + "p" for n in src.names], src.field)
+    e = target.var(chart.chart_var + "p")
+    images = {}
+    for n in src.names:
+        if n == chart.chart_var:
+            images[n] = e
+        elif n in chart.center:
+            images[n] = e * target.var(n + "p")
+        else:
+            images[n] = target.var(n + "p")
+    return Substitution(src, target, images)

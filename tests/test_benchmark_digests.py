@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import detsing
-from detsing import cli, resolution
+from detsing import cli
 from detsing.rings import Substitution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -81,27 +81,22 @@ def test_cli_output_matches_frozen_expectation(expected, req, capsys):
     assert workloads.matches(observed, expected["cli-resolve"][req.key]), observed
 
 
-def test_a_build_composes_no_map_and_calls_no_chart_substitution(expected, monkeypatch):
-    # a child's composed map, units and relations go through the chart's
-    # exponent rule and the rewrite; composing them first (Substitution.then)
-    # or calling the chart's own substitution would repeat that work
-    charts, then_calls, chart_calls = {}, [], []
-    real_make_chart, real_call = resolution.make_chart, Substitution.__call__
+def test_a_build_composes_no_map_and_builds_no_chart_substitution(expected, monkeypatch):
+    # a chart is its exponent rule, so a build without checks constructs one
+    # Substitution per node (its composed map) and one per rewrite, no chart
+    # substitution; composing maps first (Substitution.then) would repeat
+    # the work of applying the chart and the rewrite
+    built, then_calls = [], []
+    real_init = Substitution.__init__
 
-    def make_chart(center, chart_var):
-        chart = real_make_chart(center, chart_var)
-        charts[id(chart.substitution)] = chart
-        return chart
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
 
-    def call(self, f):
-        if id(self) in charts:
-            chart_calls.append(self)
-        return real_call(self, f)
-
-    monkeypatch.setattr(resolution, "make_chart", make_chart)
-    monkeypatch.setattr(Substitution, "__call__", call)
+    monkeypatch.setattr(Substitution, "__init__", init)
     monkeypatch.setattr(Substitution, "then", lambda *args: then_calls.append(args))
     req = workloads.Request("build", ("sym", 4, 4, True), "Q")
     report = workloads.execute(detsing, req)
-    assert len(charts) == len(report.nodes) - 1 and then_calls == [] and chart_calls == []
+    rewrites = sum(node.rewrite is not None for node in report.nodes)
+    assert len(built) == len(report.nodes) + rewrites and then_calls == []
     assert workloads.matches(workloads.observe(req, report), expected["chart-build"][req.key])

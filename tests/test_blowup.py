@@ -27,7 +27,7 @@ from detsing.matrices import Ideal, determinant, generic_skew, generic_sym, mino
 from detsing.fields import QQ, PrimeField
 from detsing.rings import Polynomial, Ring, ring
 
-from .oracles import oracle_substitute, to_sympy
+from .oracles import oracle_chart_substitution, oracle_substitute, to_sympy
 
 
 @pytest.fixture
@@ -44,6 +44,23 @@ def test_center_validation():
         Center(R, ["x", "w"])
     # duplicates collapse, order is the ring's
     assert Center(R, ["z", "x", "z"]).names == ("x", "z")
+
+
+@pytest.mark.parametrize("name", [[1], {"x"}, 1, None, b"x", ("x",)], ids=repr)
+def test_center_refuses_a_name_that_is_not_a_string(name):
+    # an unhashable name included: each is checked before duplicates collapse
+    R = ring("x y z")
+    with pytest.raises(BadParameters):
+        Center(R, [name])
+    with pytest.raises(BadParameters):
+        Center(R, ["x", name, "x"])
+
+
+def test_center_names_an_unknown_variable_after_known_ones():
+    R = ring("x y z")
+    with pytest.raises(UnknownVariable):
+        Center(R, ["z", "y", "xp"])
+    assert Center(R, ("z", "y", "y")).names == ("y", "z")
 
 
 def test_chart_substitution_rule():
@@ -288,14 +305,40 @@ def test_chart_rule_matches_the_chart_substitution(field):
         for _ in range(6):
             center = Center(R, rng.sample(R.names, size))
             for chart in charts(center):
+                sub = oracle_chart_substitution(chart)
                 for _ in range(3):
                     f = _random_poly(rng, R)
                     got = total_transform(f, chart)
-                    want = chart.substitution(f)
-                    assert got == want == oracle_substitute(chart.substitution, f)
+                    want = sub(f)
+                    assert got == want == oracle_substitute(sub, f)
                     assert list(got.terms.items()) == list(want.terms.items())
                     if f:
                         assert strict_transform_poly(f, chart) == want.factor_out(chart.exceptional_var)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_printed_chart_map_matches_the_chart_substitution(field):
+    # every chart of random centers of one to all five variables: the chart
+    # variable falls both before and after other center variables in ring
+    # order, and non-center variables sit between them
+    rng = random.Random(f"chart-json/{field!r}")
+    R = Ring(["a", "b", "c", "d", "e"], field)
+    before = after = 0
+    for size in range(1, 6):
+        for _ in range(8):
+            center = Center(R, rng.sample(R.names, size))
+            for chart in charts(center):
+                sub = oracle_chart_substitution(chart)
+                assert chart.target == sub.target
+                assert chart.to_json() == {
+                    "center_vars": list(center.names),
+                    "chart_var": chart.chart_var,
+                    "substitution": {n: image.format() for n, image in sub.images.items()},
+                    "exceptional_var": sub.target.names[R.index[chart.chart_var]],
+                }
+                before += chart.chart_var != center.names[-1]
+                after += chart.chart_var != center.names[0]
+    assert before and after
 
 
 def test_chart_rule_on_a_proper_center():

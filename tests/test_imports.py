@@ -19,6 +19,9 @@ The basis cache is ``verify``'s alone: no other module names ``_GB_CACHE``,
 name an ideal or a matrix is ``matrices``' alone: no other module writes a
 bytes literal that starts an ideal's key (``b"G"``) or a minor ideal's
 (``b"M..."``).
+
+A chart is its exponent rule: ``blowup`` names no ``Substitution``, by
+import or attribute, so it builds none to apply or print a chart.
 """
 
 import ast
@@ -309,3 +312,35 @@ def test_finds_a_key_literal():
 )
 def test_only_matrices_names_an_ideal_or_a_matrix(path):
     assert key_literals(path.read_text()) == []
+
+
+def substitution_names(source):
+    """(line, name) of each import, name or attribute, at any depth, that
+    names Substitution in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name == "Substitution"]
+    return sorted(found)
+
+
+def test_finds_a_substitution():
+    source = (
+        "from .rings import Ring, Substitution\n"
+        "def chart(R):\n"
+        "    from . import rings\n"
+        "    return rings.Substitution(R, R, {}), Substitution\n"
+        "substitution = 'Substitution'\n"
+    )
+    assert substitution_names(source) == [(1, "Substitution"), (4, "Substitution"), (4, "Substitution")]
+
+
+def test_blowup_imports_no_substitution():
+    assert substitution_names((PACKAGE / "blowup.py").read_text()) == []

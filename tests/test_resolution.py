@@ -25,6 +25,8 @@ from detsing.resolution import (
 )
 from detsing.rings import Substitution
 
+from .oracles import oracle_chart_substitution
+
 
 def fresh_root(kind, m, field=QQ, target=None):
     M = generic_skew(m, field) if kind == "skew" else generic_sym(m, field)
@@ -148,6 +150,16 @@ def test_chart_position_is_a_pair_of_ints(position):
         reduce_skew_chart(fresh_root("skew", 4), position)
     with pytest.raises(BadParameters):
         chart_identity("skew", 4, 2, position=position)
+
+
+@pytest.mark.parametrize("flag", ["no", "x", 0, 1, None], ids=repr)
+def test_a_flag_that_is_not_a_bool_is_refused(flag):
+    # a truthy string is no request: it gets BadParameters, never a tree or a verdict
+    for resolve in (resolve_sym, resolve_skew):
+        with pytest.raises(BadParameters):
+            resolve(2, 1, all_charts=flag, check="none")
+    with pytest.raises(BadParameters):
+        chart_identity("sym", 3, 2, "diag", include_bases=flag)
 
 
 def test_size_too_small_is_a_bad_parameter():
@@ -485,7 +497,7 @@ def test_fused_step_matches_chart_then_rewrite(resolve, m, size):
     rep = resolve(m, size, all_charts=True, check="none")
     for child in rep.nodes[1:]:
         parent = rep.node(child.parent_id)
-        maps = [child.chart.substitution] + ([child.rewrite] if child.rewrite else [])
+        maps = [oracle_chart_substitution(child.chart)] + ([child.rewrite] if child.rewrite else [])
         expected = parent.composed
         for sub in maps:
             expected = expected.then(sub)
@@ -513,7 +525,7 @@ def test_offdiag_composed_det_up_to_eps_relation():
     T = red.ring
     e = T.var("x_1_2p")
     eps = red.eps
-    total = red.chart.substitution(determinant(B3))
+    total = oracle_chart_substitution(red.chart)(determinant(B3))
     det_formula = determinant(red.formula_matrix)
     assert eps ** 0 * total == -(e ** 3) * det_formula
 

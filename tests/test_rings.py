@@ -462,6 +462,16 @@ def test_substitution_refuses_an_argument_that_is_not_a_polynomial():
         sub(ring("x y z").var("x"))
 
 
+@pytest.mark.parametrize("later", [3, None, "x", {}], ids=repr)
+def test_substitution_composes_only_with_a_substitution(later):
+    R = ring("x y")
+    with pytest.raises(BadParameters):
+        Substitution(R, R, {}).then(later)
+    # a substitution between other rings is a mismatch, not a bad parameter
+    with pytest.raises(RingMismatch):
+        Substitution(R, R, {}).then(Substitution(ring("x y z"), R, {"z": "x"}))
+
+
 # --- the substitution kernel against the frozen loop -----------------------
 
 
