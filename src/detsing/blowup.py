@@ -1,13 +1,14 @@
 """Blow-ups of coordinate-subspace centers, one affine chart at a time.
 
-A center is the vanishing locus of a set of variables.  The chart at one of
-those variables lives in a fresh ring whose variables carry a ``p`` suffix;
-the chart variable maps to the exceptional variable e, every other center
-variable t maps to e*tp, and the remaining variables are renamed untouched.
-So a monomial keeps its exponent vector, except at the chart variable, whose
-exponent becomes its degree in the center. A ``ChartMap`` is this rule
-alone: ``apply`` transforms by it and ``to_json`` prints its images. Strict
-transforms divide out the exceptional variable as often as possible.
+A center is the vanishing locus of a set of variables.  Its charts, one at
+each of them, share one ring, the center's ``chart_ring``, whose variables
+carry a ``p`` suffix; the chart variable maps to the exceptional variable e,
+every other center variable t maps to e*tp, and the remaining variables are
+renamed untouched. So a monomial keeps its exponent vector, except at the
+chart variable, whose exponent becomes its degree in the center. A
+``ChartMap`` is this rule alone: ``apply`` transforms by it and ``to_json``
+prints its images. Strict transforms divide out the exceptional variable as
+often as possible.
 """
 
 from itertools import compress
@@ -24,9 +25,10 @@ from .rings import Polynomial, Ring, as_tuple, require_polynomials, require_ring
 
 
 class Center:
-    """Coordinate subspace V(t_i : i in names) inside Spec of the ring."""
+    """Coordinate subspace V(t_i : i in names) inside Spec of the ring; all
+    its charts map into ``chart_ring``, the ring of primed names."""
 
-    __slots__ = ("ring", "names")
+    __slots__ = ("ring", "names", "chart_ring")
 
     def __init__(self, ring_: Ring, names):
         require_ring(ring_)
@@ -41,6 +43,7 @@ class Center:
         self.ring = ring_
         # store in ring order so chart enumeration is deterministic
         self.names = tuple(sorted(set(names), key=ring_.index.get))
+        self.chart_ring = Ring([primed(n) for n in ring_.names], ring_.field)
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -69,7 +72,7 @@ class ChartMap:
     """One affine chart of the blow-up along a center.
 
     The exponent rule of the module docstring sends the source ring into
-    the chart's fresh target ring of primed names; ``exceptional_var``, the
+    the center's chart ring of primed names; ``exceptional_var``, the
     chart variable's primed name, cuts out the exceptional divisor there.
     """
 
@@ -80,7 +83,7 @@ class ChartMap:
         self.chart_var = chart_var
         self.exceptional_var = primed(chart_var)
         self.source = src = center.ring
-        self.target = Ring([primed(n) for n in src.names], src.field)
+        self.target = center.chart_ring
         # the chart variable's position and the center's 0/1 mask, for apply
         self._index = src.index[chart_var]
         self._mask = [int(n in center) for n in src.names]

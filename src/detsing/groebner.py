@@ -226,7 +226,7 @@ def _spoly_terms(g1: _Gen, g2: _Gen, lcm: int, field) -> dict:
     return terms
 
 
-def _update(G: list, pairs: list, h: _Gen, pk: _Packing):
+def _update(G: list, pairs: list, h: _Gen, pk: _Packing, max_basis: int):
     """Gebauer-Moeller installation of a new basis element h.
 
     Forms the filtered pairs (g, h), prunes old pairs whose lcm is a proper
@@ -241,7 +241,8 @@ def _update(G: list, pairs: list, h: _Gen, pk: _Packing):
     S-polynomial reads its lcm from priority[1]. A pruned entry stays in
     the heap with g set to None, and groebner() skips it when it is popped.
     A candidate lcm or a kept pair's S-polynomial that would not pack
-    raises _Overflow.
+    raises _Overflow. The basis grows only here, so ResourceLimit is raised
+    here when it then holds more than max_basis elements.
     """
     hlm, hmask = h.plm, h.mask
     lcm, K, GV, GC = pk.lcm, pk.K, pk.GV, pk.GC
@@ -286,6 +287,8 @@ def _update(G: list, pairs: list, h: _Gen, pk: _Packing):
     # lm(h) divides no lm in G without properly dividing it
     G[:] = [g for g in G if (lifted - g.plm) & GV != GC]
     G.append(h)
+    if len(G) > max_basis:
+        raise ResourceLimit(f"basis exceeded the size cap ({max_basis})", basis_size=len(G))
 
 
 class GroebnerBasis:
@@ -431,17 +434,15 @@ def _buchberger(ring_: Ring, order: MonomialOrder, seeds: list, pk: _Packing, ma
     for terms in _packed_seeds(seeds, pk):
         reduced = _reduce_terms(terms, G, pk, field, max_terms)
         if reduced:
-            _update(G, pairs, _Gen(pk, reduced, max(map(pk.deg, reduced)), next(ages)), pk)
+            _update(G, pairs, _Gen(pk, reduced, max(map(pk.deg, reduced)), next(ages)), pk, max_basis)
 
     while pairs:
         priority, g1, g2 = heapq.heappop(pairs)
         if g1 is None:
             continue
-        if len(G) > max_basis:
-            raise ResourceLimit(f"basis exceeded the size cap ({max_basis})", basis_size=len(G))
         reduced = _reduce_terms(_spoly_terms(g1, g2, priority[1], field), G, pk, field, max_terms)
         if reduced:
-            _update(G, pairs, _Gen(pk, reduced, priority[0], next(ages)), pk)
+            _update(G, pairs, _Gen(pk, reduced, priority[0], next(ages)), pk, max_basis)
 
     # Inter-reduce the survivors into the unique reduced basis. No leading
     # monomial divides another, so each element keeps its leading term, and

@@ -421,9 +421,6 @@ class Ideal:
             self._key = ideal_cache_id(self.ring, encode_terms(self.gens))
         return self._key
 
-    def contains_unit_generator(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.gens)
-
     def to_json(self) -> dict:
         return {"ring": self.ring.to_json(), "generators": [g.format() for g in self.gens]}
 

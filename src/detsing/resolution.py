@@ -4,9 +4,10 @@
 cut out by the 2l-minors of a generic skew-symmetric m-matrix, and
 ``resolve_sym(m, r)`` of the locus of the r-minors of a generic symmetric
 matrix.  Every center is the vanishing locus of the current matrix
-variables; after each blow-up a change of variables restores a generic
-matrix of smaller size.  With pivot positions k, l and primed chart
-coordinates x', the fresh entries are
+variables, and a node's charts share its center and the center's ring of
+primed coordinates x'; after each blow-up a change of variables restores
+a generic matrix of smaller size.  With pivot positions k, l, the fresh
+entries are
 
   skew, chart at (k,l):      y_ij = x'_ij - x'_lj*x'_ki + x'_kj*x'_li
   symmetric, diagonal (k,k): y_ij = x'_ij - x'_ki*x'_kj
@@ -20,14 +21,17 @@ ideals contract along: the strict transform of the j-minors of the old
 matrix equals the (j-drop)-minors of the reduced matrix (after saturating
 by eps in off-diagonal charts).  A resolve first builds the whole tree,
 computing no Groebner basis; then, unless the check level is "none", one
-pass checks those identities, the determinant identities, the rewrites to
+pass builds the reduced matrices and checks those identities, the
+determinant identities, the rewrites to
 fresh generic coordinates and (check "full") the embedded resolution at
 each leaf through the verify module, and records them as node verdicts.
 """
 
 import time
+from functools import cached_property
+from typing import NamedTuple
 
-from .blowup import Center, make_chart, primed, strict_transform_ideal, strict_transform_poly
+from .blowup import Center, make_chart, primed, strict_transform_poly
 from .errors import BadParameters, NonHomogeneousGenerators, SizeTooSmall
 from .fields import QQ, field_name
 from .matrices import (
@@ -51,44 +55,26 @@ from .verify import (
     verdict,
 )
 
-class ChartReduction:
+class ChartReduction(NamedTuple):
     """Everything a single chart reduction computes besides the child node.
 
     ``matrix`` is the parent matrix with one exceptional power divided out
-    of every entry (the primed matrix, with a 1 at the pivot), and
-    ``formula_matrix`` is the reduced matrix whose entries are the y-formulas
-    spelled out in the module docstring — both live in the chart ring.
-    The ideal identities are checked against these matrices.
-    ``corrections`` holds the (P, Q) terms of those formulas (see
-    ``_chart_reduction``); the child's rewrite inverts them, and the
+    of every entry (the primed matrix, with a 1 at the pivot), in the chart
+    ring ``chart.target`` that all charts of a center share. ``corrections``
+    holds the (P, Q) terms of the y-formulas of the module docstring (see
+    ``_chart_reduction``): the child's rewrite inverts them, and the certify
+    pass builds the reduced matrix B of them (``_formula_matrix``). The
     transcript reads the off-diagonal ``row_factors`` A_i.
     """
 
-    __slots__ = (
-        "chart",
-        "chart_type",
-        "position",
-        "ring",
-        "matrix",
-        "formula_matrix",
-        "corrections",
-        "row_factors",
-        "eps",
-        "remaining",
-    )
-
-    def __init__(self, chart, chart_type, position, ring_, matrix, formula_matrix,
-                 corrections, row_factors, eps, remaining):
-        self.chart = chart
-        self.chart_type = chart_type
-        self.position = position
-        self.ring = ring_
-        self.matrix = matrix
-        self.formula_matrix = formula_matrix
-        self.corrections = corrections
-        self.row_factors = row_factors
-        self.eps = eps
-        self.remaining = remaining
+    chart: "ChartMap"
+    chart_type: str
+    position: tuple
+    matrix: GenericMatrix
+    corrections: dict
+    row_factors: list
+    eps: "Polynomial"
+    remaining: list
 
 
 class ChartNode:
@@ -149,8 +135,10 @@ class ChartNode:
     def exceptional_names(self):
         return [name for name, _ in self.exceptional_divisors]
 
-    def matrix_variable_names(self):
-        return [] if self.matrix is None else list(self.matrix.variables())
+    @cached_property
+    def center(self):
+        """The blow-up center, built at the first chart, shared by all."""
+        return Center(self.ring, self.matrix.variables())
 
     def is_leaf(self):
         return self.terminal_reason is not None
@@ -242,21 +230,20 @@ def _entry_name(M, i, j):
 
 
 def _chart_reduction(node, chart_type, k, l):
-    """Shared chart work: blow up at the matrix variables, divide out the
-    exceptional once from every entry (the primed matrix), and form the
-    reduced (formula) matrix, its entries indexed by the surviving
-    rows/columns relabeled to 1..n.
+    """Shared chart work: blow up the node's center in the chart at the
+    pivot's variable, and divide out the exceptional once from every entry
+    (the primed matrix, built from its triangle, ``matrices.triangle``).
 
-    Both matrices are built from their triangles (``matrices.triangle``).
-    One pass over the reduced triangle writes the y-formulas of the module
-    docstring as correction terms: for each entry (a, b), with i, j the
-    surviving rows remaining[a], remaining[b], a pair (P, Q) such that
+    One pass over the reduced triangle, its entries indexed by the
+    surviving rows/columns relabeled to 1..n, writes the y-formulas of the
+    module docstring as correction terms: for each entry (a, b), with i, j
+    the surviving rows remaining[a], remaining[b], a pair (P, Q) such that
     y_ab = eps*(x'_ij - Q) - P off-diagonally and y_ab = x'_ij - P (Q None)
     in skew and diagonal charts.  The off-diagonal row factors are
     A_i = x'_ki - x'_kk*x'_li (None in other charts)."""
     M = node.matrix
     k0, l0 = k - 1, l - 1
-    chart = make_chart(Center(node.ring, M.variables()), _entry_name(M, k0, l0))
+    chart = make_chart(node.center, _entry_name(M, k0, l0))
     T = chart.target
     strict = {(i, j): strict_transform_poly(M.rows[i][j], chart)[1]
               for i, j in triangle(M.size, M.kind) if not M.rows[i][j].is_zero()}
@@ -269,7 +256,7 @@ def _chart_reduction(node, chart_type, k, l):
         eps = T.one() - Mp[k0][k0] * Mp[l0][l0]
         A = [Mp[k0][i] - Mp[k0][k0] * Mp[l0][i] for i in remaining]
         B = [Mp[l0][j] - Mp[l0][l0] * Mp[k0][j] for j in remaining]
-    corrections, formulas = {}, {}
+    corrections = {}
     for a, b in triangle(n, M.kind):
         i, j = remaining[a], remaining[b]
         if chart_type == "skew":
@@ -279,14 +266,11 @@ def _chart_reduction(node, chart_type, k, l):
         else:
             P, Q = A[a] * B[b], Mp[l0][i] * Mp[k0][j]
         corrections[a, b] = (P, Q)
-        formulas[a, b] = Mp[i][j] - P if Q is None else eps * (Mp[i][j] - Q) - P
     return ChartReduction(
         chart=chart,
         chart_type=chart_type,
         position=(k, l),
-        ring_=T,
         matrix=primed_matrix,
-        formula_matrix=GenericMatrix.from_triangle(T, n, formulas, M.kind) if n else None,
         corrections=corrections,
         row_factors=A,
         eps=eps,
@@ -341,7 +325,7 @@ def _build_child(node, red, orbit_size):
     the rewrite to fresh generic coordinates when any remain."""
     k, l = red.position
     chart = red.chart
-    T = red.ring
+    T = chart.target
     depth = node.depth + 1
     exceptional = [(primed(name), mult) for name, mult in node.exceptional_divisors]
     exceptional.append((chart.exceptional_var, node.residual))
@@ -412,13 +396,15 @@ def _build_child(node, red, orbit_size):
 _CHARTS = {"skew": ("skew", 3), "diag": ("sym", 2), "offdiag": ("sym", 2)}
 
 
-def _chart_step(node, chart_type, position):
+def _chart_step(node, chart_type, position, orbit_size=1):
     """Check a chart request against ``_CHARTS`` and the node, then run the
     chart step: a pair of ints (k, l) with 1 <= k < l <= size, or k == l in
-    a diagonal chart."""
+    a diagonal chart, and an int orbit size >= 1."""
     kind, smallest = _CHARTS[chart_type]
     if not isinstance(node, ChartNode):
         raise BadParameters(f"a chart reduction needs a ChartNode, got {type(node).__name__}")
+    if type(orbit_size) is not int or orbit_size < 1:
+        raise BadParameters(f"an orbit size is an int >= 1, got {orbit_size!r}")
     if node.matrix is None or node.size < smallest:
         raise SizeTooSmall(
             f"chart reduction needs a {kind} matrix of size >= {smallest}, "
@@ -440,20 +426,20 @@ def _chart_step(node, chart_type, position):
 def reduce_skew_chart(node, position, orbit_size=1):
     """Child of a skew node in the chart at (k, l), k < l: size drops by 2,
     the remaining rows relabel to 1..m-2."""
-    return _build_child(node, _chart_step(node, "skew", position), orbit_size)
+    return _build_child(node, _chart_step(node, "skew", position, orbit_size), orbit_size)
 
 
 def reduce_sym_diag_chart(node, position, orbit_size=1):
     """Child of a symmetric node in the diagonal chart at (k, k): size
     drops by 1."""
-    return _build_child(node, _chart_step(node, "diag", position), orbit_size)
+    return _build_child(node, _chart_step(node, "diag", position, orbit_size), orbit_size)
 
 
 def reduce_sym_offdiag_chart(node, position, orbit_size=1):
     """Child of a symmetric node in the off-diagonal chart at (k, l), k < l:
     size drops by 2 and eps = 1 - x'_kk*x'_ll joins the unit list.  For a
     2x2 node nothing remains to reduce and the child is terminal."""
-    return _build_child(node, _chart_step(node, "offdiag", position), orbit_size)
+    return _build_child(node, _chart_step(node, "offdiag", position, orbit_size), orbit_size)
 
 
 # --------------------------------------------------------------------------
@@ -481,10 +467,25 @@ def _strict_minors(red, j, primed):
     return primed.ideal(j)
 
 
+def _formula_matrix(red):
+    """The reduced matrix B of a chart reduction, whose entries are the
+    y-formulas, from its corrections; None when no rows remain."""
+    n = len(red.remaining)
+    if not n:
+        return None
+    Mp, rem, eps = red.matrix.rows, red.remaining, red.eps
+    formulas = {}
+    for (a, b), (P, Q) in red.corrections.items():
+        x = Mp[rem[a]][rem[b]]
+        formulas[a, b] = x - P if Q is None else eps * (x - Q) - P
+    return GenericMatrix.from_triangle(red.chart.target, n, formulas, red.matrix.kind)
+
+
 def _tables(red):
     """A minor table of each matrix of a chart reduction, the primed A' and
-    the formula matrix B (None when B is), for all the chart's verdicts."""
-    return MinorCache(red.matrix), None if red.formula_matrix is None else MinorCache(red.formula_matrix)
+    the formula matrix B, built here (None when B is), for all its verdicts."""
+    B = _formula_matrix(red)
+    return MinorCache(red.matrix), None if B is None else MinorCache(B)
 
 
 def _center_identity_verdict(parent_matrix, red, tables, j, roles, include_bases):
@@ -495,10 +496,10 @@ def _center_identity_verdict(parent_matrix, red, tables, j, roles, include_bases
     jr = j - (parent_matrix.size - len(red.remaining))
     primed, formula = tables
     lhs = _strict_minors(red, j, primed)
-    T = red.ring
+    T = red.chart.target
     if jr <= 0:
         rhs = Ideal(T, [T.one()])
-    elif formula is None or jr > red.formula_matrix.size:
+    elif formula is None or jr > formula.M.size:
         rhs = Ideal(T, [])
     else:
         rhs = formula.ideal(jr)
@@ -540,10 +541,10 @@ def _det_identity_verdict(parent, red, tables):
         else:
             inputs["identity"] = f"eps^{m - 3} * det' = -det(reduced)"
             lhs = det_primed * red.eps ** (m - 3)
-            passed = (lhs + determinant_of(red.formula_matrix, table=formula)).is_zero()
+            passed = (lhs + determinant_of(formula.M, table=formula)).is_zero()
     else:
         inputs["identity"] = "det' = det(reduced)"
-        passed = det_primed == determinant_of(red.formula_matrix, table=formula)
+        passed = det_primed == determinant_of(formula.M, table=formula)
     # Cross-check against the strict transform of the parent determinant:
     # it must factor as exceptional^m times the primed determinant.
     det_parent = determinant_of(parent.M, table=parent)
@@ -554,22 +555,23 @@ def _det_identity_verdict(parent, red, tables):
     return verdict("det_identity", inputs, passed)
 
 
-def _rewrite_consistency_verdict(child):
-    """The rewrite sends each y-formula to the matching fresh variable —
-    exactly in skew/diagonal charts, modulo s*eps = 1 off-diagonally."""
+def _rewrite_consistency_verdict(child, formula_matrix):
+    """The rewrite sends each y-formula, an entry of the reduction's
+    formula matrix B, to the matching fresh variable — exactly in
+    skew/diagonal charts, modulo s*eps = 1 off-diagonally."""
     red = child.reduction
     # the relations' cached basis, read at the first nonzero difference
     basis = None
     failures = []
     for a, b in red.corrections:
-        diff = child.rewrite(red.formula_matrix.entry(a, b)) - child.matrix.entry(a, b)
+        diff = child.rewrite(formula_matrix.entry(a, b)) - child.matrix.entry(a, b)
         if not diff:
             continue
         if basis is None and child.relations:
             basis = groebner_of(Ideal(child.ring, child.relations))
         if basis is None or not basis.contains(diff):
             failures.append(f"({a + 1},{b + 1})")
-    n = red.formula_matrix.size
+    n = formula_matrix.size
     return verdict(
         "rewrite_consistency",
         {"chart": f"X_{red.position[0]}_{red.position[1]}", "entries": n * (n + 1) // 2},
@@ -579,13 +581,15 @@ def _rewrite_consistency_verdict(child):
 
 
 def _center_strict_unit_verdict(node, red):
-    """The strict transform of the center itself is the unit ideal."""
-    gens = [node.ring.var(nm) for nm in red.chart.center.names]
-    st = strict_transform_ideal(Ideal(node.ring, gens), red.chart)
+    """The strict transform of the center itself is the unit ideal: the
+    chart variable's ideal lies in the center's, and its strict transform
+    is 1."""
+    chart = red.chart
+    _, st = strict_transform_poly(node.ring.var(chart.chart_var), chart)
     return verdict(
         "center_strict_transform_empty",
         {"chart": f"X_{red.position[0]}_{red.position[1]}"},
-        st.contains_unit_generator(),
+        st.is_one(),
     )
 
 
@@ -629,7 +633,7 @@ def _child_verdicts(node, parent, child, include_bases):
         _det_identity_verdict(parent, red, tables),
     ]
     if child.rewrite is not None:
-        out.append(_rewrite_consistency_verdict(child))
+        out.append(_rewrite_consistency_verdict(child, tables[1].M))
     levels = {node.residual: ["target"]}
     if red.chart_type == "offdiag":
         levels.setdefault(2, []).append("skipped_center")
@@ -678,7 +682,7 @@ def _finalize_leaf(node, parent):
     leaves (exact for symmetric targets, the certified radical for skew),
     the honestly transported minor transform for empty leaves."""
     if node.terminal_reason == "regular":
-        gens = [node.ring.var(nm) for nm in node.matrix_variable_names()]
+        gens = [node.ring.var(nm) for nm in node.matrix.variables()]
         node.strict_ideal = Ideal(node.ring, gens)
         return
     st = _strict_minors(node.reduction, parent.residual, MinorCache(node.reduction.matrix))

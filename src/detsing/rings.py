@@ -514,9 +514,7 @@ class Substitution:
                 order[m.index(1)] = i
             images.append(items)
             general.append(int(not renamed))
-        # itemgetter returns a scalar for one index and takes no empty list
-        gather = itemgetter(*order) if len(order) > 1 else lambda m: tuple([m[i] for i in order])
-        self._plan = gather, images, general
+        self._plan = _gather(order), images, general
         return self._plan
 
     def __call__(self, f: Polynomial) -> Polynomial:
@@ -558,29 +556,21 @@ def embed(f: Polynomial, target: Ring) -> Polynomial:
         raise RingMismatch("embedding rings have different fields")
     if f.ring == target:
         return f
-    positions = []
-    for n in f.ring.names:
-        j = target.index.get(n)
-        if j is None:
-            # Only names actually used by f matter.
-            positions.append(None)
-        else:
-            positions.append(j)
-    width = target.nvars
-    terms = {}
-    for mono, coeff in f.terms.items():
-        out = [0] * width
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            j = positions[i]
-            if j is None:
-                raise UnknownVariable(
-                    f"{f.ring.names[i]!r} does not exist in the target ring"
-                )
-            out[j] = e
-        terms[tuple(out)] = coeff
-    return Polynomial(target, terms)
+    names, n = f.ring.names, f.ring.nvars
+    # only the names f uses must exist in the target
+    lacking = [i for i, name in enumerate(names) if name not in target.index]
+    lost = next((i for mono in f.terms for i in lacking if mono[i]), None)
+    if lost is not None:
+        raise UnknownVariable(f"{names[lost]!r} does not exist in the target ring")
+    # each target position reads its name's exponent, or the padding zero
+    gather = _gather([f.ring.index.get(name, n) for name in target.names])
+    return Polynomial(target, {gather(mono + (0,)): coeff for mono, coeff in f.terms.items()})
+
+
+def _gather(order: list):
+    """The tuple of a sequence's entries at the indices in order."""
+    # itemgetter returns a scalar for one index and takes no empty list
+    return itemgetter(*order) if len(order) > 1 else lambda m: tuple([m[i] for i in order])
 
 
 # -- packed monomials ---------------------------------------------------------

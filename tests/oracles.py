@@ -39,7 +39,10 @@ rule (``blowup.ChartMap.apply``) to it. An eighth is a chart's map as a
 ``Substitution`` with one image polynomial per variable, built the way
 ``blowup.make_chart`` built it before a chart became its exponent rule
 (``oracle_chart_substitution``); the differential tests hold the rule's
-transforms and its printed images (``blowup.ChartMap.to_json``) to it.
+transforms and its printed images (``blowup.ChartMap.to_json``) to it. A
+ninth is the embedding loop as it stood before ``rings.embed`` renamed
+through the substitution's gather (``oracle_embed``); a differential test
+holds ``rings.embed``, its errors included, to it.
 """
 
 import heapq
@@ -49,9 +52,10 @@ from itertools import combinations_with_replacement, count
 import sympy
 
 from detsing.blowup import strict_transform_ideal
-from detsing.errors import ResourceLimit
+from detsing.errors import ResourceLimit, UnknownVariable
 from detsing.groebner import groebner
 from detsing.matrices import Ideal, minors_ideal
+from detsing.resolution import _formula_matrix
 from detsing.rings import Polynomial, Ring, Substitution, embed
 from detsing.verify import saturate, verdict
 
@@ -622,13 +626,13 @@ def oracle_center_identity_verdict(parent_matrix, red, j, roles, include_bases):
     saturated by eps in off-diagonal charts, then compared."""
     jr = j - (parent_matrix.size - len(red.remaining))
     lhs = strict_transform_ideal(minors_ideal(parent_matrix, j), red.chart)
-    T = red.ring
+    T, B = red.chart.target, _formula_matrix(red)
     if jr <= 0:
         rhs = Ideal(T, [T.one()])
-    elif red.formula_matrix is None or jr > red.formula_matrix.size:
+    elif B is None or jr > B.size:
         rhs = Ideal(T, [])
     else:
-        rhs = minors_ideal(red.formula_matrix, jr)
+        rhs = minors_ideal(B, jr)
     inputs = {
         "chart": f"X_{red.position[0]}_{red.position[1]}",
         "j": j,
@@ -672,6 +676,25 @@ def oracle_substitute(sub, f):
         for m, c in term:
             acc[m] = acc.get(m, 0) + c
     return Polynomial._reduced(sub.target, acc)
+
+
+def oracle_embed(f, target):
+    """rings.embed by the frozen loop over every exponent of every term,
+    for f and a target over one field."""
+    if f.ring == target:
+        return f
+    positions = [target.index.get(n) for n in f.ring.names]
+    terms = {}
+    for mono, coeff in f.terms.items():
+        out = [0] * target.nvars
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            if positions[i] is None:
+                raise UnknownVariable(f"{f.ring.names[i]!r} does not exist in the target ring")
+            out[positions[i]] = e
+        terms[tuple(out)] = coeff
+    return Polynomial(target, terms)
 
 
 def oracle_chart_substitution(chart):

@@ -137,7 +137,7 @@ def test_strict_transform_of_center_is_unit(origin3):
     I = Ideal(origin3.ring, [origin3.ring.var(n) for n in origin3.names])
     for ch in charts(origin3):
         st = strict_transform_ideal(I, ch)
-        assert st.contains_unit_generator()
+        assert ch.target.one() in st.gens
 
 
 def test_strict_transform_minors_sym3_matches_reduced_entries():

@@ -252,13 +252,17 @@ def test_traversal_is_pinned(gens, max_basis, max_terms, reductions, monkeypatch
     assert len(calls) == reductions
 
 
-def test_basis_cap_is_checked_before_live_pairs_only(R):
-    # The seed x kills the pair (x*y, x^2 - y) and forms two live pairs; the
-    # second of them adds y. Only the dead entry is left then, and popping
-    # it is not a step of the traversal, so the cap of 1, checked before
-    # each live pair, is never exceeded at a check.
+def test_basis_cap_bounds_the_working_basis_after_every_update(R):
+    # The working basis holds two elements after the seeds x*y and x^2 - y,
+    # and again when the last live pair adds y, but at no pop of a live
+    # pair: the seed x retires both earlier seeds in between. A cap of 1
+    # refuses the computation all the same.
     x, y, z = R.vars()
-    assert set(groebner([x * y, x * y * z - x, x ** 2 - y], max_basis=1).polys) == {x, y}
+    gens = [x * y, x * y * z - x, x ** 2 - y]
+    with pytest.raises(ResourceLimit) as caught:
+        groebner(gens, max_basis=1)
+    assert caught.value.basis_size == 2
+    assert set(groebner(gens, max_basis=2).polys) == {x, y}
 
 
 def _rand_poly(rng, R, deg, homogeneous=False):

@@ -21,7 +21,10 @@ bytes literal that starts an ideal's key (``b"G"``) or a minor ideal's
 (``b"M..."``).
 
 A chart is its exponent rule: ``blowup`` names no ``Substitution``, by
-import or attribute, so it builds none to apply or print a chart.
+import or attribute, so it builds none to apply or print a chart. The
+charts of a center share its ring: ``blowup.ChartMap`` calls no ``Ring``,
+and ``resolution._chart_reduction`` calls no ``Center``, so a node's
+center and chart ring are built once, not once per chart.
 """
 
 import ast
@@ -344,3 +347,40 @@ def test_finds_a_substitution():
 
 def test_blowup_imports_no_substitution():
     assert substitution_names((PACKAGE / "blowup.py").read_text()) == []
+
+
+def calls_in(source, definition, callee):
+    """The lines of each call of callee, by name or attribute, inside the
+    module-level class or function named definition in source; None when
+    source defines no such class or function."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.ClassDef, ast.FunctionDef)) and stmt.name == definition:
+            return sorted(
+                node.lineno for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            )
+    return None
+
+
+def test_finds_a_call_inside_a_definition():
+    source = (
+        "from .rings import Ring\n"
+        "class ChartMap:\n"
+        "    def __init__(self, src):\n"
+        "        self.target = Ring(src.names, src.field)\n"
+        "        self.other = rings.Ring([], src.field)\n"
+        "def charts(center):\n"
+        "    return Ring, center.Ring\n"
+        "def chart_ring(src):\n"
+        "    return Ring(src.names, src.field)\n"
+    )
+    assert calls_in(source, "ChartMap", "Ring") == [4, 5]
+    assert calls_in(source, "charts", "Ring") == []
+    assert calls_in(source, "chart_ring", "Ring") == [9]
+    assert calls_in(source, "missing", "Ring") is None
+
+
+def test_charts_share_their_center_and_its_ring():
+    assert calls_in((PACKAGE / "blowup.py").read_text(), "ChartMap", "Ring") == []
+    assert calls_in((PACKAGE / "resolution.py").read_text(), "_chart_reduction", "Center") == []

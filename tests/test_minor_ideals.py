@@ -20,7 +20,7 @@ from detsing.errors import BadIndex
 from detsing.fields import QQ, PrimeField
 from detsing.groebner import groebner
 from detsing.matrices import GenericMatrix, Ideal, MinorCache, MinorIdeal, generic_skew, generic_sym, minors
-from detsing.resolution import chart_identity, resolve_skew, resolve_sym
+from detsing.resolution import _formula_matrix, chart_identity, resolve_skew, resolve_sym
 from detsing.verify import check_fact, check_lemma_counterexample
 from detsing.rings import decode_terms, ring
 
@@ -56,8 +56,8 @@ def chart_matrices(report):
     for node in report.nodes[1:]:
         red = node.reduction
         yield red.matrix
-        if red.formula_matrix is not None:
-            yield red.formula_matrix
+        if red.remaining:
+            yield _formula_matrix(red)
 
 
 # --- dropping zero and sign-duplicate minors on packed terms ---------------

@@ -8,13 +8,14 @@ from collections import Counter
 
 import pytest
 
-from detsing import matrices, resolution, verify
+from detsing import blowup, matrices, resolution, verify
 
 from detsing.errors import BadParameters, CharTwoForbidden, SizeTooSmall
 from detsing.fields import PrimeField, QQ
 from detsing.matrices import MinorCache, determinant, generic_skew, generic_sym
 from detsing.resolution import (
     ChartNode,
+    _formula_matrix,
     _rewrite_consistency_verdict,
     chart_identity,
     reduce_skew_chart,
@@ -58,17 +59,17 @@ def test_skew4_chart12_frozen_formula():
     child = reduce_skew_chart(fresh_root("skew", 4), (1, 2))
     assert child.node_id == "root/X_1_2"
     assert child.matrix_kind_and_size == ("skew", 2)
-    assert child.matrix_variable_names() == ["y1_1_2"]
+    assert list(child.matrix.variables()) == ["y1_1_2"]
 
     # y34 = x34' + x14'x23' - x13'x24', written on the chart ring
-    T = child.reduction.ring
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
     y34 = (
         v["x_3_4p"]
         + v["x_1_4p"] * v["x_2_3p"]
         - v["x_1_3p"] * v["x_2_4p"]
     )
-    assert child.reduction.formula_matrix.entry(0, 1) == y34
+    assert _formula_matrix(child.reduction).entry(0, 1) == y34
 
     # the inverse change of variables solves for x34'
     assert child.rewrite.to_json()["x_3_4p"] == (
@@ -86,9 +87,9 @@ def test_skew4_chart12_frozen_formula():
 def test_skew5_chart12_formula_matrix():
     child = reduce_skew_chart(fresh_root("skew", 5), (1, 2))
     assert child.matrix_kind_and_size == ("skew", 3)
-    assert child.matrix_variable_names() == ["y1_1_2", "y1_1_3", "y1_2_3"]
+    assert list(child.matrix.variables()) == ["y1_1_2", "y1_1_3", "y1_2_3"]
 
-    T = child.reduction.ring
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
 
     def y(i, j):
@@ -99,7 +100,7 @@ def test_skew5_chart12_formula_matrix():
             + v[f"x_1_{j}p"] * v[f"x_2_{i}p"]
         )
 
-    F = child.reduction.formula_matrix
+    F = _formula_matrix(child.reduction)
     assert entries_upper(F) == [y(3, 4), y(3, 5), y(4, 5)]
     # skew mirror with sign
     assert F.entry(1, 0) == -y(3, 4)
@@ -109,8 +110,8 @@ def test_skew_chart_other_position_relabels():
     child = reduce_skew_chart(fresh_root("skew", 4), (2, 4))
     assert child.node_id == "root/X_2_4"
     # surviving rows {1, 3} relabel to the single fresh variable
-    assert child.matrix_variable_names() == ["y1_1_2"]
-    T = child.reduction.ring
+    assert list(child.matrix.variables()) == ["y1_1_2"]
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
     # pivots (k,l) = (2,4): y_13 = x'_13 - x'_43 x'_21 + x'_23 x'_41
     y13 = (
@@ -118,7 +119,7 @@ def test_skew_chart_other_position_relabels():
         - (-v["x_3_4p"]) * (-v["x_1_2p"])
         + v["x_2_3p"] * (-v["x_1_4p"])
     )
-    assert child.reduction.formula_matrix.entry(0, 1) == y13
+    assert _formula_matrix(child.reduction).entry(0, 1) == y13
 
 
 def test_skew_too_small_and_bad_positions():
@@ -142,6 +143,21 @@ def test_chart_reduction_refuses_a_non_node(reduce, position):
         reduce(None, position)
     with pytest.raises(BadParameters):
         reduce(fresh_root("sym", 4).matrix, position)
+
+
+@pytest.mark.parametrize("orbit_size", ["many", -2, 0, True, 2.0, None], ids=repr)
+@pytest.mark.parametrize("reduce, kind, position", [
+    (reduce_skew_chart, "skew", (1, 2)),
+    (reduce_sym_diag_chart, "sym", (1, 1)),
+    (reduce_sym_offdiag_chart, "sym", (1, 2)),
+], ids=["skew", "diag", "offdiag"])
+def test_orbit_size_is_an_int_of_at_least_one(reduce, kind, position, orbit_size):
+    root = fresh_root(kind, 4)
+    with pytest.raises(BadParameters):
+        reduce(root, position, orbit_size=orbit_size)
+    # refused before any chart work: the node has not built its center
+    assert "center" not in vars(root)
+    assert reduce(root, position, orbit_size=3).to_json()["orbit_size"] == 3
 
 
 @pytest.mark.parametrize("position", [(1,), (1, 2, 3), (True, 2), (1, 2.0), "12", 12], ids=repr)
@@ -176,14 +192,14 @@ def test_sym3_diag_chart_frozen_formulas():
     child = reduce_sym_diag_chart(fresh_root("sym", 3), (1, 1))
     assert child.node_id == "root/X_1_1"
     assert child.matrix_kind_and_size == ("sym", 2)
-    assert child.matrix_variable_names() == ["y1_1_1", "y1_1_2", "y1_2_2"]
+    assert list(child.matrix.variables()) == ["y1_1_1", "y1_1_2", "y1_2_2"]
 
-    T = child.reduction.ring
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
     y22 = v["x_2_2p"] - v["x_1_2p"] * v["x_1_2p"]
     y23 = v["x_2_3p"] - v["x_1_2p"] * v["x_1_3p"]
     y33 = v["x_3_3p"] - v["x_1_3p"] * v["x_1_3p"]
-    assert entries_upper(child.reduction.formula_matrix) == [y22, y23, y33]
+    assert entries_upper(_formula_matrix(child.reduction)) == [y22, y23, y33]
 
     assert child.rewrite.to_json()["x_2_2p"] == "x_1_2p^2 + y1_1_1"
     assert child.exceptional_divisors == [("x_1_1p", 3)]
@@ -193,19 +209,19 @@ def test_sym3_diag_chart_frozen_formulas():
 def test_sym2_diag_chart_single_variable():
     child = reduce_sym_diag_chart(fresh_root("sym", 2), (1, 1))
     assert child.matrix_kind_and_size == ("sym", 1)
-    T = child.reduction.ring
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
     y22 = v["x_2_2p"] - v["x_1_2p"] * v["x_1_2p"]
-    assert child.reduction.formula_matrix.entry(0, 0) == y22
+    assert _formula_matrix(child.reduction).entry(0, 0) == y22
 
 
 def test_sym4_offdiag_chart_eps_formula():
     child = reduce_sym_offdiag_chart(fresh_root("sym", 4), (1, 2))
     assert child.node_id == "root/X_1_2"
     assert child.matrix_kind_and_size == ("sym", 2)
-    assert child.matrix_variable_names() == ["y1_1_1", "y1_1_2", "y1_2_2"]
+    assert list(child.matrix.variables()) == ["y1_1_1", "y1_1_2", "y1_2_2"]
 
-    T = child.reduction.ring
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
     eps = T.one() - v["x_1_1p"] * v["x_2_2p"]
     assert child.reduction.eps == eps
@@ -216,7 +232,7 @@ def test_sym4_offdiag_chart_eps_formula():
         big = v[f"x_{min(i, j)}_{max(i, j)}p"] - v[f"x_2_{i}p"] * v[f"x_1_{j}p"]
         return eps * big - A * B
 
-    assert entries_upper(child.reduction.formula_matrix) == [
+    assert entries_upper(_formula_matrix(child.reduction)) == [
         y(3, 3), y(3, 4), y(4, 4),
     ]
     # the formula is symmetric in (i, j) as a polynomial identity
@@ -234,7 +250,7 @@ def test_sym2_offdiag_chart_is_terminal():
     assert child.matrix is None
     assert child.size == 0
     assert child.rewrite is None
-    T = child.reduction.ring
+    T = child.reduction.chart.target
     v = {n: T.var(n) for n in T.names}
     assert child.units == [T.one() - v["x_1_1p"] * v["x_2_2p"]]
     assert child.ring is T
@@ -280,14 +296,14 @@ def test_rewrite_consistency_names_each_corrupted_entry(reduce, kind, m, positio
     # in the symmetric charts).
     child = reduce(fresh_root(kind, m), position)
     red = child.reduction
-    assert _rewrite_consistency_verdict(child)["pass"]
+    assert _rewrite_consistency_verdict(child, _formula_matrix(red))["pass"]
     rewrite, n = child.rewrite, child.size
     for a, b in [(a, b) for a in range(n) for b in range(a + (kind == "skew"), n)]:
         name = red.matrix.entry(red.remaining[a], red.remaining[b]).variables()[0]
         images = dict(rewrite.images)
         images[name] = images[name] + 1
         child.rewrite = Substitution(rewrite.source, rewrite.target, images)
-        result = _rewrite_consistency_verdict(child)
+        result = _rewrite_consistency_verdict(child, _formula_matrix(red))
         assert not result["pass"]
         assert result["witness"] == {"entries": [f"({a + 1},{b + 1})"]}
 
@@ -522,11 +538,11 @@ def test_offdiag_composed_det_up_to_eps_relation():
     child = rep.node("root/X_1_2")
     red = child.reduction
     B3 = generic_sym(3)
-    T = red.ring
+    T = red.chart.target
     e = T.var("x_1_2p")
     eps = red.eps
     total = oracle_chart_substitution(red.chart)(determinant(B3))
-    det_formula = determinant(red.formula_matrix)
+    det_formula = determinant(_formula_matrix(red))
     assert eps ** 0 * total == -(e ** 3) * det_formula
 
 
@@ -699,8 +715,9 @@ def _digest(report):
 def test_certify_packs_each_matrix_once(monkeypatch):
     # from a cold cache, one table per node matrix serves all its children,
     # and one per primed and formula matrix serves all of a child's
-    # verdicts; a warm repeat finds every minor ideal and determinant in
-    # the cache and packs no matrix
+    # verdicts, each formula matrix built by the pass itself; a warm repeat
+    # finds every minor ideal and determinant in the cache and packs no
+    # matrix
     verify._GB_CACHE.clear()
     report = resolve_sym(4, 3, all_charts=True, check="none")
     packed = []
@@ -714,9 +731,11 @@ def test_certify_packs_each_matrix_once(monkeypatch):
     resolution._certify(report, True)
     counts = Counter(map(id, packed))
     expected = {id(n.matrix) for n in report.nodes if n.children}
-    for node in report.nodes[1:]:
-        expected |= {id(node.reduction.matrix), id(node.reduction.formula_matrix)} - {id(None)}
-    assert set(counts) == expected and set(counts.values()) == {1}
+    expected |= {id(node.reduction.matrix) for node in report.nodes[1:]}
+    formulas = [M.rows for M in packed if id(M) not in expected]
+    assert expected <= set(counts) and set(counts.values()) == {1}
+    assert formulas == [_formula_matrix(node.reduction).rows
+                        for node in report.nodes[1:] if node.reduction.remaining]
     warm = resolve_sym(4, 3, all_charts=True, check="none")
     packed.clear()
     resolution._certify(warm, True)
@@ -737,6 +756,82 @@ def test_no_minor_table_outlives_the_certify_pass(monkeypatch):
     report = resolve_sym(4, 3, all_charts=True, check="full")
     assert report.all_passed() and len(tables) > 50
     assert [ref for ref in tables if ref() is not None] == []
+
+
+def test_no_formula_matrix_outlives_the_certify_pass(monkeypatch):
+    built = []
+    real = resolution._formula_matrix
+
+    class Referable(matrices.GenericMatrix):
+        __slots__ = ("__weakref__",)
+
+    def recorded(red):
+        B = real(red)
+        if B is not None:
+            built.append(weakref.ref(B))
+        return B
+
+    monkeypatch.setattr(resolution, "GenericMatrix", Referable)
+    monkeypatch.setattr(resolution, "_formula_matrix", recorded)
+    report = resolve_sym(4, 3, all_charts=True, check="full")
+    assert report.all_passed() and len(built) > 20
+    assert [ref for ref in built if ref() is not None] == []
+
+
+# the chart-build trees: all charts, over Q
+CHART_BUILD_TREES = [(resolve_sym, 5, 5), (resolve_skew, 7, 3), (resolve_skew, 6, 3), (resolve_sym, 4, 4)]
+
+
+def test_a_node_builds_one_center_and_chart_ring_and_a_build_no_formula_matrix(monkeypatch):
+    built = Counter()
+    real_init, real_ring = blowup.Center.__init__, blowup.Ring
+
+    def center(self, *args):
+        built["Center"] += 1
+        real_init(self, *args)
+
+    def chart_ring(*args):
+        built["chart ring"] += 1
+        return real_ring(*args)
+
+    monkeypatch.setattr(blowup.Center, "__init__", center)
+    monkeypatch.setattr(blowup, "Ring", chart_ring)
+    monkeypatch.setattr(resolution, "_formula_matrix", lambda red: built.update(["B"]))
+    expanded = 0
+    for resolve, m, size in CHART_BUILD_TREES:
+        report = resolve(m, size, all_charts=True, check="none")
+        expanded += sum(1 for node in report.nodes if node.children)
+    assert expanded == 217
+    assert built == {"Center": 217, "chart ring": 217}
+
+
+@pytest.mark.parametrize("resolve, m, size", [(resolve_sym, 4, 4), (resolve_skew, 6, 3)], ids=["sym", "skew"])
+def test_the_charts_of_a_node_share_its_center_and_chart_ring(resolve, m, size):
+    report = resolve(m, size, all_charts=True, check="none")
+    for node in report.nodes:
+        charts = [report.node(child).chart for child in node.children]
+        assert all(c.center is node.center and c.target is node.center.chart_ring for c in charts)
+    assert sum(len(node.children) > 1 for node in report.nodes) > 5
+
+
+@pytest.mark.parametrize("reduce, kind, position", [
+    (reduce_skew_chart, "skew", (1, 2)),
+    (reduce_sym_diag_chart, "sym", (1, 1)),
+    (reduce_sym_offdiag_chart, "sym", (1, 2)),
+], ids=["skew", "diag", "offdiag"])
+def test_the_center_verdict_fails_when_the_chart_variable_is_not_a_unit(reduce, kind, position, monkeypatch):
+    root = fresh_root(kind, 4)
+    red = reduce(root, position).reduction
+    assert resolution._center_strict_unit_verdict(root, red)["pass"]
+    real = resolution.strict_transform_poly
+
+    def bent(f, chart):
+        power, strict = real(f, chart)
+        return power, strict + chart.target.var(chart.exceptional_var)
+
+    monkeypatch.setattr(resolution, "strict_transform_poly", bent)
+    result = resolution._center_strict_unit_verdict(root, red)
+    assert result["check"] == "center_strict_transform_empty" and not result["pass"]
 
 
 def test_a_warm_repeat_decides_a_cached_saturation_without_a_cover(monkeypatch):

@@ -38,7 +38,7 @@ from detsing.rings import (
     ring_bytes,
 )
 
-from .oracles import oracle_substitute
+from .oracles import oracle_embed, oracle_substitute
 
 
 @pytest.fixture
@@ -309,6 +309,31 @@ def test_embed_by_name():
     # coefficients carry over unconverted, so the fields must agree
     with pytest.raises(RingMismatch):
         embed(f, ring("w x y z", PrimeField(7)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_embed_matches_the_frozen_loop(field):
+    # random ring pairs over shared names, in any order: the same terms in
+    # the same stored order, or UnknownVariable naming the same variable
+    rng = random.Random(20261022)
+    names = "a b c d e".split()
+    raised = 0
+    for _ in range(300):
+        source = Ring(rng.sample(names, rng.randint(0, 4)), field)
+        target = Ring(rng.sample(names, rng.randint(0, 5)), field)
+        f = _random_poly(rng, source, max_terms=4, max_exp=2)
+        try:
+            want = oracle_embed(f, target)
+        except UnknownVariable as frozen:
+            with pytest.raises(UnknownVariable) as caught:
+                embed(f, target)
+            assert str(caught.value) == str(frozen)
+            raised += 1
+            continue
+        got = embed(f, target)
+        assert got.ring is target or got is f
+        assert got == want and list(got.terms.items()) == list(want.terms.items())
+    assert 50 < raised < 250
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])

@@ -24,7 +24,7 @@ from detsing.matrices import (
     minors_ideal,
     triangle,
 )
-from detsing.resolution import resolve_skew, resolve_sym
+from detsing.resolution import _formula_matrix, resolve_skew, resolve_sym
 from detsing.rings import ring
 
 from .oracles import frozen_dedup_generators
@@ -154,8 +154,8 @@ def test_minors_ideal_matches_all_pairs_on_generic_matrices(field):
 def test_minors_ideal_matches_all_pairs_on_formula_matrices(field):
     formula = {}
     for red in reductions(resolve_sym(4, 4, field, all_charts=True, check="none")):
-        formula.setdefault(red.chart_type, red.formula_matrix)
-    formula["skew"] = reductions(resolve_skew(5, 2, field, check="none"))[0].formula_matrix
+        formula.setdefault(red.chart_type, _formula_matrix(red))
+    formula["skew"] = _formula_matrix(reductions(resolve_skew(5, 2, field, check="none"))[0])
     assert set(formula) == {"skew", "diag", "offdiag"}
     for M in formula.values():
         assert any(len(e.terms) > 1 for row in M.rows for e in row)
@@ -190,7 +190,7 @@ def test_primed_matrix_equals_entrywise_strict_transform(resolve, kind, m, targe
         (i + 1, j + 1) for i, j in triangle(m, kind)
     }
     for parent, red in pairs:
-        T = red.ring
+        T = red.chart.target
         expected = tuple(
             tuple(T.zero() if f.is_zero() else strict_transform_poly(f, red.chart)[1]
                   for f in row)
@@ -236,9 +236,9 @@ def test_strict_minors_refuse_a_primed_matrix_that_holds_the_exceptional_variabl
     # in A'; its minors are then not the strict transforms
     report = resolve_sym(3, 3, check="none")
     parent, red = parent_matrices_and_reductions(report)[0]
-    e = red.ring.var(red.chart.exceptional_var)
+    e = red.chart.target.var(red.chart.exceptional_var)
     bent = GenericMatrix.from_triangle(
-        red.ring, parent.size, {(i, j): red.matrix.rows[i][j] * e for i, j in triangle(3, "sym")}, "sym")
+        red.chart.target, parent.size, {(i, j): red.matrix.rows[i][j] * e for i, j in triangle(3, "sym")}, "sym")
     stub = SimpleNamespace(chart=red.chart, matrix=bent)
     for j in range(1, 4):
         with pytest.raises(NonHomogeneousGenerators):
@@ -253,7 +253,7 @@ def test_strict_minors_refuse_a_primed_matrix_that_holds_the_exceptional_variabl
 def test_matrix_variables_match_a_scan_of_every_entry():
     for parent, red in parent_matrices_and_reductions(
             resolve_sym(4, 4, all_charts=True, check="none")):
-        for M in (parent, red.matrix, red.formula_matrix):
+        for M in (parent, red.matrix, _formula_matrix(red)):
             if M is None:
                 continue
             every = {n for row in M.rows for e in row for n in old_polynomial_variables(e)}

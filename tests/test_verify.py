@@ -20,6 +20,7 @@ from detsing.matrices import (
 from detsing import matrices, verify
 from detsing.resolution import (
     _basis_witness,
+    _formula_matrix,
     _radical_identification_verdict,
     _rewrite_consistency_verdict,
     resolve_sym,
@@ -636,9 +637,10 @@ def test_rewrite_consistency_reads_the_relations_basis_once(monkeypatch):
     report = resolve_sym(4, 4, check="none")
     child = report.node("root/X_1_2")
     assert child.relations
-    first = _rewrite_consistency_verdict(child)
+    B = _formula_matrix(child.reduction)
+    first = _rewrite_consistency_verdict(child, B)
     bodies = _count_decodes(monkeypatch)
-    assert _rewrite_consistency_verdict(child) == first
+    assert _rewrite_consistency_verdict(child, B) == first
     assert first["pass"] and len(bodies) == 1
 
 
