@@ -26,19 +26,19 @@ def _exact(value):
     return value
 
 
+# Miller-Rabin with these bases decides every p below _PRIME_LIMIT
+# (Sorenson & Webster, Math. Comp. 86, 2017); PrimeField refuses a larger p.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether p < _PRIME_LIMIT is prime: p − 1 = d·2^s with d odd."""
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or p - 1 in (pow(a, d << i, p) for i in range(s)) for a in _BASES)
 
 
 class Rationals:
@@ -76,11 +76,11 @@ class Rationals:
 
 
 class PrimeField:
-    """The field F_p for a prime p, an int. Elements are ints in range(p)."""
+    """The field F_p for an int prime p < _PRIME_LIMIT. Elements are ints in range(p)."""
 
     def __init__(self, p: int):
-        if type(p) is not int or not _is_prime(p):
-            raise BadParameters(f"not a prime: {p!r}")
+        if type(p) is not int or not (p < _PRIME_LIMIT and _is_prime(p)):
+            raise BadParameters(f"not a prime below {_PRIME_LIMIT}: {p!r}")
         self.p = p
         self.char = p
         self.zero = 0
@@ -145,9 +145,10 @@ def field_from_name(name: str):
     for prefix, suffix in (("Fp:", ""), ("GF(", ")"), ("F", "")):
         if text.startswith(prefix) and text.endswith(suffix) and len(text) > len(prefix) + len(suffix):
             body = text[len(prefix):len(text) - len(suffix)] if suffix else text[len(prefix):]
-            if body.isdigit():
+            # a body with more digits than the limit is refused unparsed
+            if body.isdecimal() and len(body.lstrip("0")) <= len(str(_PRIME_LIMIT)):
                 return PrimeField(int(body))
-    raise BadParameters(f"unrecognized field {name!r} (expected Q or Fp:<prime>)")
+    raise BadParameters(f"unrecognized field {name!r} (expected Q or Fp:<prime below {_PRIME_LIMIT}>)")
 
 
 def field_name(field) -> str:

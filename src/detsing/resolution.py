@@ -686,9 +686,7 @@ def _finalize_leaf(node, parent):
         node.strict_ideal = Ideal(node.ring, gens)
         return
     st = _strict_minors(node.reduction, parent.residual, MinorCache(node.reduction.matrix))
-    # the generators are computed here, in the build; a leaf with no rewrite
-    # keeps the ideal itself, so check_leaf finds the saturation the certify
-    # pass cached under the same key
+    # the generators are computed here, in the build
     gens = st.gens
     node.strict_ideal = st if node.rewrite is None else Ideal(node.ring, [node.rewrite(g) for g in gens])
 

@@ -3,9 +3,10 @@
 Everything here reduces to Gröbner normal forms: membership, equality of
 ideals, radical membership and saturation, the coordinate-subspace
 regularity certificate, the standing facts about skew and symmetric generic
-matrices, and the per-leaf embedded-resolution verdicts.  Radical membership
-and saturation share one Rabinowitsch extension I + ⟨1 − t·f⟩, with t a
-fresh variable after those of the ring; saturation eliminates t from it.
+matrices, and the per-leaf embedded-resolution verdicts.  Radical membership,
+saturation and the leaf check share one Rabinowitsch extension I + ⟨1 − t·f⟩,
+with t a fresh variable after those of the ring: saturation eliminates t
+from it, and a leaf reads its grevlex basis, for f the leaf's units' product.
 Results can be wrapped as JSON verdict objects.
 
 Two certificates answer True from one cached basis; when they fail, the
@@ -34,6 +35,7 @@ and the least recently used entries go first.
 """
 
 from collections import OrderedDict
+from math import prod
 
 from .blowup import Center, make_chart, strict_transform_poly
 from .errors import BadParameters, RingMismatch
@@ -266,13 +268,9 @@ def saturate(I: Ideal, u: Polynomial) -> Ideal:
     by (I, u).
 
     The generators of the result are its reduced grevlex basis, which is
-    also entered in the basis cache under the result's key, on a hit too.
+    also entered in the basis cache under the result's key, on a hit too:
+    the center identities read that basis.
     """
-    return _saturation(I, u)[0]
-
-
-def _saturation(I: Ideal, u: Polynomial) -> tuple:
-    """(I : u^∞) as saturate() returns it, and its reduced grevlex basis."""
     require_ideal(I, u)
     if u.is_zero():
         raise BadParameters("cannot saturate by zero")
@@ -299,25 +297,23 @@ def _saturation(I: Ideal, u: Polynomial) -> tuple:
     # the value's body is encode_terms(basis.polys), so it keys out as is
     out._key = ideal_cache_id(R, value.partition(b"|")[2])
     _remember(out.cache_id, value)
-    return out, basis
+    return out
 
 
 def coordinate_subspace(I: Ideal):
     """The variable set V when I's reduced basis is exactly V; else None."""
     require_ideal(I)
-    return _coordinate_subspace(groebner_of(I))
+    G = groebner_of(I)
+    names = _variables_in(G)
+    # the elements of a reduced basis have distinct leading monomials
+    return names if len(names) == len(G.polys) else None
 
 
-def _coordinate_subspace(G: GroebnerBasis):
-    names = set()
-    for p in G.polys:
-        if len(p.terms) != 1:
-            return None
-        mono, coeff = next(iter(p.terms.items()))
-        if coeff != G.ring.field.one or sum(mono) != 1:
-            return None
-        names.add(G.ring.names[mono.index(1)])
-    return names
+def _variables_in(G: GroebnerBasis) -> set:
+    """The names of the elements of G that are a single variable."""
+    one, names = G.ring.field.one, G.ring.names
+    return {names[m.index(1)] for p in G.polys if len(p.terms) == 1
+            for m, c in p.terms.items() if c == one and sum(m) == 1}
 
 
 # --- standing facts about generic skew/symmetric matrices ------------------
@@ -401,13 +397,6 @@ def check_lemma_counterexample(field=QQ) -> dict:
 # --- embedded-resolution verdicts -------------------------------------------
 
 
-def _unit_saturation_basis(I: Ideal, units) -> GroebnerBasis:
-    """The reduced basis of I saturated by each unit in turn, decoded once."""
-    for u in units[:-1]:
-        I = saturate(I, u)
-    return _saturation(I, units[-1])[1] if units else groebner_of(I)
-
-
 def check_leaf(leaf) -> dict:
     """Conditions (a) and (c) for one leaf of a resolution tree.
 
@@ -418,21 +407,33 @@ def check_leaf(leaf) -> dict:
         intersections are transversal.
     Condition (b) — isomorphism off the singular locus — holds structurally
     for blow-ups centered inside the singular locus and is recorded as such.
+    Condition (a) is (I : u^∞) = (1) or (V) for the strict ideal I, the
+    product u of the units and variables V, decided by one fresh t: the
+    reduced basis G of J = I + ⟨1 − t·u⟩ (I itself without units) is the
+    unit ideal iff the leaf is empty; else V is G's single-variable
+    elements, and the leaf is regular iff J = (V) + ⟨1 − t·u⟩.
     A leaf without a strict ideal (an interior node) raises BadParameters.
     """
-    if not isinstance(getattr(leaf, "strict_ideal", None), Ideal):
+    I = getattr(leaf, "strict_ideal", None)
+    if not isinstance(I, Ideal):
         raise BadParameters(f"expected a leaf with a strict ideal, got {leaf!r}")
-    G = _unit_saturation_basis(leaf.strict_ideal, leaf.units)
+    require_ideal(I, *leaf.units)
     exc = list(leaf.exceptional_names)
-    snc = len(exc) == len(set(exc)) and all(n in G.ring.index for n in exc)
-    if G.is_unit_ideal():
-        empty, regular, transversal = True, True, snc
-        subspace = None
+    snc = len(exc) == len(set(exc)) and all(n in I.ring.index for n in exc)
+    if leaf.units:
+        u = prod(leaf.units)
+        if u.is_zero():
+            raise BadParameters("a unit cannot be zero")
+        gens, _ = _rabinowitsch(I, u)
+        I = Ideal(gens[-1].ring, gens)
+    G = groebner_of(I)
+    empty, subspace = G.is_unit_ideal(), _variables_in(G)
+    if leaf.units and not empty:
+        regular = ideal_equal(I, Ideal(I.ring, [I.ring.var(n) for n in sorted(subspace)] + gens[-1:]))
     else:
-        subspace = _coordinate_subspace(G)
-        empty = False
-        regular = subspace is not None
-        transversal = snc and regular and not (subspace & set(exc))
+        regular = empty or len(subspace) == len(G.polys)
+    subspace = subspace if regular else set()
+    transversal = snc and regular and not (subspace & set(exc))
     return verdict(
         "embedded_resolution_leaf",
         {"node": leaf.node_id},

@@ -42,7 +42,10 @@ rule (``blowup.ChartMap.apply``) to it. An eighth is a chart's map as a
 transforms and its printed images (``blowup.ChartMap.to_json``) to it. A
 ninth is the embedding loop as it stood before ``rings.embed`` renamed
 through the substitution's gather (``oracle_embed``); a differential test
-holds ``rings.embed``, its errors included, to it.
+holds ``rings.embed``, its errors included, to it. A tenth is the leaf
+check as it stood when it saturated the strict ideal by each unit in turn
+(``oracle_check_leaf``); a differential test holds ``verify.check_leaf``,
+which decides the same claim from one Rabinowitsch basis, to it.
 """
 
 import heapq
@@ -661,6 +664,58 @@ def oracle_radical_member(f, I):
     gens = [embed(g, ext) for g in I.gens] + [ext.one() - ext.var(t) * embed(f, ext)]
     return groebner(gens).is_unit_ideal()
 
+
+
+# -- Frozen leaf check -----------------------------------------------------------
+# verify.check_leaf as it stood before one Rabinowitsch basis decided it: the
+# strict ideal saturated by each unit in turn, by the package's saturate, and
+# the coordinate subspace read off the saturation's reduced basis, computed
+# afresh. Change nothing here except to fix the copy itself.
+
+
+def _oracle_coordinate_subspace(polys, R):
+    names = set()
+    for p in polys:
+        if len(p.terms) != 1:
+            return None
+        mono, coeff = next(iter(p.terms.items()))
+        if coeff != R.field.one or sum(mono) != 1:
+            return None
+        names.add(R.names[mono.index(1)])
+    return names
+
+
+def oracle_check_leaf(leaf):
+    """verify.check_leaf by the saturation chain (I : u_1^∞ : u_2^∞ ...)."""
+    I = leaf.strict_ideal
+    for u in leaf.units:
+        I = saturate(I, u)
+    G = _fresh_basis(I)
+    exc = list(leaf.exceptional_names)
+    snc = len(exc) == len(set(exc)) and all(n in I.ring.index for n in exc)
+    if len(G) == 1 and G[0].is_one():
+        empty, regular, transversal = True, True, snc
+        subspace = None
+    else:
+        subspace = _oracle_coordinate_subspace(G, I.ring)
+        empty = False
+        regular = subspace is not None
+        transversal = snc and regular and not (subspace & set(exc))
+    return verdict(
+        "embedded_resolution_leaf",
+        {"node": leaf.node_id},
+        regular and transversal,
+        witness=None
+        if regular and transversal
+        else {"subspace": sorted(subspace) if subspace else None, "exceptional": exc},
+    ) | {
+        "empty_in_chart": empty,
+        "regular": regular,
+        "transversal": transversal,
+        "condition_b": "structural (center inside the singular locus)",
+        "subspace": sorted(subspace) if subspace else [],
+        "exceptional": exc,
+    }
 
 def oracle_substitute(sub, f):
     """sub(f) by the frozen loop: every variable at exponent e, renames

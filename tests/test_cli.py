@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -204,6 +205,17 @@ def test_verify_identity(capsys):
     assert main(["verify", "--identity", "sym-diag", "--m", "3"]) == \
         EXIT_BAD_PARAMETERS
     capsys.readouterr()
+
+
+def test_verify_over_a_large_prime_field_answers_at_once(capsys):
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["verify", "--fact", "F1", "--m", "3", "--field", "Fp:2305843009213693951"])
+    assert code == EXIT_OK and payload["pass"] and payload["inputs"]["field"] == "Fp:2305843009213693951"
+    # past the range the primality test decides, and too long to parse
+    for spec in ("Fp:" + "9" * 29 + "1", "Fp:" + "7" * 100000):
+        assert main(["verify", "--fact", "F1", "--m", "3", "--field", spec]) == EXIT_BAD_PARAMETERS
+        assert "error:" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 def test_verify_lemma_counterexample(capsys):

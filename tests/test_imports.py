@@ -25,6 +25,10 @@ import or attribute, so it builds none to apply or print a chart. The
 charts of a center share its ring: ``blowup.ChartMap`` calls no ``Ring``,
 and ``resolution._chart_reduction`` calls no ``Center``, so a node's
 center and chart ring are built once, not once per chart.
+
+A leaf is decided from one grevlex basis: ``verify.check_leaf`` names
+neither ``saturate`` nor ``elimination_order``, and ``verify.saturate`` is
+the only code outside ``groebner`` that names ``elimination_order``.
 """
 
 import ast
@@ -384,3 +388,37 @@ def test_finds_a_call_inside_a_definition():
 def test_charts_share_their_center_and_its_ring():
     assert calls_in((PACKAGE / "blowup.py").read_text(), "ChartMap", "Ring") == []
     assert calls_in((PACKAGE / "resolution.py").read_text(), "_chart_reduction", "Center") == []
+
+
+def namers(source, name):
+    """Each module-level statement of source that names name, as a name or
+    an attribute at any depth: a function or class by its own name, any
+    other statement as "<module>". Imports are not counted."""
+    return [
+        getattr(stmt, "name", "<module>") for stmt in ast.parse(source).body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and any(name in (getattr(node, "id", None), getattr(node, "attr", None)) for node in ast.walk(stmt))
+    ]
+
+
+def test_finds_the_statements_that_name_a_function():
+    source = (
+        "from .groebner import elimination_order\n"
+        "import detsing.verify as v\n"
+        "def saturate(I, u):\n    return groebner(gens, elimination_order(R, [t]))\n"
+        "def check_leaf(leaf):\n    return v.saturate(leaf.strict_ideal, leaf.units[0])\n"
+        "class Leaf:\n    order = staticmethod(elimination_order)\n"
+        "ORDER = elimination_order\n"
+        "def elimination_order():\n    return 'elimination_order'\n"
+    )
+    assert namers(source, "elimination_order") == ["saturate", "Leaf", "<module>"]
+    assert namers(source, "saturate") == ["check_leaf"]
+    assert namers(source, "groebner_of") == []
+
+
+def test_a_leaf_is_decided_without_saturation():
+    verify_source = (PACKAGE / "verify.py").read_text()
+    assert namers(verify_source, "elimination_order") == ["saturate"]
+    assert "check_leaf" not in namers(verify_source, "saturate")
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("verify.py", "groebner.py")]
+    assert {p.name: namers(p.read_text(), "elimination_order") for p in others} == {p.name: [] for p in others}

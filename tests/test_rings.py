@@ -7,8 +7,10 @@ rest of the engine relies on.
 
 import random
 import sys
+import time
 
 import pytest
+import sympy
 from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from detsing.errors import (
     UnknownVariable,
     ZeroPolynomial,
 )
+from detsing import fields
 from detsing.fields import QQ, PrimeField, field_from_name
 from detsing.rings import (
     Polynomial,
@@ -222,6 +225,40 @@ def test_field_spec_that_is_not_a_string_is_refused(spec):
         field_from_name(spec)
     with pytest.raises(BadParameters):
         Ring.from_json({"field": spec, "vars": ["x"]})
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [p for p in range(5000) if fields._is_prime(p)] == [p for p in range(5000) if trial_division_is_prime(p)]
+    rng = random.Random(7)
+    for p in [rng.randrange(10 ** 9, 10 ** 10) for _ in range(300)]:
+        assert fields._is_prime(p) == trial_division_is_prime(p), p
+    # up to the range the bases decide, sympy's test is the reference
+    for p in [rng.randrange(10 ** 10, fields._PRIME_LIMIT) | 1 for _ in range(300)]:
+        assert fields._is_prime(p) == sympy.isprime(p), p
+
+
+def test_prime_field_decides_a_large_spec_at_once():
+    start = time.perf_counter()
+    assert field_from_name("Fp:2305843009213693951") == PrimeField(2 ** 61 - 1)
+    assert field_from_name("Fp:" + "0" * 50 + "7") == PrimeField(7)
+    # a Carmichael number; the least strong pseudoprimes to the bases 2;
+    # 2, 3; 2, 3, 5; 2, 3, 5, 7 and 2 to 31; and the least strong pseudoprime
+    # to all twelve bases, which only the range refuses; then primes past
+    # that range
+    for p in (561, 2047, 1373653, 25326001, 3215031751, 3825123056546413051, fields._PRIME_LIMIT, 2 ** 89 - 1,
+              10 ** 29 + 319):
+        with pytest.raises(BadParameters):
+            PrimeField(p)
+        with pytest.raises(BadParameters):
+            field_from_name(f"Fp:{p}")
+    for spec in ("Fp:" + "7" * 100000, "GF(" + "1" * 5000 + ")", "Fp:\u00b2"):
+        with pytest.raises(BadParameters):
+            field_from_name(spec)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("p", [7.0, 2.0, True, "7", Fraction(7)])

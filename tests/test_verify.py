@@ -23,6 +23,7 @@ from detsing.resolution import (
     _formula_matrix,
     _radical_identification_verdict,
     _rewrite_consistency_verdict,
+    resolve_skew,
     resolve_sym,
 )
 from detsing.rings import Polynomial, decode_terms, encode_terms, ring, ring_bytes
@@ -43,6 +44,7 @@ from detsing.verify import (
 )
 
 from . import default_fields
+from .oracles import oracle_check_leaf
 
 
 @pytest.fixture
@@ -512,6 +514,8 @@ def test_check_embedded_resolution_shapes():
     # units get inverted before the subspace test
     eps_leaf = _Leaf(Ideal(R2, [(1 - e) * y]), units=[R2.one() - e], exceptional=["e"])
     assert check_leaf(eps_leaf)["pass"]
+    # without its unit, (1 - e)*y cuts out no coordinate subspace
+    assert not check_leaf(_Leaf(eps_leaf.strict_ideal, exceptional=["e"]))["pass"]
 
     report = _Report([good, empty])
     agg = check_embedded_resolution(report)
@@ -530,6 +534,76 @@ def test_the_leaf_checks_refuse_what_is_not_a_leaf_or_a_report():
             check_embedded_resolution(bad)
     with pytest.raises(BadParameters):
         check_embedded_resolution(_Report([interior]))
+
+
+def test_check_leaf_inverts_two_units_at_once():
+    R3 = ring("y e f")
+    y, e, f = R3.vars()
+    u1, u2 = R3.one() - e, R3.one() - f
+    I = Ideal(R3, [u1 * u2 * y])
+    both = _Leaf(I, units=[u1, u2], exceptional=["e", "f"])
+    v = check_leaf(both)
+    assert v["pass"] and v["subspace"] == ["y"] and v == oracle_check_leaf(both)
+    # either unit alone leaves the other as a factor of y
+    for units in ([u1], [u2]):
+        one = _Leaf(I, units=units, exceptional=["e", "f"])
+        v = check_leaf(one)
+        assert not v["pass"] and not v["regular"] and v == oracle_check_leaf(one)
+
+
+def test_check_leaf_is_not_regular_when_a_variable_is_only_part_of_its_basis():
+    R3 = ring("y z e")
+    y, z, e = R3.vars()
+    u = R3.one() - e
+    # inverting u leaves (y, z^2), as does no unit at all: y is a
+    # single-variable element, z^2 is none
+    for leaf in (_Leaf(Ideal(R3, [u * y, u * z ** 2]), units=[u], exceptional=["e"]),
+                 _Leaf(Ideal(R3, [y, z ** 2]), exceptional=["e"])):
+        v = check_leaf(leaf)
+        assert not v["pass"] and not v["regular"] and v["subspace"] == [] and v == oracle_check_leaf(leaf)
+
+
+def test_check_leaf_is_empty_only_once_its_unit_is_inverted():
+    R2 = ring("y e")
+    y, e = R2.vars()
+    u = R2.one() - e
+    # (1 - e)*y and (1 - e)*(y - 1) generate (1 - e): inverting it empties the leaf
+    I = Ideal(R2, [u * y, u * (y - 1)])
+    inverted = _Leaf(I, units=[u], exceptional=["e"])
+    v = check_leaf(inverted)
+    assert v["pass"] and v["empty_in_chart"] and v == oracle_check_leaf(inverted)
+    bare = _Leaf(I, exceptional=["e"])
+    v = check_leaf(bare)
+    assert not v["pass"] and not v["empty_in_chart"] and v == oracle_check_leaf(bare)
+
+
+def test_check_leaf_refuses_a_unit_of_another_ring_or_zero():
+    R2 = ring("y e")
+    y, e = R2.vars()
+    for other in (ring("y e", PrimeField(7)), ring("y f"), ring("y e s")):
+        for units in ([other.one() - other.vars()[1]], [R2.one() - e, other.one() - other.vars()[1]]):
+            with pytest.raises(RingMismatch):
+                check_leaf(_Leaf(Ideal(R2, [y]), units=units, exceptional=["e"]))
+    for units in ([R2.zero()], [R2.one() - e, R2.zero()], [3], ["1 - e"]):
+        with pytest.raises(BadParameters):
+            check_leaf(_Leaf(Ideal(R2, [y]), units=units, exceptional=["e"]))
+
+
+# three all-charts trees and a representative one
+LEAF_TREES = [(resolve_sym, (3, 3), True), (resolve_sym, (4, 3), True), (resolve_skew, (5, 2), True),
+              (resolve_sym, (5, 5), False)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_check_leaf_matches_the_saturation_route(field):
+    kinds = set()
+    for resolve, args, all_charts in LEAF_TREES:
+        for leaf in resolve(*args, field, all_charts=all_charts, check="none").leaves():
+            v = check_leaf(leaf)
+            assert v == oracle_check_leaf(leaf), leaf.node_id
+            kinds.add((len(leaf.units), v["empty_in_chart"]))
+    # leaves without units, with one and with two, empty and regular
+    assert {(0, False), (1, True), (1, False), (2, False)} <= kinds
 
 
 # --- one read of each cached basis per check ---------------------------------
@@ -564,15 +638,19 @@ def test_radical_identification_reads_each_cached_basis_once(monkeypatch):
     assert first["pass"] and len(bodies) == len(set(bodies)) <= 2
 
 
-def test_check_leaf_reads_its_saturated_basis_once(monkeypatch):
+def test_check_leaf_reads_each_basis_once(monkeypatch):
     report = resolve_sym(3, 3, all_charts=True, check="none")
-    leaves = [check_leaf(leaf) for leaf in report.leaves()]
+    leaves = report.leaves()
+    first = [check_leaf(leaf) for leaf in leaves]
+    assert any(leaf.units for leaf in leaves)
     bodies = _count_decodes(monkeypatch)
-    assert [check_leaf(leaf) for leaf in report.leaves()] == leaves
-    # a saturation hit reads its value, and the last one is the leaf's
-    # basis; a leaf without units reads its basis once
-    saturations = sum(len(leaf.units) for leaf in report.leaves())
-    assert len(bodies) <= saturations + sum(not leaf.units for leaf in report.leaves())
+    monkeypatch.setattr(verify, "groebner", lambda *args, **kw: pytest.fail("a warm check computed a basis"))
+    for leaf, verdict_ in zip(leaves, first):
+        before = len(bodies)
+        assert check_leaf(leaf) == verdict_
+        # the basis of I + <1 - t*u> (of I without units) is decoded once;
+        # that of (V) + <1 - t*u> is compared with it by its cached bytes
+        assert len(bodies) - before == 1, leaf.node_id
 
 
 def _stored_reversed(basis):
